@@ -31,15 +31,12 @@ from .event_graph import (
 from .fingerprint import (
     FingerprintIndex,
     FpConfig,
-    Landmark,
     MatchEntry,
     MatchingList,
-    SpectralPeak,
     extract_peaks,
     fingerprint_clip,
     hash_landmarks,
     offset_zero_votes,
-    pack_key,
     pair_landmarks,
     query,
     spectrogram,

@@ -107,7 +107,7 @@ def cmd_index(args) -> int:
             if len(clip.samples) >= fp_cfg.window
             else []
         )
-        if not hashed:
+        if len(hashed) == 0:
             print(f"warning: {clip.id}: no landmarks, skipped", file=sys.stderr)
             continue
         index.add_hashed(clip.id, hashed, clip.duration)

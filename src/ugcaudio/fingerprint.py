@@ -1,19 +1,24 @@
 """Landmark fingerprints, the inverted index, and offset-voting matches.
 
 A fingerprint is a set of landmarks: pairs of spectrogram peaks, each packed
-into a 21-bit key of (first-peak bin, bin delta, frame delta). The index maps
-keys to (clip, anchor frame) postings; querying accumulates anchor-frame
-differences per candidate clip and reports every merged offset bin whose vote
-count clears the matching threshold.
+into a 21-bit key of (first-peak bin, bin delta, frame delta). Everything is
+carried as int arrays, one row per item:
+
+    extract_peaks   N x 2  (frame, bin), sorted by (frame, bin)
+    pair_landmarks  N x 4  (t1, f1, f2, dt), t1 the anchor frame
+    hash_landmarks  N x 2  (key, t1)
+
+The index keeps each clip's (key, t1) array and one key-sorted
+(key, clip ordinal, t1) posting array built from them. Querying votes
+anchor-frame differences per candidate clip and reports every merged offset
+bin whose vote count clears the matching threshold.
 """
 
 from __future__ import annotations
 
-from collections import Counter, defaultdict
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy import ndimage
 
 from .audio_io import AudioClip, PROCESS_RATE
 
@@ -67,23 +72,6 @@ class FpConfig:
         )
 
 
-@dataclass(frozen=True)
-class SpectralPeak:
-    frame: int
-    bin: int
-    log_mag: float
-
-
-@dataclass(frozen=True)
-class Landmark:
-    """A pair of spectrogram peaks: anchor time, both bins, frame delta."""
-
-    t1: int
-    f1: int
-    f2: int
-    dt: int
-
-
 @dataclass
 class MatchEntry:
     """One (query, candidate, offset) match with its landmark counts."""
@@ -124,84 +112,93 @@ def spectrogram(clip: AudioClip, cfg: FpConfig) -> np.ndarray:
         return np.maximum(np.log(mag), cfg.log_floor)
 
 
-def extract_peaks(spec: np.ndarray, cfg: FpConfig) -> list[SpectralPeak]:
+def extract_peaks(spec: np.ndarray, cfg: FpConfig) -> np.ndarray:
     """Strict local maxima over a +/-3 frame, +/-3 bin neighborhood.
 
     Candidates must clear log_floor + 1; the result is thinned globally to
-    the top peak_density-per-second strongest and returned sorted by
-    (frame, bin).
+    the top peak_density-per-second strongest. Returns an N x 2 int array of
+    (frame, bin) rows sorted by (frame, bin).
     """
     if spec.size == 0:
         raise ValueError("empty spectrogram")
-    footprint = np.ones((7, 7), dtype=bool)
-    footprint[3, 3] = False
-    neighborhood_max = ndimage.maximum_filter(
-        spec, footprint=footprint, mode="constant", cval=-np.inf
-    )
-    mask = (spec > neighborhood_max) & (spec > cfg.log_floor + 1.0)
-    frames_idx, bins_idx = np.nonzero(mask)
+    mask = (spec > _holed_max(spec)) & (spec > cfg.log_floor + 1.0)
+    frames_idx, bins_idx = np.nonzero(mask)  # row-major: sorted by (frame, bin)
     if len(frames_idx) == 0:
-        return []
+        return np.empty((0, 2), dtype=np.int64)
 
     n_frames = spec.shape[0]
     duration = ((n_frames - 1) * cfg.hop + cfg.window) / cfg.rate
     limit = max(1, int(round(cfg.peak_density * duration)))
 
     mags = spec[frames_idx, bins_idx]
-    order = np.lexsort((bins_idx, frames_idx, -mags))[:limit]
-    picked = sorted(
-        (int(frames_idx[i]), int(bins_idx[i]), float(mags[i])) for i in order
-    )
-    return [SpectralPeak(frame=f, bin=b, log_mag=m) for f, b, m in picked]
+    keep = np.sort(np.lexsort((bins_idx, frames_idx, -mags))[:limit])
+    return np.stack([frames_idx[keep], bins_idx[keep]], axis=1).astype(np.int64, copy=False)
 
 
-def pair_landmarks(peaks: list[SpectralPeak], cfg: FpConfig) -> list[Landmark]:
+def _holed_max(spec: np.ndarray) -> np.ndarray:
+    """Max over each cell's 7 x 7 neighborhood, the cell itself excluded.
+
+    Equal to scipy.ndimage.maximum_filter with a holed 7 x 7 footprint and
+    cval=-inf: the neighborhood splits into the same frame at bins +/-1..3
+    and frames +/-1..3 at bins within +/-3, each a max of shifted slices.
+    """
+    n_frames, n_bins = spec.shape
+    padded = np.full((n_frames + 6, n_bins + 6), -np.inf)
+    padded[3:-3, 3:-3] = spec
+    left = np.maximum(np.maximum(padded[:, 0:n_bins], padded[:, 1 : n_bins + 1]), padded[:, 2 : n_bins + 2])
+    right = np.maximum(np.maximum(padded[:, 4 : n_bins + 4], padded[:, 5 : n_bins + 5]), padded[:, 6 : n_bins + 6])
+    sides = np.maximum(left, right)
+    rows = np.maximum(sides, padded[:, 3 : n_bins + 3])  # full +/-3 bins, per padded frame
+    out = sides[3 : n_frames + 3]
+    for shift in (0, 1, 2, 4, 5, 6):
+        np.maximum(out, rows[shift : shift + n_frames], out=out)
+    return out
+
+
+def pair_landmarks(peaks: np.ndarray, cfg: FpConfig) -> np.ndarray:
     """Pair each anchor peak with up to cfg.fanout later peaks.
 
     Admissible partners have a frame delta inside dt_range, a bin delta inside
-    df_range, and both bins within the 8-bit key budget. The peak list is
-    ordered by (frame, bin), so scanning forward takes partners nearest in
-    time first; the result is deterministic.
+    df_range, and both bins within the 8-bit key budget. The (frame, bin)
+    peak rows are ordered, so scanning forward takes partners nearest in time
+    first. Returns an N x 4 int array of (t1, f1, f2, dt) rows, grouped by
+    anchor in peak order and by partner in peak order within an anchor.
     """
+    peaks = np.asarray(peaks, dtype=np.int64).reshape(-1, 2)
+    frames, bins = peaks[:, 0], peaks[:, 1]
+    n = len(peaks)
     dt_lo, dt_hi = cfg.dt_range
     df_lo, df_hi = cfg.df_range
-    landmarks: list[Landmark] = []
-    for i, anchor in enumerate(peaks):
-        if anchor.bin > _F1_MAX:
-            continue
-        taken = 0
-        for j in range(i + 1, len(peaks)):
-            other = peaks[j]
-            dt = other.frame - anchor.frame
-            if dt > dt_hi:
-                break
-            if dt < dt_lo or other.bin > _F1_MAX:
-                continue
-            df = other.bin - anchor.bin
-            if df_lo <= df <= df_hi:
-                landmarks.append(
-                    Landmark(t1=anchor.frame, f1=anchor.bin, f2=other.bin, dt=dt)
-                )
-                taken += 1
-                if taken >= cfg.fanout:
-                    break
-    return landmarks
-
-
-def pack_key(lm: Landmark) -> int:
-    """Pack (f1, f2 - f1, dt) into a 21-bit integer key; bijective on the valid domain."""
-    df = lm.f2 - lm.f1
-    if not (0 <= lm.f1 <= _F1_MAX):
-        raise ValueError(f"f1 {lm.f1} outside [0, {_F1_MAX}]")
-    if not (-_DF_BIAS <= df <= _DF_BIAS):
-        raise ValueError(f"bin delta {df} outside [-{_DF_BIAS}, {_DF_BIAS}]")
-    if not (1 <= lm.dt <= 63):
-        raise ValueError(f"dt {lm.dt} outside [1, 63]")
-    return (lm.f1 << _F1_SHIFT) | ((df + _DF_BIAS) << _DF_SHIFT) | lm.dt
+    taken = np.zeros(n, dtype=np.int64)
+    firsts = [np.empty(0, dtype=np.int64)]
+    seconds = [np.empty(0, dtype=np.int64)]
+    # Column sweep: step k visits partner i + k of every anchor i still
+    # scanning, which is the k-th step of the per-anchor forward scan.
+    active = np.flatnonzero(bins <= _F1_MAX)
+    k = 1
+    while len(active):
+        active = active[active + k < n]
+        partner = active + k
+        dt = frames[partner] - frames[active]
+        in_reach = dt <= dt_hi  # the scan stops at the first peak past dt_hi
+        active, partner, dt = active[in_reach], partner[in_reach], dt[in_reach]
+        df = bins[partner] - bins[active]
+        ok = (dt >= dt_lo) & (bins[partner] <= _F1_MAX) & (df >= df_lo) & (df <= df_hi)
+        firsts.append(active[ok])
+        seconds.append(partner[ok])
+        taken[active[ok]] += 1
+        active = active[taken[active] < cfg.fanout]
+        k += 1
+    first = np.concatenate(firsts)
+    order = np.argsort(first, kind="stable")
+    first, second = first[order], np.concatenate(seconds)[order]
+    return np.stack(
+        [frames[first], bins[first], bins[second], frames[second] - frames[first]], axis=1
+    )
 
 
 def unpack_key(key: int) -> tuple[int, int, int]:
-    """Inverse of pack_key: (f1, df, dt)."""
+    """Inverse of the key packing in hash_landmarks: (f1, df, dt)."""
     if not (0 <= key < 1 << 21):
         raise ValueError(f"key {key} outside the 21-bit domain")
     dt = key & 0x3F
@@ -210,58 +207,101 @@ def unpack_key(key: int) -> tuple[int, int, int]:
     return f1, df, dt
 
 
-def hash_landmarks(landmarks: list[Landmark]) -> list[tuple[int, int]]:
-    """(key, anchor frame) pairs, the form the index stores and queries."""
-    return [(pack_key(lm), lm.t1) for lm in landmarks]
+def hash_landmarks(landmarks: np.ndarray) -> np.ndarray:
+    """(key, anchor frame) rows, the form the index stores and queries.
+
+    Each (t1, f1, f2, dt) row packs (f1, f2 - f1, dt) into a 21-bit key,
+    bijective on the valid domain; a row outside it raises ValueError.
+    """
+    t1, f1, f2, dt = np.asarray(landmarks, dtype=np.int64).reshape(-1, 4).T
+    df = f2 - f1
+    bad_f1 = (f1 < 0) | (f1 > _F1_MAX)
+    bad_df = (df < -_DF_BIAS) | (df > _DF_BIAS)
+    bad_dt = (dt < 1) | (dt > 63)
+    bad = bad_f1 | bad_df | bad_dt
+    if bad.any():
+        i = int(np.argmax(bad))
+        if bad_f1[i]:
+            raise ValueError(f"f1 {f1[i]} outside [0, {_F1_MAX}]")
+        if bad_df[i]:
+            raise ValueError(f"bin delta {df[i]} outside [-{_DF_BIAS}, {_DF_BIAS}]")
+        raise ValueError(f"dt {dt[i]} outside [1, 63]")
+    keys = (f1 << _F1_SHIFT) | ((df + _DF_BIAS) << _DF_SHIFT) | dt
+    return np.stack([keys, t1], axis=1)
 
 
-def fingerprint_clip(clip: AudioClip, cfg: FpConfig) -> list[Landmark]:
+def fingerprint_clip(clip: AudioClip, cfg: FpConfig) -> np.ndarray:
     """Full extraction pipeline: spectrogram -> peaks -> landmark pairs."""
     return pair_landmarks(extract_peaks(spectrogram(clip, cfg), cfg), cfg)
 
 
-class FingerprintIndex:
-    """Inverted landmark index: key -> [(clip_id, anchor frame)].
+def _as_hashed(hashed) -> np.ndarray:
+    return np.asarray(hashed, dtype=np.int64).reshape(-1, 2)
 
+
+class FingerprintIndex:
+    """Inverted landmark index over per-clip (key, anchor frame) arrays.
+
+    The postings are one (key, clip ordinal, t1) u32 array sorted by all
+    three columns, with ordinals in sorted clip-id order: the block the
+    index file stores. It is built on first use after an insert.
     Single-writer while building; immutable and safe for concurrent queries
     once built. Every indexed clip must contribute at least one landmark.
     """
 
     def __init__(self, cfg: FpConfig):
         self.cfg = cfg
-        self.postings: dict[int, list[tuple[str, int]]] = defaultdict(list)
+        self.hashed: dict[str, np.ndarray] = {}
         self.landmark_counts: dict[str, int] = {}
         self.durations: dict[str, float] = {}
+        self._postings: np.ndarray | None = None
+        self._keys = np.empty(0, dtype=np.int64)
+        self._ids: list[str] = []
 
-    def add_clip(
-        self, clip_id: str, landmarks: list[Landmark], duration: float = 0.0
-    ) -> None:
+    def add_clip(self, clip_id: str, landmarks: np.ndarray, duration: float = 0.0) -> None:
         self.add_hashed(clip_id, hash_landmarks(landmarks), duration)
 
-    def add_hashed(
-        self, clip_id: str, hashed: list[tuple[int, int]], duration: float = 0.0
-    ) -> None:
+    def add_hashed(self, clip_id: str, hashed, duration: float = 0.0) -> None:
         if clip_id in self.landmark_counts:
             raise ValueError(f"clip {clip_id!r} already indexed")
-        if not hashed:
+        hashed = _as_hashed(hashed)
+        if len(hashed) == 0:
             raise ValueError(f"clip {clip_id!r} has no landmarks")
-        for key, t1 in hashed:
-            self.postings[key].append((clip_id, t1))
+        if hashed.min() < 0 or hashed[:, 0].max() >= 1 << 21 or hashed[:, 1].max() > 0xFFFFFFFF:
+            raise ValueError(f"clip {clip_id!r}: key or anchor frame out of range")
+        self.hashed[clip_id] = hashed
         self.landmark_counts[clip_id] = len(hashed)
         self.durations[clip_id] = duration
+        self._postings = None
 
-    def hashed_landmarks(self, clip_id: str) -> list[tuple[int, int]]:
-        """Reconstruct a clip's (key, anchor frame) pairs from the postings."""
-        if clip_id not in self.landmark_counts:
-            raise KeyError(clip_id)
-        out = [
-            (key, t1)
-            for key, posts in self.postings.items()
-            for cid, t1 in posts
-            if cid == clip_id
-        ]
-        out.sort(key=lambda kt: (kt[1], kt[0]))
-        return out
+    def postings(self) -> np.ndarray:
+        """The sorted (key, clip ordinal, t1) u32 posting array."""
+        if self._postings is None:
+            ids = self.clip_ids
+            parts = [np.empty((0, 3), dtype=np.uint32)]
+            for ordinal, cid in enumerate(ids):
+                h = self.hashed[cid]
+                parts.append(np.stack([h[:, 0], np.full(len(h), ordinal), h[:, 1]], axis=1).astype(np.uint32))
+            block = np.concatenate(parts)
+            self._set_postings(block[np.lexsort((block[:, 2], block[:, 1], block[:, 0]))], ids)
+        return self._postings
+
+    def adopt_postings(self, block: np.ndarray) -> None:
+        """Take a stored posting array holding exactly the per-clip rows.
+
+        It is used as is when sorted, as index files store it; otherwise the
+        next use builds the array afresh.
+        """
+        step = np.diff(block.astype(np.int64), axis=0)
+        key, ordinal, t1 = step[:, 0], step[:, 1], step[:, 2]
+        if np.all((key > 0) | ((key == 0) & ((ordinal > 0) | ((ordinal == 0) & (t1 >= 0))))):
+            self._set_postings(block, self.clip_ids)
+
+    def _set_postings(self, block: np.ndarray, ids: list[str]) -> None:
+        # _postings last: a reader that sees it set sees the rest too.
+        self._keys = block[:, 0].astype(np.int64)
+        self._ids = ids
+        self._postings = block
 
     @property
     def clip_ids(self) -> list[str]:
@@ -269,7 +309,7 @@ class FingerprintIndex:
 
 
 def _merge_offset_bins(
-    votes: Counter, merge: int
+    votes: dict[int, int], merge: int
 ) -> list[tuple[int, int]]:
     """Greedy histogram merging: (mode offset, merged count), disjoint groups.
 
@@ -289,10 +329,15 @@ def _merge_offset_bins(
     return bins
 
 
+# (clip ordinal, offset) vote codes: ordinal above bit 33, offset + 2**32 below.
+_OFFSET_BITS = 33
+_OFFSET_BIAS = 1 << 32
+
+
 def query(
     index: FingerprintIndex,
     query_id: str,
-    hashed: list[tuple[int, int]],
+    hashed,
     cfg: FpConfig | None = None,
 ) -> MatchingList:
     """Match hashed query landmarks against the index.
@@ -305,19 +350,41 @@ def query(
     cfg = cfg or index.cfg
     if not cfg.compatible_with(index.cfg):
         raise ValueError("query config incompatible with the index it targets")
+    hashed = _as_hashed(hashed)
+    postings = index.postings()
 
-    votes: dict[str, Counter] = defaultdict(Counter)
-    for key, t_query in hashed:
-        for clip_id, t_db in index.postings.get(key, ()):
-            if clip_id == query_id:
-                continue
-            votes[clip_id][t_db - t_query] += 1
+    # Every posting under each query key, as (query row, posting row).
+    lo = np.searchsorted(index._keys, hashed[:, 0], "left")
+    hits = np.searchsorted(index._keys, hashed[:, 0], "right") - lo
+    rows = np.repeat(np.arange(len(hashed)), hits)
+    starts = np.cumsum(hits) - hits
+    post = np.repeat(lo - starts, hits) + np.arange(len(rows))
+    ordinals = postings[post, 1].astype(np.int64)
+    offsets = postings[post, 2].astype(np.int64) - hashed[rows, 1]
+    if query_id in index.landmark_counts:
+        own = ordinals != index._ids.index(query_id)
+        ordinals, offsets = ordinals[own], offsets[own]
+    codes, counts = np.unique(
+        (ordinals << _OFFSET_BITS) + offsets + _OFFSET_BIAS, return_counts=True
+    )
+    clip_of = codes >> _OFFSET_BITS
+    cum = np.concatenate([[0], np.cumsum(counts)])
 
+    # A merged bin never exceeds the votes within +/- offset_merge of its
+    # mode, so a clip whose every such window falls short has no entry.
+    merge = cfg.offset_merge
+    window = cum[np.searchsorted(codes, codes + merge, "right")] - cum[
+        np.searchsorted(codes, codes - merge, "left")
+    ]
     lq = len(hashed)
     entries: list[MatchEntry] = []
-    for clip_id, clip_votes in votes.items():
-        tml = sum(clip_votes.values())
-        for offset, count in _merge_offset_bins(clip_votes, cfg.offset_merge):
+    for ordinal in np.unique(clip_of[window >= cfg.match_threshold]).tolist():
+        first, last = np.searchsorted(clip_of, [ordinal, ordinal + 1])
+        clip_id = index._ids[ordinal]
+        clip_offsets = (codes[first:last] - (ordinal << _OFFSET_BITS) - _OFFSET_BIAS).tolist()
+        votes = dict(zip(clip_offsets, counts[first:last].tolist()))
+        tml = int(cum[last] - cum[first])
+        for offset, count in _merge_offset_bins(votes, merge):
             if count >= cfg.match_threshold:
                 entries.append(
                     MatchEntry(
@@ -335,25 +402,19 @@ def query(
     return MatchingList(query_id=query_id, entries=entries)
 
 
-def offset_zero_votes(
-    hashed_a: list[tuple[int, int]],
-    hashed_b: list[tuple[int, int]],
-    tol_frames: int = 2,
-) -> int:
+def offset_zero_votes(hashed_a, hashed_b, tol_frames: int = 2) -> int:
     """Matching-landmark votes between two hashed fingerprints near offset 0.
 
     Counts (a, b) landmark pairs with equal keys whose anchor frames differ
     by at most tol_frames. Symmetric in its arguments.
     """
-    by_key: dict[int, list[int]] = defaultdict(list)
-    for key, t in hashed_b:
-        by_key[key].append(t)
-    count = 0
-    for key, t in hashed_a:
-        for t_b in by_key.get(key, ()):
-            if abs(t_b - t) <= tol_frames:
-                count += 1
-    return count
+    a, b = _as_hashed(hashed_a), _as_hashed(hashed_b)
+    # Anchor frames are below 2**32, so codes of different keys stay apart.
+    codes_b = np.sort((b[:, 0] << _OFFSET_BITS) + b[:, 1])
+    codes_a = (a[:, 0] << _OFFSET_BITS) + a[:, 1]
+    hi = np.searchsorted(codes_b, codes_a + tol_frames, "right")
+    lo = np.searchsorted(codes_b, codes_a - tol_frames, "left")
+    return int((hi - lo).sum())
 
 
 def with_quality_params(cfg: FpConfig, density_multiplier: float = 3.0) -> FpConfig:

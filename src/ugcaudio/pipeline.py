@@ -12,6 +12,8 @@ import os
 from dataclasses import dataclass, field
 from pathlib import Path
 
+import numpy as np
+
 from .audio_io import AudioClip, decode_wav, resample_mono
 from .event_graph import Cluster, MatchGraph, build_graph, connected_components
 from .fingerprint import (
@@ -168,14 +170,14 @@ def run_pipeline(
     hi_cfg = cfg.hi_config()
 
     index = FingerprintIndex(fp_cfg)
-    hashed: dict[str, list[tuple[int, int]]] = {}
+    hashed: dict[str, np.ndarray] = {}
     unmatched: list[str] = []
     for clip in clips:
         if len(clip.samples) < fp_cfg.window:
             unmatched.append(clip.id)
             continue
         h = hash_landmarks(fingerprint_clip(clip, fp_cfg))
-        if not h:
+        if len(h) == 0:
             unmatched.append(clip.id)
             continue
         hashed[clip.id] = h

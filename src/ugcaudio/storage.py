@@ -7,6 +7,10 @@ byte-identical and a hexdump diff is readable:
     u32 n_clips, per clip {u16 id length, id bytes, f64 duration, u32 #L},
     u64 n_postings, per posting {u32 key, u32 clip ordinal, u32 t1}
 
+Clips are in sorted-id order and postings sorted by (key, ordinal, t1), so
+the posting block is exactly the index's in-memory posting array: it is
+written with one `tobytes` and read with one `frombuffer`, then checked.
+
 Model files are `key = value` text with repr'd floats, which round-trip
 float64 exactly. Reports are JSON with sorted keys and a trailing newline.
 """
@@ -33,6 +37,8 @@ from .match_classifier import (
 INDEX_MAGIC = b"UGFP"
 INDEX_VERSION = 1
 MODEL_VERSION = 1
+# One posting row is three of these: key, clip ordinal, anchor frame.
+_POSTING = np.dtype("<u4")
 
 
 class StorageError(Exception):
@@ -68,8 +74,6 @@ class _Reader:
 def index_to_bytes(index: FingerprintIndex) -> bytes:
     """Serialize with clips in sorted-id order and postings fully sorted."""
     clip_ids = index.clip_ids
-    ordinal = {cid: i for i, cid in enumerate(clip_ids)}
-
     parts = [
         INDEX_MAGIC,
         struct.pack(
@@ -91,14 +95,9 @@ def index_to_bytes(index: FingerprintIndex) -> bytes:
             struct.pack("<dI", index.durations[cid], index.landmark_counts[cid])
         )
 
-    postings = sorted(
-        (key, ordinal[cid], t1)
-        for key, posts in index.postings.items()
-        for cid, t1 in posts
-    )
+    postings = index.postings()
     parts.append(struct.pack("<Q", len(postings)))
-    for key, ordn, t1 in postings:
-        parts.append(struct.pack("<III", key, ordn, t1))
+    parts.append(postings.astype(_POSTING, copy=False).tobytes())
     return b"".join(parts)
 
 
@@ -124,22 +123,33 @@ def index_from_bytes(data: bytes) -> FingerprintIndex:
         index.durations[cid] = duration
 
     (n_postings,) = r.take("<Q")
-    seen = {cid: 0 for cid in clip_ids}
-    for _ in range(n_postings):
-        key, ordn, t1 = r.take("<III")
-        if ordn >= len(clip_ids):
-            raise StorageError(f"posting references clip ordinal {ordn} of {len(clip_ids)}")
-        cid = clip_ids[ordn]
-        index.postings[key].append((cid, t1))
-        seen[cid] += 1
+    row = 3 * _POSTING.itemsize
+    complete = min(n_postings, (len(data) - r.pos) // row)
+    block = np.frombuffer(data, dtype=_POSTING, count=3 * complete, offset=r.pos).reshape(-1, 3)
+    # Faults are reported in file order: a bad ordinal before a short tail.
+    bad = np.flatnonzero(block[:, 1] >= len(clip_ids))
+    if len(bad):
+        raise StorageError(
+            f"posting references clip ordinal {block[bad[0], 1]} of {len(clip_ids)}"
+        )
+    r.pos += row * complete
+    if complete < n_postings:
+        r.take_bytes(row)  # raises, naming the offset of the incomplete posting
     if r.pos != len(data):
         raise StorageError(f"{len(data) - r.pos} trailing bytes after postings")
-    for cid, count in seen.items():
+    seen = np.bincount(block[:, 1], minlength=len(clip_ids)).tolist()
+    for cid, count in zip(clip_ids, seen):
         if count != index.landmark_counts[cid]:
             raise StorageError(
                 f"clip {cid!r} declares {index.landmark_counts[cid]} landmarks "
                 f"but has {count} postings"
             )
+
+    by_clip = block[np.argsort(block[:, 1], kind="stable")][:, [0, 2]].astype(np.int64)
+    for cid, rows in zip(clip_ids, np.split(by_clip, np.cumsum(seen)[:-1])):
+        index.hashed[cid] = rows
+    if clip_ids == sorted(clip_ids):
+        index.adopt_postings(block)
     return index
 
 

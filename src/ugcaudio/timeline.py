@@ -12,6 +12,8 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .audio_io import AudioClip
 from .event_graph import Cluster, MatchGraph
 from .fingerprint import FpConfig, fingerprint_clip, hash_landmarks, offset_zero_votes
@@ -211,12 +213,12 @@ def segment_quality(
     if hi_cfg.match_threshold != 1:
         raise ValueError("quality scoring requires match_threshold = 1")
 
-    hashed: dict[str, list[tuple[int, int]]] = {}
+    hashed: dict[str, np.ndarray] = {}
     for cut in segment.members:
         clip = clips[cut.clip_id]
         audio = cut_audio(clip, cut)
         if len(audio.samples) < hi_cfg.window:
-            hashed[cut.clip_id] = []
+            hashed[cut.clip_id] = np.empty((0, 2), dtype=np.int64)
         else:
             hashed[cut.clip_id] = hash_landmarks(fingerprint_clip(audio, hi_cfg))
 

@@ -194,6 +194,34 @@ class TestIndex:
         assert "unknown key" in capsys.readouterr().err
 
 
+class TestEmptyFingerprints:
+    def test_silent_and_short_clips_are_skipped(self, indexed, small_corpus, tmp_path, capsys):
+        silent = AudioClip(id="quiet", samples=np.zeros(PROCESS_RATE), rate=PROCESS_RATE)
+        short = AudioClip(id="tiny", samples=np.full(300, 0.5), rate=PROCESS_RATE)
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        for clip in (silent, short):
+            (corpus / f"{clip.id}.wav").write_bytes(encode_wav(clip))
+        wavs = [str(corpus / "quiet.wav"), str(corpus / "tiny.wav")]
+
+        out = tmp_path / "empty.idx"
+        assert main(["index", *wavs, "--out", str(out)]) == 0
+        err = capsys.readouterr().err
+        assert "quiet: no landmarks" in err and "tiny: no landmarks" in err
+        assert load_index(str(out)).clip_ids == []
+
+        idx, _ = indexed
+        matches = tmp_path / "matches.json"
+        assert main(["match", wavs[0], "--index", str(idx), "--out", str(matches)]) == 0
+        assert json.loads(matches.read_text()) == {"queries": [{"query": "quiet", "entries": []}]}
+
+        src = next(iter(sorted(small_corpus.glob("*.wav"))))
+        (corpus / src.name).write_bytes(src.read_bytes())
+        report = tmp_path / "report.json"
+        assert main(["pipeline", "--in", str(corpus), "--out", str(report)]) == 0
+        assert json.loads(report.read_text())["unmatched"] == ["quiet", "tiny"]
+
+
 class TestMatch:
     def test_matches_written(self, matches_file, indexed):
         _, wavs = indexed

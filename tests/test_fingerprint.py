@@ -1,18 +1,19 @@
+from collections import Counter
+
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
+from scipy import ndimage
 
 from ugcaudio import (
     AudioClip,
     FingerprintIndex,
     FpConfig,
-    Landmark,
-    SpectralPeak,
     extract_peaks,
     fingerprint_clip,
     hash_landmarks,
     offset_zero_votes,
-    pack_key,
     pair_landmarks,
     query,
     spectrogram,
@@ -83,12 +84,12 @@ class TestPeaks:
         clip = burst_clip("p", duration=3.0, seed=1)
         spec = spectrogram(clip, cfg)
         peaks = extract_peaks(spec, cfg)
-        assert peaks
-        for p in peaks:
-            lo_f, hi_f = max(0, p.frame - 3), min(spec.shape[0], p.frame + 4)
-            lo_b, hi_b = max(0, p.bin - 3), min(spec.shape[1], p.bin + 4)
+        assert len(peaks) > 0
+        for frame, b in peaks.tolist():
+            lo_f, hi_f = max(0, frame - 3), min(spec.shape[0], frame + 4)
+            lo_b, hi_b = max(0, b - 3), min(spec.shape[1], b + 4)
             patch = spec[lo_f:hi_f, lo_b:hi_b]
-            assert spec[p.frame, p.bin] == patch.max()
+            assert spec[frame, b] == patch.max()
             assert (patch == patch.max()).sum() == 1
 
     def test_density_cap(self):
@@ -106,7 +107,7 @@ class TestPeaks:
         for f, b in planted:
             spec[f, b] = 0.0
         peaks = extract_peaks(spec, cfg)
-        assert [(p.frame, p.bin) for p in peaks] == sorted(planted)
+        assert [tuple(p) for p in peaks.tolist()] == sorted(planted)
 
     def test_keeps_strongest_when_over_budget(self):
         cfg = FpConfig(peak_density=20.0)
@@ -119,24 +120,55 @@ class TestPeaks:
         peaks = extract_peaks(spec, cfg)
         duration = ((40 - 1) * cfg.hop + cfg.window) / cfg.rate
         budget = round(cfg.peak_density * duration)
-        got = {(p.frame, p.bin) for p in peaks}
+        got = {tuple(p) for p in peaks.tolist()}
         expect = {s for s, m in zip(spots, mags) if m >= mags[30 - budget]}
         assert got == expect
+
+    @given(
+        spec=hnp.arrays(
+            np.float64,
+            hnp.array_shapes(min_dims=2, max_dims=2, min_side=1, max_side=24),
+            elements=st.sampled_from([-10.0, -9.0, -8.5, -4.0, -4.0, 0.0]),
+        ),
+        density=st.sampled_from([2.0, 20.0, 200.0]),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_matches_maximum_filter_definition(self, spec, density):
+        # Few distinct levels make ties everywhere; sides under 7 clip the window.
+        cfg = FpConfig(peak_density=density)
+        got = [tuple(p) for p in extract_peaks(spec, cfg).tolist()]
+        assert got == _reference_peaks(spec, cfg)
+
+
+def _reference_peaks(spec, cfg):
+    """Peak-picking oracle: holed 7x7 maximum filter, floor, global top-N."""
+    footprint = np.ones((7, 7), dtype=bool)
+    footprint[3, 3] = False
+    neighborhood_max = ndimage.maximum_filter(
+        spec, footprint=footprint, mode="constant", cval=-np.inf
+    )
+    mask = (spec > neighborhood_max) & (spec > cfg.log_floor + 1.0)
+    frames_idx, bins_idx = np.nonzero(mask)
+    duration = ((spec.shape[0] - 1) * cfg.hop + cfg.window) / cfg.rate
+    limit = max(1, int(round(cfg.peak_density * duration)))
+    mags = spec[frames_idx, bins_idx]
+    order = np.lexsort((bins_idx, frames_idx, -mags))[:limit]
+    return sorted((int(frames_idx[i]), int(bins_idx[i])) for i in order)
 
 
 def _brute_force_pairs(peaks, cfg):
     """Independent landmark oracle: all pairs in window, fanout nearest."""
     out = []
-    ordered = sorted(peaks, key=lambda p: (p.frame, p.bin))
-    for i, a in enumerate(ordered):
-        if a.bin > 255:
+    ordered = sorted(tuple(p) for p in peaks.tolist())
+    for i, (a_frame, a_bin) in enumerate(ordered):
+        if a_bin > 255:
             continue
         partners = []
-        for b in ordered[i + 1 :]:
-            dt = b.frame - a.frame
-            df = b.bin - a.bin
-            if cfg.dt_range[0] <= dt <= cfg.dt_range[1] and cfg.df_range[0] <= df <= cfg.df_range[1] and b.bin <= 255:
-                partners.append(Landmark(t1=a.frame, f1=a.bin, f2=b.bin, dt=dt))
+        for b_frame, b_bin in ordered[i + 1 :]:
+            dt = b_frame - a_frame
+            df = b_bin - a_bin
+            if cfg.dt_range[0] <= dt <= cfg.dt_range[1] and cfg.df_range[0] <= df <= cfg.df_range[1] and b_bin <= 255:
+                partners.append((a_frame, a_bin, b_bin, dt))
             if len(partners) == cfg.fanout:
                 break
         out.extend(partners)
@@ -155,27 +187,28 @@ class TestLandmarks:
     @settings(max_examples=60, deadline=None)
     def test_pairing_matches_brute_force(self, spots):
         cfg = FpConfig()
-        peaks = [SpectralPeak(frame=f, bin=b, log_mag=0.0) for f, b in sorted(spots)]
-        assert pair_landmarks(peaks, cfg) == _brute_force_pairs(peaks, cfg)
+        peaks = np.array(sorted(spots), dtype=np.int64).reshape(-1, 2)
+        got = [tuple(lm) for lm in pair_landmarks(peaks, cfg).tolist()]
+        assert got == _brute_force_pairs(peaks, cfg)
 
     def test_windows_and_fanout_respected(self):
         cfg = FpConfig(fanout=2)
         clip = burst_clip("l", duration=3.0, seed=3)
         lms = fingerprint_clip(clip, cfg)
-        assert lms
+        assert len(lms) > 0
         anchors = {}
-        for lm in lms:
-            assert cfg.dt_range[0] <= lm.dt <= cfg.dt_range[1]
-            assert cfg.df_range[0] <= lm.f2 - lm.f1 <= cfg.df_range[1]
-            assert 0 <= lm.f1 <= 255 and 0 <= lm.f2 <= 255
-            anchors[(lm.t1, lm.f1)] = anchors.get((lm.t1, lm.f1), 0) + 1
+        for t1, f1, f2, dt in lms.tolist():
+            assert cfg.dt_range[0] <= dt <= cfg.dt_range[1]
+            assert cfg.df_range[0] <= f2 - f1 <= cfg.df_range[1]
+            assert 0 <= f1 <= 255 and 0 <= f2 <= 255
+            anchors[(t1, f1)] = anchors.get((t1, f1), 0) + 1
         assert max(anchors.values()) <= 2
 
 
 class TestKeys:
     def test_corner_values(self):
-        assert pack_key(Landmark(t1=0, f1=0, f2=-63 + 0, dt=1)) == 1
-        assert pack_key(Landmark(t1=0, f1=255, f2=255 + 63, dt=63)) == 2_097_087
+        assert hash_landmarks(np.array([[0, 0, -63 + 0, 1]]))[0, 0] == 1
+        assert hash_landmarks(np.array([[0, 255, 255 + 63, 63]]))[0, 0] == 2_097_087
 
     @given(
         f1=st.integers(0, 255),
@@ -184,17 +217,25 @@ class TestKeys:
     )
     @settings(max_examples=200, deadline=None)
     def test_round_trip(self, f1, df, dt):
-        key = pack_key(Landmark(t1=7, f1=f1, f2=f1 + df, dt=dt))
+        key, t1 = hash_landmarks(np.array([[7, f1, f1 + df, dt]]))[0].tolist()
+        assert t1 == 7
         assert unpack_key(key) == (f1, df, dt)
         assert 0 <= key < 2**21
 
     def test_out_of_range_rejected(self):
         with pytest.raises(ValueError):
-            pack_key(Landmark(t1=0, f1=256, f2=200, dt=5))
+            hash_landmarks(np.array([[0, 256, 200, 5]]))
         with pytest.raises(ValueError):
-            pack_key(Landmark(t1=0, f1=10, f2=10 + 64, dt=5))
+            hash_landmarks(np.array([[0, 10, 10 + 64, 5]]))
         with pytest.raises(ValueError):
-            pack_key(Landmark(t1=0, f1=10, f2=12, dt=0))
+            hash_landmarks(np.array([[0, 10, 12, 0]]))
+
+    def test_wide_bin_delta_rejected_at_hashing(self):
+        # Pairing honours any df_range; the key budget is enforced when hashing.
+        cfg = FpConfig(df_range=(-120, 120))
+        landmarks = fingerprint_clip(burst_clip("wide", duration=4.0, seed=9), cfg)
+        with pytest.raises(ValueError, match="bin delta"):
+            hash_landmarks(landmarks)
 
 
 class TestMergeBins:
@@ -234,7 +275,11 @@ class TestIndexAndQuery:
         hashed = hash_landmarks(fingerprint_clip(clip, cfg))
         index = FingerprintIndex(cfg)
         index.add_hashed("h", hashed, clip.duration)
-        assert index.hashed_landmarks("h") == sorted(hashed, key=lambda kt: (kt[1], kt[0]))
+        assert np.array_equal(index.hashed["h"], hashed)
+        postings = index.postings()
+        assert (postings[:, 1] == 0).all()
+        stored = sorted(zip(postings[:, 0].tolist(), postings[:, 2].tolist()))
+        assert stored == sorted(tuple(kt) for kt in hashed.tolist())
 
     def test_self_match_identity(self):
         cfg = FpConfig()
@@ -298,6 +343,42 @@ class TestIndexAndQuery:
         with pytest.raises(ValueError):
             query(index, "x", [(1, 0)], FpConfig(hop=128))
 
+    @given(
+        clips=st.lists(
+            st.lists(st.tuples(st.integers(0, 3), st.integers(0, 12)), min_size=1, max_size=25),
+            min_size=1,
+            max_size=4,
+        ),
+        hashed=st.lists(st.tuples(st.integers(0, 3), st.integers(0, 12)), max_size=25),
+        query_id=st.sampled_from(["c0", "c1", "probe"]),
+        merge=st.integers(0, 2),
+        threshold=st.integers(1, 6),
+    )
+    # Votes {-2: 1, 0: 3, 2: 1}: only the full +/-2 window around the mode
+    # reaches 5, so pruning on a one-sided window would lose the entry.
+    @example(
+        clips=[[(1, 0), (1, 2), (1, 2), (1, 2), (1, 4)]],
+        hashed=[(1, 2)],
+        query_id="probe",
+        merge=2,
+        threshold=5,
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_matches_brute_force_votes(self, clips, hashed, query_id, merge, threshold):
+        cfg = FpConfig(offset_merge=merge, match_threshold=threshold)
+        index = FingerprintIndex(cfg)
+        db = {f"c{i}": rows for i, rows in enumerate(clips)}
+        for cid, rows in db.items():
+            index.add_hashed(cid, rows, 1.0)
+        got = [
+            (e.clip_id, e.offset_frames, e.ml, e.tml, e.lq, e.li)
+            for e in query(index, query_id, hashed, cfg).entries
+        ]
+        assert got == _brute_force_query(db, query_id, hashed, cfg)
+        for e in query(index, query_id, hashed, cfg).entries:
+            assert all(type(v) is int for v in (e.offset_frames, e.ml, e.tml, e.lq, e.li))
+            assert type(e.offset_seconds) is float
+
     def test_tml_sums_all_offsets(self):
         cfg = FpConfig(match_threshold=1, offset_merge=0)
         index = FingerprintIndex(cfg)
@@ -307,11 +388,36 @@ class TestIndexAndQuery:
         assert all(e.tml == 2 and e.ml == 1 for e in result.entries)
 
 
+def _brute_force_query(db, query_id, hashed, cfg):
+    """Query oracle: per-clip Counter of offsets, then merged-bin thresholding."""
+    entries = []
+    for clip_id, rows in db.items():
+        if clip_id == query_id:
+            continue
+        votes = Counter(t_db - t_q for key, t_q in hashed for k_db, t_db in rows if k_db == key)
+        tml = sum(votes.values())
+        for offset, count in _merge_offset_bins(votes, cfg.offset_merge):
+            if count >= cfg.match_threshold:
+                entries.append((clip_id, offset, count, tml, len(hashed), len(rows)))
+    return sorted(entries, key=lambda e: (e[0], -e[2], e[1]))
+
+
 class TestQualityHelpers:
     def test_offset_zero_votes_symmetric_and_tolerant(self):
         a = [(1, 0), (2, 10), (3, 20)]
         b = [(1, 2), (2, 13), (3, 20)]
         assert offset_zero_votes(a, b, 2) == offset_zero_votes(b, a, 2) == 2
+
+    @given(
+        a=st.lists(st.tuples(st.sampled_from([0, 1, 2, 2**21 - 1]), st.sampled_from([0, 1, 2, 3, 5, 2**32 - 1])), max_size=30),
+        b=st.lists(st.tuples(st.sampled_from([0, 1, 2, 2**21 - 1]), st.sampled_from([0, 1, 2, 3, 5, 2**32 - 1])), max_size=30),
+        tol=st.integers(0, 3),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_offset_zero_votes_matches_brute_force(self, a, b, tol):
+        # Repeated keys and anchor frames: every (a, b) pair counts once.
+        expect = sum(1 for ka, ta in a for kb, tb in b if ka == kb and abs(ta - tb) <= tol)
+        assert offset_zero_votes(np.array(a, dtype=np.int64), np.array(b, dtype=np.int64), tol) == expect
 
     def test_with_quality_params(self):
         cfg = FpConfig()
