@@ -16,6 +16,7 @@ from .audio_io import (
     SynthSpec,
     decode_wav,
     encode_wav,
+    read_clip,
     resample_mono,
     synth_corpus,
 )
@@ -33,13 +34,16 @@ from .fingerprint import (
     FpConfig,
     MatchEntry,
     MatchingList,
+    clip_fingerprint,
     extract_peaks,
     fingerprint_clip,
     hash_landmarks,
     offset_zero_votes,
     pair_landmarks,
+    peak_candidates,
     query,
     spectrogram,
+    thin_peaks,
     unpack_key,
     with_quality_params,
 )
@@ -95,6 +99,7 @@ from .timeline import (
     build_segments,
     consistency_report,
     cut_audio,
+    cut_landmarks,
     normalize_positions,
     segment_quality,
 )

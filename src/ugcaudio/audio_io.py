@@ -14,6 +14,7 @@ import json
 import math
 import struct
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
@@ -247,6 +248,14 @@ def resample_mono(clip: AudioClip, target_rate: int) -> AudioClip:
     t_in = np.arange(len(clip.samples)) / clip.rate
     samples = np.interp(t_out, t_in, clip.samples)
     return AudioClip(id=clip.id, samples=samples, rate=target_rate)
+
+
+def read_clip(path: Path, rate: int) -> AudioClip:
+    """Decode a WAV file, named by its stem, and resample it to `rate`."""
+    clip = decode_wav(path.read_bytes(), clip_id=path.stem)
+    if clip.rate != rate:
+        clip = resample_mono(clip, rate)
+    return clip
 
 
 # ----------------------------------------------------------------------------

@@ -16,12 +16,11 @@ from .audio_io import (
     GroundTruth,
     LayoutError,
     SynthSpec,
-    decode_wav,
     encode_wav,
-    resample_mono,
+    read_clip,
     synth_corpus,
 )
-from .fingerprint import FingerprintIndex, MatchEntry, MatchingList, fingerprint_clip, hash_landmarks, query
+from .fingerprint import FingerprintIndex, MatchEntry, MatchingList, clip_fingerprint, query
 from .match_classifier import (
     CvResult,
     autolabel,
@@ -66,13 +65,6 @@ def _config_from(args) -> PipelineConfig:
     return cfg
 
 
-def _decode_file(path: Path, rate: int):
-    clip = decode_wav(path.read_bytes(), clip_id=path.stem)
-    if clip.rate != rate:
-        clip = resample_mono(clip, rate)
-    return clip
-
-
 def cmd_synth(args) -> int:
     spec = SynthSpec(
         n_events=args.events,
@@ -101,12 +93,8 @@ def cmd_index(args) -> int:
     index = FingerprintIndex(fp_cfg)
     for name in args.files:
         path = Path(_require(name, "audio file"))
-        clip = _decode_file(path, fp_cfg.rate)
-        hashed = (
-            hash_landmarks(fingerprint_clip(clip, fp_cfg))
-            if len(clip.samples) >= fp_cfg.window
-            else []
-        )
+        clip = read_clip(path, fp_cfg.rate)
+        hashed, _ = clip_fingerprint(clip, fp_cfg)
         if len(hashed) == 0:
             print(f"warning: {clip.id}: no landmarks, skipped", file=sys.stderr)
             continue
@@ -164,12 +152,8 @@ def cmd_match(args) -> int:
     lists = []
     for name in args.files:
         path = Path(_require(name, "audio file"))
-        clip = _decode_file(path, fp_cfg.rate)
-        hashed = (
-            hash_landmarks(fingerprint_clip(clip, fp_cfg))
-            if len(clip.samples) >= fp_cfg.window
-            else []
-        )
+        clip = read_clip(path, fp_cfg.rate)
+        hashed, _ = clip_fingerprint(clip, fp_cfg)
         lists.append(query(index, clip.id, hashed, fp_cfg))
     doc = matches_to_doc(lists)
     if args.out:

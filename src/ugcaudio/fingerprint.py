@@ -4,6 +4,7 @@ A fingerprint is a set of landmarks: pairs of spectrogram peaks, each packed
 into a 21-bit key of (first-peak bin, bin delta, frame delta). Everything is
 carried as int arrays, one row per item:
 
+    peak_candidates N x 2  (frame, bin) int32, strongest first
     extract_peaks   N x 2  (frame, bin), sorted by (frame, bin)
     pair_landmarks  N x 4  (t1, f1, f2, dt), t1 the anchor frame
     hash_landmarks  N x 2  (key, t1)
@@ -27,6 +28,9 @@ _F1_SHIFT = 13
 _DF_SHIFT = 6
 _F1_MAX = 255
 _DF_BIAS = 63
+
+# Frames per FFT call in spectrogram.
+_STFT_BLOCK = 256
 
 
 @dataclass(frozen=True)
@@ -106,33 +110,53 @@ def spectrogram(clip: AudioClip, cfg: FpConfig) -> np.ndarray:
     frames = (n - cfg.window) // cfg.hop + 1
     strided = np.lib.stride_tricks.sliding_window_view(clip.samples, cfg.window)
     strided = strided[:: cfg.hop][:frames]
-    windowed = strided * np.hanning(cfg.window)
-    mag = np.abs(np.fft.rfft(windowed, axis=1))
+    hann = np.hanning(cfg.window)
+    mag = np.empty((frames, cfg.window // 2 + 1))
+    # Blocks of frames bound the windowed and complex temporaries; each
+    # frame's FFT is independent, so the values do not depend on the block.
+    for i in range(0, frames, _STFT_BLOCK):
+        mag[i : i + _STFT_BLOCK] = np.abs(np.fft.rfft(strided[i : i + _STFT_BLOCK] * hann, axis=1))
     with np.errstate(divide="ignore"):
-        return np.maximum(np.log(mag), cfg.log_floor)
+        np.log(mag, out=mag)
+    return np.maximum(mag, cfg.log_floor, out=mag)
 
 
-def extract_peaks(spec: np.ndarray, cfg: FpConfig) -> np.ndarray:
+def peak_candidates(spec: np.ndarray, cfg: FpConfig) -> np.ndarray:
     """Strict local maxima over a +/-3 frame, +/-3 bin neighborhood.
 
-    Candidates must clear log_floor + 1; the result is thinned globally to
-    the top peak_density-per-second strongest. Returns an N x 2 int array of
-    (frame, bin) rows sorted by (frame, bin).
+    Every cell above all its neighbors that clears log_floor + 1, as an
+    N x 2 int32 array of (frame, bin) rows in thinning order: magnitude
+    descending, then frame, then bin.
     """
     if spec.size == 0:
         raise ValueError("empty spectrogram")
     mask = (spec > _holed_max(spec)) & (spec > cfg.log_floor + 1.0)
     frames_idx, bins_idx = np.nonzero(mask)  # row-major: sorted by (frame, bin)
-    if len(frames_idx) == 0:
+    order = np.lexsort((bins_idx, frames_idx, -spec[frames_idx, bins_idx]))
+    return np.stack([frames_idx[order], bins_idx[order]], axis=1).astype(np.int32)
+
+
+def thin_peaks(candidates: np.ndarray, f0: int, f1: int, cfg: FpConfig) -> np.ndarray:
+    """The strongest peak_density-per-second candidates in frames [f0, f1).
+
+    The budget counts the seconds those frames' windows span. Returns an
+    N x 2 int array of (frame, bin) rows sorted by (frame, bin).
+    """
+    if f1 <= f0:
         return np.empty((0, 2), dtype=np.int64)
-
-    n_frames = spec.shape[0]
-    duration = ((n_frames - 1) * cfg.hop + cfg.window) / cfg.rate
+    duration = ((f1 - f0 - 1) * cfg.hop + cfg.window) / cfg.rate
     limit = max(1, int(round(cfg.peak_density * duration)))
+    frames = candidates[:, 0]
+    kept = candidates[(frames >= f0) & (frames < f1)][:limit].astype(np.int64)
+    return kept[np.lexsort((kept[:, 1], kept[:, 0]))]
 
-    mags = spec[frames_idx, bins_idx]
-    keep = np.sort(np.lexsort((bins_idx, frames_idx, -mags))[:limit])
-    return np.stack([frames_idx[keep], bins_idx[keep]], axis=1).astype(np.int64, copy=False)
+
+def extract_peaks(spec: np.ndarray, cfg: FpConfig) -> np.ndarray:
+    """Peak candidates thinned globally to the top peak_density-per-second.
+
+    Returns an N x 2 int array of (frame, bin) rows sorted by (frame, bin).
+    """
+    return thin_peaks(peak_candidates(spec, cfg), 0, spec.shape[0], cfg)
 
 
 def _holed_max(spec: np.ndarray) -> np.ndarray:
@@ -145,10 +169,11 @@ def _holed_max(spec: np.ndarray) -> np.ndarray:
     n_frames, n_bins = spec.shape
     padded = np.full((n_frames + 6, n_bins + 6), -np.inf)
     padded[3:-3, 3:-3] = spec
-    left = np.maximum(np.maximum(padded[:, 0:n_bins], padded[:, 1 : n_bins + 1]), padded[:, 2 : n_bins + 2])
-    right = np.maximum(np.maximum(padded[:, 4 : n_bins + 4], padded[:, 5 : n_bins + 5]), padded[:, 6 : n_bins + 6])
-    sides = np.maximum(left, right)
-    rows = np.maximum(sides, padded[:, 3 : n_bins + 3])  # full +/-3 bins, per padded frame
+    sides = np.maximum(padded[:, 0:n_bins], padded[:, 1 : n_bins + 1])
+    for shift in (2, 4, 5, 6):
+        np.maximum(sides, padded[:, shift : shift + n_bins], out=sides)
+    rows = padded[:, 3 : n_bins + 3]  # full +/-3 bins, per padded frame
+    np.maximum(rows, sides, out=rows)
     out = sides[3 : n_frames + 3]
     for shift in (0, 1, 2, 4, 5, 6):
         np.maximum(out, rows[shift : shift + n_frames], out=out)
@@ -233,6 +258,20 @@ def hash_landmarks(landmarks: np.ndarray) -> np.ndarray:
 def fingerprint_clip(clip: AudioClip, cfg: FpConfig) -> np.ndarray:
     """Full extraction pipeline: spectrogram -> peaks -> landmark pairs."""
     return pair_landmarks(extract_peaks(spectrogram(clip, cfg), cfg), cfg)
+
+
+def clip_fingerprint(clip: AudioClip, cfg: FpConfig) -> tuple[np.ndarray, np.ndarray]:
+    """A clip's hashed landmarks and its peak candidates, from one STFT.
+
+    The landmarks are those of hash_landmarks(fingerprint_clip(clip, cfg)).
+    A clip shorter than one window has neither.
+    """
+    if len(clip.samples) < cfg.window:
+        return np.empty((0, 2), dtype=np.int64), np.empty((0, 2), dtype=np.int32)
+    spec = spectrogram(clip, cfg)
+    candidates = peak_candidates(spec, cfg)
+    peaks = thin_peaks(candidates, 0, spec.shape[0], cfg)
+    return hash_landmarks(pair_landmarks(peaks, cfg)), candidates
 
 
 def _as_hashed(hashed) -> np.ndarray:

@@ -14,14 +14,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .audio_io import AudioClip, decode_wav, resample_mono
+from .audio_io import AudioClip, read_clip
 from .event_graph import Cluster, MatchGraph, build_graph, connected_components
 from .fingerprint import (
     FingerprintIndex,
     FpConfig,
     MatchingList,
-    fingerprint_clip,
-    hash_landmarks,
+    clip_fingerprint,
     query,
     with_quality_params,
 )
@@ -129,14 +128,7 @@ def seed_override(default: int) -> int:
 
 def load_corpus(directory: str, rate: int) -> list[AudioClip]:
     """All WAV files in a directory, decoded and resampled, sorted by id."""
-    paths = sorted(Path(directory).glob("*.wav"))
-    clips = []
-    for path in paths:
-        clip = decode_wav(path.read_bytes(), clip_id=path.stem)
-        if clip.rate != rate:
-            clip = resample_mono(clip, rate)
-        clips.append(clip)
-    return clips
+    return [read_clip(path, rate) for path in sorted(Path(directory).glob("*.wav"))]
 
 
 @dataclass
@@ -171,12 +163,12 @@ def run_pipeline(
 
     index = FingerprintIndex(fp_cfg)
     hashed: dict[str, np.ndarray] = {}
+    # Peak candidates serve quality scoring too: the quality config differs
+    # only in density and threshold, which act after candidate picking.
+    candidates: dict[str, np.ndarray] = {}
     unmatched: list[str] = []
     for clip in clips:
-        if len(clip.samples) < fp_cfg.window:
-            unmatched.append(clip.id)
-            continue
-        h = hash_landmarks(fingerprint_clip(clip, fp_cfg))
+        h, candidates[clip.id] = clip_fingerprint(clip, fp_cfg)
         if len(h) == 0:
             unmatched.append(clip.id)
             continue
@@ -193,7 +185,7 @@ def run_pipeline(
     for cluster in connected_components(graph):
         pm = normalize_positions(assign_offsets(cluster, graph))
         segments = build_segments(pm, durations)
-        qualities = [segment_quality(seg, clip_by_id, hi_cfg) for seg in segments]
+        qualities = [segment_quality(seg, candidates, hi_cfg) for seg in segments]
         events.append(
             EventResult(cluster=cluster, positions=pm, segments=segments, qualities=qualities)
         )

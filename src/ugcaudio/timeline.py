@@ -5,6 +5,8 @@ representative clip, then shifting so the earliest clip sits at zero. Segment
 boundaries are exactly the clip start/end positions; each segment carries the
 cut of every clip fully active across it, and members of a segment are ranked
 by how many near-zero-offset landmark votes their cut shares with the others.
+A cut's landmarks come from its clip's peak candidates (one STFT per clip):
+the frames whose window lies inside the cut, thinned at the quality density.
 """
 
 from __future__ import annotations
@@ -16,14 +18,15 @@ import numpy as np
 
 from .audio_io import AudioClip
 from .event_graph import Cluster, MatchGraph
-from .fingerprint import FpConfig, fingerprint_clip, hash_landmarks, offset_zero_votes
+from .fingerprint import FpConfig, hash_landmarks, offset_zero_votes, pair_landmarks, thin_peaks
 
 # Boundaries closer than this collapse into one; guards against float dust
 # from position arithmetic, far below the frame quantum (~23 ms).
 _BOUNDARY_EPS = 1e-9
 
 # A cut counts as aligned with another when their vote offset is within this
-# many frames of zero; cut boundaries re-window the STFT, hence the slack.
+# many frames of zero. Positions chain offsets from bins merged over
+# +/- offset_merge frames, and noise moves peaks by a frame, hence the slack.
 QUALITY_OFFSET_TOL_FRAMES = 2
 
 
@@ -197,30 +200,39 @@ def cut_audio(clip: AudioClip, cut: ClipCut) -> AudioClip:
     )
 
 
+def cut_landmarks(candidates: np.ndarray, cut: ClipCut, cfg: FpConfig) -> np.ndarray:
+    """Hashed landmarks of a cut, anchors counted from the cut's first frame.
+
+    Uses the clip's peak candidates in the frames whose whole window lies
+    inside the cut's samples, thinned to cfg.peak_density per second.
+    """
+    i0 = int(round(cut.local_start * cfg.rate))
+    i1 = int(round(cut.local_end * cfg.rate))
+    f0 = -(-i0 // cfg.hop)  # first frame starting at or after i0
+    f1 = (i1 - cfg.window) // cfg.hop + 1  # past the last frame ending by i1
+    peaks = thin_peaks(candidates, f0, f1, cfg)
+    peaks[:, 0] -= f0
+    return hash_landmarks(pair_landmarks(peaks, cfg))
+
+
 def segment_quality(
     segment: Segment,
-    clips: dict[str, AudioClip],
+    candidates: dict[str, np.ndarray],
     hi_cfg: FpConfig,
 ) -> QualityRanking:
     """Rank a segment's members by shared near-zero-offset landmark votes.
 
-    Each member's cut is fingerprinted at the high-density config; for every
-    pair the landmark votes within QUALITY_OFFSET_TOL_FRAMES of offset zero
-    are counted (all members are time-aligned here, so other offsets are
-    noise and ignored). A member's score sums its votes against all others.
-    Cuts too short to fingerprint score zero.
+    Each member's cut gets landmarks from its clip's peak candidates (see
+    peak_candidates) at the high-density config; for every pair the
+    landmark votes within QUALITY_OFFSET_TOL_FRAMES of offset zero are
+    counted (all members are time-aligned here, so other offsets are noise
+    and ignored). A member's score sums its votes against all others. Cuts
+    that hold no whole window score zero.
     """
     if hi_cfg.match_threshold != 1:
         raise ValueError("quality scoring requires match_threshold = 1")
 
-    hashed: dict[str, np.ndarray] = {}
-    for cut in segment.members:
-        clip = clips[cut.clip_id]
-        audio = cut_audio(clip, cut)
-        if len(audio.samples) < hi_cfg.window:
-            hashed[cut.clip_id] = np.empty((0, 2), dtype=np.int64)
-        else:
-            hashed[cut.clip_id] = hash_landmarks(fingerprint_clip(audio, hi_cfg))
+    hashed = {cut.clip_id: cut_landmarks(candidates[cut.clip_id], cut, hi_cfg) for cut in segment.members}
 
     ids = sorted(hashed)
     pair_votes: dict[tuple[str, str], int] = {}

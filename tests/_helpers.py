@@ -3,8 +3,9 @@
 from __future__ import annotations
 
 import numpy as np
+from scipy import ndimage
 
-from ugcaudio import AudioClip, FpConfig, PROCESS_RATE
+from ugcaudio import AudioClip, FpConfig, PROCESS_RATE, peak_candidates, spectrogram
 
 
 def burst_clip(
@@ -85,6 +86,32 @@ def add_noise(clip: AudioClip, snr_db: float, seed: int) -> AudioClip:
     if peak > 0.999:
         x = 0.999 * x / peak
     return AudioClip(id=clip.id, samples=x, rate=clip.rate)
+
+
+def candidates_of(clips: dict[str, AudioClip], cfg: FpConfig) -> dict[str, np.ndarray]:
+    """Per-clip peak candidates, the input segment_quality ranks from."""
+    return {cid: peak_candidates(spectrogram(clip, cfg), cfg) for cid, clip in clips.items()}
+
+
+def reference_peaks(spec, cfg, f0=0, f1=None):
+    """Peak-picking oracle: holed 7x7 maximum filter, floor, top-N in frames [f0, f1)."""
+    f1 = spec.shape[0] if f1 is None else f1
+    if f1 <= f0:
+        return []
+    footprint = np.ones((7, 7), dtype=bool)
+    footprint[3, 3] = False
+    neighborhood_max = ndimage.maximum_filter(
+        spec, footprint=footprint, mode="constant", cval=-np.inf
+    )
+    mask = (spec > neighborhood_max) & (spec > cfg.log_floor + 1.0)
+    mask[:f0] = False
+    mask[f1:] = False
+    frames_idx, bins_idx = np.nonzero(mask)
+    duration = ((f1 - f0 - 1) * cfg.hop + cfg.window) / cfg.rate
+    limit = max(1, int(round(cfg.peak_density * duration)))
+    mags = spec[frames_idx, bins_idx]
+    order = np.lexsort((bins_idx, frames_idx, -mags))[:limit]
+    return sorted((int(frames_idx[i]), int(bins_idx[i])) for i in order)
 
 
 def small_cfg() -> FpConfig:

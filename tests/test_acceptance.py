@@ -63,6 +63,7 @@ from ugcaudio.fingerprint import fingerprint_clip, hash_landmarks
 from _helpers import (
     add_noise,
     burst_clip,
+    candidates_of,
     check_layout_against_oracle,
     melody_clip,
     rand_index,
@@ -326,7 +327,7 @@ def test_criterion_08_quality_ranking_tracks_snr():
             t_end=8.0,
             members=[ClipCut(cid, 0.0, 8.0) for cid in sorted(clips)],
         )
-        q = segment_quality(seg, clips, hi)
+        q = segment_quality(seg, candidates_of(clips, hi), hi)
         if [cid for cid, _ in q.ranking] == ["z_clean", "m_mid", "a_low"]:
             hits += 1
     print(f"\ncriterion 8: SNR ordering correct in {hits}/50 trials (need >= 45)")
@@ -340,7 +341,8 @@ def _confirmation_setup(third_clip):
     clips = {c.id: c for c in (a, b, third_clip)}
     members = sorted(clips)
     seg = Segment(0.0, 6.0, [ClipCut(cid, 0.0, 6.0) for cid in members])
-    quality = segment_quality(seg, clips, with_quality_params(FpConfig()))
+    hi = with_quality_params(FpConfig())
+    quality = segment_quality(seg, candidates_of(clips, hi), hi)
 
     graph = MatchGraph(nodes=set(members))
     for frm in members:

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
-from scipy import ndimage
 
 from ugcaudio import (
     AudioClip,
@@ -15,14 +14,23 @@ from ugcaudio import (
     hash_landmarks,
     offset_zero_votes,
     pair_landmarks,
+    peak_candidates,
     query,
     spectrogram,
+    thin_peaks,
     unpack_key,
     with_quality_params,
 )
 from ugcaudio.fingerprint import _merge_offset_bins
 
-from _helpers import burst_clip, snip
+from _helpers import burst_clip, reference_peaks, snip
+
+# Few distinct levels make ties everywhere; sides under 7 clip the window.
+TIE_HEAVY_SPECS = hnp.arrays(
+    np.float64,
+    hnp.array_shapes(min_dims=2, max_dims=2, min_side=1, max_side=24),
+    elements=st.sampled_from([-10.0, -9.0, -8.5, -4.0, -4.0, 0.0]),
+)
 
 
 class TestConfig:
@@ -59,6 +67,14 @@ class TestSpectrogram:
         spec = spectrogram(clip, cfg)
         expected = (len(clip.samples) - cfg.window) // cfg.hop + 1
         assert spec.shape == (expected, cfg.window // 2 + 1)
+
+    def test_blocks_match_one_batch_stft(self):
+        cfg = FpConfig()
+        clip = burst_clip("s", duration=8.0, seed=4)  # 343 frames, two FFT blocks
+        strided = np.lib.stride_tricks.sliding_window_view(clip.samples, cfg.window)[:: cfg.hop]
+        with np.errstate(divide="ignore"):
+            whole = np.log(np.abs(np.fft.rfft(strided * np.hanning(cfg.window), axis=1)))
+        assert np.array_equal(spectrogram(clip, cfg), np.maximum(whole, cfg.log_floor))
 
     def test_log_floor_applied(self):
         cfg = FpConfig()
@@ -125,35 +141,48 @@ class TestPeaks:
         assert got == expect
 
     @given(
-        spec=hnp.arrays(
-            np.float64,
-            hnp.array_shapes(min_dims=2, max_dims=2, min_side=1, max_side=24),
-            elements=st.sampled_from([-10.0, -9.0, -8.5, -4.0, -4.0, 0.0]),
-        ),
+        spec=TIE_HEAVY_SPECS,
         density=st.sampled_from([2.0, 20.0, 200.0]),
     )
     @settings(max_examples=200, deadline=None)
     def test_matches_maximum_filter_definition(self, spec, density):
-        # Few distinct levels make ties everywhere; sides under 7 clip the window.
         cfg = FpConfig(peak_density=density)
         got = [tuple(p) for p in extract_peaks(spec, cfg).tolist()]
-        assert got == _reference_peaks(spec, cfg)
+        assert got == reference_peaks(spec, cfg)
 
-
-def _reference_peaks(spec, cfg):
-    """Peak-picking oracle: holed 7x7 maximum filter, floor, global top-N."""
-    footprint = np.ones((7, 7), dtype=bool)
-    footprint[3, 3] = False
-    neighborhood_max = ndimage.maximum_filter(
-        spec, footprint=footprint, mode="constant", cval=-np.inf
+    @given(
+        spec=TIE_HEAVY_SPECS,
+        density=st.sampled_from([2.0, 20.0, 200.0]),
     )
-    mask = (spec > neighborhood_max) & (spec > cfg.log_floor + 1.0)
-    frames_idx, bins_idx = np.nonzero(mask)
-    duration = ((spec.shape[0] - 1) * cfg.hop + cfg.window) / cfg.rate
-    limit = max(1, int(round(cfg.peak_density * duration)))
-    mags = spec[frames_idx, bins_idx]
-    order = np.lexsort((bins_idx, frames_idx, -mags))[:limit]
-    return sorted((int(frames_idx[i]), int(bins_idx[i])) for i in order)
+    @settings(max_examples=200, deadline=None)
+    def test_whole_range_thinning_is_extract_peaks(self, spec, density):
+        cfg = FpConfig(peak_density=density)
+        candidates = peak_candidates(spec, cfg)
+        assert candidates.dtype == np.int32
+        whole = thin_peaks(candidates, 0, spec.shape[0], cfg)
+        assert whole.tolist() == extract_peaks(spec, cfg).tolist()
+        assert [tuple(p) for p in whole.tolist()] == reference_peaks(spec, cfg)
+
+    @given(
+        spec=TIE_HEAVY_SPECS,
+        density=st.sampled_from([2.0, 5.0, 20.0, 200.0]),
+        f0=st.integers(0, 30),
+        f1=st.integers(0, 30),
+    )
+    # Candidates at frames 0, 4 and 8, strongest first; the window leaves out
+    # frame 0 and its 11 frames budget one peak (12 frames would budget two).
+    @example(
+        spec=np.array([[0.0], [-9.5], [-9.5], [-9.5], [-1.0], [-9.5], [-9.5], [-9.5], [-2.0], [-9.5], [-9.5]]),
+        density=5.0,
+        f0=4,
+        f1=15,
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_window_thinning_matches_oracle(self, spec, density, f0, f1):
+        # Peaks are picked on the whole spectrogram, then restricted to the window.
+        cfg = FpConfig(peak_density=density)
+        got = thin_peaks(peak_candidates(spec, cfg), f0, f1, cfg)
+        assert [tuple(p) for p in got.tolist()] == reference_peaks(spec, cfg, f0, f1)
 
 
 def _brute_force_pairs(peaks, cfg):

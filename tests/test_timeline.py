@@ -11,18 +11,28 @@ from ugcaudio import (
     build_segments,
     consistency_report,
     cut_audio,
+    cut_landmarks,
+    fingerprint_clip,
+    hash_landmarks,
     normalize_positions,
+    offset_zero_votes,
+    pair_landmarks,
+    peak_candidates,
     segment_quality,
+    spectrogram,
     with_quality_params,
 )
-from ugcaudio.timeline import ClipCut
+from ugcaudio.timeline import QUALITY_OFFSET_TOL_FRAMES, ClipCut, Segment
 
 from _helpers import (
     add_noise,
     burst_clip,
+    candidates_of,
     check_layout_against_oracle,
+    melody_clip,
     pm_of,
     random_layout,
+    reference_peaks,
 )
 
 
@@ -150,15 +160,11 @@ class TestCutAudio:
 class TestSegmentQuality:
     def test_requires_threshold_one(self):
         seg_members = [ClipCut("a", 0.0, 1.0)]
-        from ugcaudio.timeline import Segment
-
         seg = Segment(t_start=0.0, t_end=1.0, members=seg_members)
         with pytest.raises(ValueError):
-            segment_quality(seg, {"a": burst_clip("a", 1.0)}, FpConfig())
+            segment_quality(seg, candidates_of({"a": burst_clip("a", 1.0)}, FpConfig()), FpConfig())
 
     def test_copies_outrank_noise(self):
-        from ugcaudio.timeline import Segment
-
         master = burst_clip("m", duration=6.0, seed=10)
         a = AudioClip(id="a", samples=master.samples.copy(), rate=master.rate)
         b = add_noise(AudioClip(id="b", samples=master.samples.copy(), rate=master.rate), 18.0, 1)
@@ -169,19 +175,74 @@ class TestSegmentQuality:
             members=[ClipCut("a", 0.0, 6.0), ClipCut("b", 0.0, 6.0), ClipCut("c", 0.0, 6.0)],
         )
         hi = with_quality_params(FpConfig())
-        q = segment_quality(seg, {"a": a, "b": b, "c": c}, hi)
+        q = segment_quality(seg, candidates_of({"a": a, "b": b, "c": c}, hi), hi)
         ranked = [cid for cid, _ in q.ranking]
         assert ranked.index("c") == 2  # unrelated content scores lowest
         assert q.pair_votes[("a", "b")] == q.pair_votes[("b", "a")]
         assert q.pair_votes[("a", "b")] > q.pair_votes[("a", "c")]
 
     def test_short_cut_scores_zero(self):
-        from ugcaudio.timeline import Segment
-
         clip = burst_clip("a", duration=1.0, seed=11)
         seg = Segment(
             t_start=0.0, t_end=0.01, members=[ClipCut("a", 0.0, 0.01)]
         )
         hi = with_quality_params(FpConfig())
-        q = segment_quality(seg, {"a": clip}, hi)
+        q = segment_quality(seg, candidates_of({"a": clip}, hi), hi)
         assert q.ranking == [("a", 0)]
+
+    def test_whole_clip_cuts_match_fingerprinting_each_cut(self):
+        hi = with_quality_params(FpConfig())
+        for trial in range(4):
+            make = burst_clip if trial % 2 else melody_clip
+            master = make("m", duration=5.0, seed=60 + trial)
+            clips = {
+                cid: add_noise(AudioClip(id=cid, samples=master.samples.copy(), rate=master.rate), snr, 3 * trial + k)
+                for k, (cid, snr) in enumerate((("a", 30.0), ("b", 15.0), ("c", 5.0)))
+            }
+            seg = Segment(0.0, 5.0, [ClipCut(cid, 0.0, clip.duration) for cid, clip in clips.items()])
+            q = segment_quality(seg, candidates_of(clips, hi), hi)
+            # The old path: every cut fingerprinted as a clip of its own.
+            hashed = {
+                cut.clip_id: hash_landmarks(fingerprint_clip(cut_audio(clips[cut.clip_id], cut), hi))
+                for cut in seg.members
+            }
+            want = {
+                (x, y): offset_zero_votes(hashed[x], hashed[y], QUALITY_OFFSET_TOL_FRAMES)
+                for x in clips
+                for y in clips
+                if x != y
+            }
+            assert q.pair_votes == want
+            assert min(want.values()) > 0
+
+
+def _inside_cut_oracle(clip, cut, cfg):
+    """Landmarks of the frames whose window fits inside the cut, by a frame sweep."""
+    i0 = int(round(cut.local_start * clip.rate))
+    i1 = int(round(cut.local_end * clip.rate))
+    spec = spectrogram(clip, cfg)
+    inside = [f for f in range(spec.shape[0]) if f * cfg.hop >= i0 and f * cfg.hop + cfg.window <= i1]
+    peaks = np.array(reference_peaks(spec, cfg, inside[0], inside[-1] + 1), dtype=np.int64).reshape(-1, 2)
+    peaks[:, 0] -= inside[0]
+    return hash_landmarks(pair_landmarks(peaks, cfg))
+
+
+class TestCutLandmarks:
+    @pytest.mark.parametrize(
+        "start, end",
+        [
+            (5 * 256 + 100, 9000),  # starts off the hop grid
+            (40 * 256, None),  # ends at the clip's last sample
+            (3 * 256 + 255, None),  # both
+        ],
+    )
+    def test_only_frames_inside_the_cut(self, start, end):
+        hi = with_quality_params(FpConfig())
+        clip = burst_clip("a", duration=3.0, seed=21)
+        assert (len(clip.samples) - hi.window) % hi.hop != 0  # a partial frame at the end
+        end = len(clip.samples) if end is None else end
+        cut = ClipCut("a", start / clip.rate, end / clip.rate)
+        got = cut_landmarks(peak_candidates(spectrogram(clip, hi), hi), cut, hi)
+        want = _inside_cut_oracle(clip, cut, hi)
+        assert len(want) > 0
+        assert got.tolist() == want.tolist()
