@@ -28,6 +28,7 @@ class DecodeError(Exception):
 
     def __init__(self, message: str, offset: int):
         super().__init__(f"{message} (byte offset {offset})")
+        self.message = message
         self.offset = offset
 
 
@@ -171,7 +172,7 @@ def decode_wav(data: bytes, clip_id: str = "") -> AudioClip:
                 raise DecodeError("data chunk before fmt chunk", pos)
             if body + chunk_size > len(data):
                 raise DecodeError("truncated data chunk", body)
-            return _decode_data(data[body : body + chunk_size], fmt, body, clip_id)
+            return _decode_data(memoryview(data)[body : body + chunk_size], fmt, body, clip_id)
         pos = body + chunk_size + (chunk_size & 1)
 
     if fmt is None:
@@ -179,13 +180,16 @@ def decode_wav(data: bytes, clip_id: str = "") -> AudioClip:
     raise DecodeError("no data chunk found", pos)
 
 
-def _decode_data(raw: bytes, fmt, body_offset: int, clip_id: str) -> AudioClip:
+def _decode_data(raw: memoryview, fmt, body_offset: int, clip_id: str) -> AudioClip:
     audio_format, channels, rate, _, block_align, bits = fmt
     if channels not in (1, 2):
         raise DecodeError(f"unsupported channel count {channels}", body_offset)
+    # One float64 array per clip (two for stereo): scaling and clipping act
+    # in place. Dividing by 2**15 is exact, so in place gives the same values.
     if audio_format == _WAVE_FORMAT_PCM and bits == 16:
         samples = np.frombuffer(raw[: len(raw) - len(raw) % 2], dtype="<i2")
-        samples = samples.astype(np.float64) / 32768.0
+        samples = samples.astype(np.float64)
+        samples /= 32768.0
     elif audio_format == _WAVE_FORMAT_IEEE_FLOAT and bits == 32:
         samples = np.frombuffer(raw[: len(raw) - len(raw) % 4], dtype="<f4")
         samples = samples.astype(np.float64)
@@ -196,7 +200,7 @@ def _decode_data(raw: bytes, fmt, body_offset: int, clip_id: str) -> AudioClip:
     if channels == 2:
         samples = samples[: len(samples) - len(samples) % 2]
         samples = samples.reshape(-1, 2).mean(axis=1)
-    samples = np.clip(samples, -1.0, 1.0)
+    np.clip(samples, -1.0, 1.0, out=samples)
     return AudioClip(id=clip_id, samples=samples, rate=rate)
 
 
@@ -251,8 +255,14 @@ def resample_mono(clip: AudioClip, target_rate: int) -> AudioClip:
 
 
 def read_clip(path: Path, rate: int) -> AudioClip:
-    """Decode a WAV file, named by its stem, and resample it to `rate`."""
-    clip = decode_wav(path.read_bytes(), clip_id=path.stem)
+    """Decode a WAV file, named by its stem, and resample it to `rate`.
+
+    A DecodeError names the file as well as the byte offset of the fault.
+    """
+    try:
+        clip = decode_wav(path.read_bytes(), clip_id=path.stem)
+    except DecodeError as exc:
+        raise DecodeError(f"{path}: {exc.message}", exc.offset) from None
     if clip.rate != rate:
         clip = resample_mono(clip, rate)
     return clip

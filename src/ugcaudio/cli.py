@@ -183,8 +183,7 @@ def cmd_pipeline(args) -> int:
             **meta_raw,
         }
 
-    clips = load_corpus(corpus_dir, cfg.rate)
-    result = run_pipeline(clips, cfg, match_filter, meta)
+    result = run_pipeline(load_corpus(corpus_dir, cfg.rate), cfg, match_filter, meta)
 
     out = args.out or cfg.output
     if out:
@@ -196,15 +195,21 @@ def cmd_pipeline(args) -> int:
     if args.emit_cuts:
         cuts_dir = Path(args.emit_cuts)
         cuts_dir.mkdir(parents=True, exist_ok=True)
-        n = 0
+        cuts_of: dict[str, list] = {}
         for ev in result.events:
             for seg in ev.segments:
                 for cut in seg.members:
-                    audio = cut_audio(result.clips[cut.clip_id], cut)
-                    if len(audio.samples) == 0:
-                        continue
-                    (cuts_dir / f"{audio.id}.wav").write_bytes(encode_wav(audio))
-                    n += 1
+                    cuts_of.setdefault(cut.clip_id, []).append(cut)
+        n = 0
+        # The run keeps no audio: decode each clip with cuts again, once.
+        for clip_id, cuts in cuts_of.items():
+            clip = read_clip(Path(corpus_dir) / f"{clip_id}.wav", cfg.rate)
+            for cut in cuts:
+                audio = cut_audio(clip, cut)
+                if len(audio.samples) == 0:
+                    continue
+                (cuts_dir / f"{audio.id}.wav").write_bytes(encode_wav(audio))
+                n += 1
         print(f"wrote {n} segment cuts to {cuts_dir}")
     return 0
 

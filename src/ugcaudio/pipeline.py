@@ -1,5 +1,9 @@
 """End-to-end run: decode, fingerprint, match, cluster, align, segment.
 
+Clips stream through the run: each is fingerprinted as it arrives and only
+its duration, hashed landmarks and peak candidates are kept, so a corpus
+read with `load_corpus` holds one clip's audio in memory at a time.
+
 Also owns the run configuration: a flat `key = value` file mirroring every
 fingerprint parameter plus the alignment and classifier knobs. Unknown keys
 are rejected so a typo cannot silently fall back to a default.
@@ -9,6 +13,7 @@ from __future__ import annotations
 
 import dataclasses
 import os
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -126,9 +131,13 @@ def seed_override(default: int) -> int:
         raise ValueError(f"{ENV_SEED} must be an integer, got {raw!r}") from None
 
 
-def load_corpus(directory: str, rate: int) -> list[AudioClip]:
-    """All WAV files in a directory, decoded and resampled, sorted by id."""
-    return [read_clip(path, rate) for path in sorted(Path(directory).glob("*.wav"))]
+def load_corpus(directory: str, rate: int) -> Iterator[AudioClip]:
+    """All WAV files in a directory, decoded and resampled, sorted by id.
+
+    Lazy: each file is decoded only when the next clip is asked for.
+    """
+    for path in sorted(Path(directory).glob("*.wav")):
+        yield read_clip(path, rate)
 
 
 @dataclass
@@ -143,7 +152,7 @@ class EventResult:
 
 @dataclass
 class PipelineResult:
-    clips: dict[str, AudioClip]
+    durations: dict[str, float]  # seconds, every input clip
     lists: list[MatchingList]
     graph: MatchGraph
     events: list[EventResult]
@@ -152,34 +161,41 @@ class PipelineResult:
 
 
 def run_pipeline(
-    clips: list[AudioClip],
+    clips: Iterable[AudioClip],
     cfg: PipelineConfig,
     match_filter: MatchFilter | None = None,
     classifier_meta: dict | None = None,
 ) -> PipelineResult:
-    """Cluster clips into events and lay each event out on its own timeline."""
+    """Cluster clips into events and lay each event out on its own timeline.
+
+    `clips` is any iterable, read once. Each clip is fingerprinted as it
+    arrives and dropped before the next is asked for, so the run holds one
+    clip's audio at a time unless the caller keeps the others. The result
+    holds no audio, only each clip's duration; `cut_audio` on a clip read
+    again gives a segment's cut.
+    """
     fp_cfg = cfg.fp_config()
     hi_cfg = cfg.hi_config()
 
     index = FingerprintIndex(fp_cfg)
+    durations: dict[str, float] = {}
     hashed: dict[str, np.ndarray] = {}
     # Peak candidates serve quality scoring too: the quality config differs
     # only in density and threshold, which act after candidate picking.
     candidates: dict[str, np.ndarray] = {}
     unmatched: list[str] = []
     for clip in clips:
+        durations[clip.id] = clip.duration
         h, candidates[clip.id] = clip_fingerprint(clip, fp_cfg)
         if len(h) == 0:
             unmatched.append(clip.id)
-            continue
-        hashed[clip.id] = h
-        index.add_hashed(clip.id, h, clip.duration)
+        else:
+            hashed[clip.id] = h
+            index.add_hashed(clip.id, h, clip.duration)
+        del clip  # free its samples before the next clip is decoded
 
     lists = [query(index, cid, hashed[cid], fp_cfg) for cid in index.clip_ids]
     graph = build_graph(lists, filter_fn=match_filter)
-
-    clip_by_id = {c.id: c for c in clips}
-    durations = {cid: clip_by_id[cid].duration for cid in index.clip_ids}
 
     events: list[EventResult] = []
     for cluster in connected_components(graph):
@@ -191,7 +207,7 @@ def run_pipeline(
         )
 
     result = PipelineResult(
-        clips=clip_by_id,
+        durations=durations,
         lists=lists,
         graph=graph,
         events=events,
@@ -220,7 +236,7 @@ def _build_report(
                     {
                         "id": cid,
                         "position": pm.positions[cid],
-                        "duration": result.clips[cid].duration,
+                        "duration": result.durations[cid],
                     }
                     for cid in ev.cluster.members
                 ],

@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 from jsonschema import Draft202012Validator
 
-from ugcaudio import AudioClip, PROCESS_RATE, encode_wav, load_index, load_model
+from ugcaudio import AudioClip, PROCESS_RATE, encode_wav, load_index, load_model, read_clip
 from ugcaudio.cli import main, matches_from_doc
+from ugcaudio.timeline import ClipCut, cut_audio
 
 SCHEMA_DIR = Path(__file__).resolve().parent.parent / "docs"
 
@@ -359,9 +360,34 @@ class TestPipeline:
         produced = {p.name for p in cuts_dir.glob("*.wav")}
         assert produced == expected
         assert produced, "expected at least one cut"
+        for ev in report["events"]:
+            for seg in ev["segments"]:
+                for m in seg["members"]:
+                    cut = ClipCut(m["clip"], m["local_start"], m["local_end"])
+                    audio = cut_audio(read_clip(small_corpus / f"{m['clip']}.wav", PROCESS_RATE), cut)
+                    assert (cuts_dir / f"{audio.id}.wav").read_bytes() == encode_wav(audio)
 
     def test_missing_corpus_dir_exits_2(self, tmp_path):
         assert main(["pipeline", "--in", str(tmp_path / "ghost")]) == 2
+
+    def test_truncated_wav_exits_3_naming_the_file(self, small_corpus, tmp_path, capsys):
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        wavs = sorted(small_corpus.glob("*.wav"))[:3]
+        for src in wavs:
+            (corpus / src.name).write_bytes(src.read_bytes())
+        bad = corpus / wavs[1].name
+        bad.write_bytes(bad.read_bytes()[:1000])
+        capsys.readouterr()
+
+        assert main(["pipeline", "--in", str(corpus), "--out", str(tmp_path / "r.json")]) == 3
+        err = capsys.readouterr().err
+        assert f"{bad}: truncated data chunk (byte offset 44)" in err
+
+        paths = [str(corpus / src.name) for src in wavs]
+        assert main(["index", *paths, "--out", str(tmp_path / "o.idx")]) == 3
+        err = capsys.readouterr().err
+        assert f"{bad}: truncated data chunk (byte offset 44)" in err
 
     def test_no_corpus_dir_exits_2(self, capsys):
         assert main(["pipeline"]) == 2
