@@ -248,8 +248,13 @@ def resample_mono(clip: AudioClip, target_rate: int) -> AudioClip:
     if clip.rate == target_rate:
         return AudioClip(id=clip.id, samples=clip.samples.copy(), rate=clip.rate)
     n_out = int(round(len(clip.samples) * target_rate / clip.rate))
-    t_out = np.arange(n_out) / target_rate
-    t_in = np.arange(len(clip.samples)) / clip.rate
+    # float64 aranges divided in place: the same values as int aranges
+    # divided into new arrays (int -> float64 is exact below 2**53), with
+    # one input-length array fewer.
+    t_out = np.arange(n_out, dtype=np.float64)
+    t_out /= target_rate
+    t_in = np.arange(len(clip.samples), dtype=np.float64)
+    t_in /= clip.rate
     samples = np.interp(t_out, t_in, clip.samples)
     return AudioClip(id=clip.id, samples=samples, rate=target_rate)
 

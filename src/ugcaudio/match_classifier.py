@@ -1,10 +1,10 @@
 """False-match classification over landmark-count features.
 
 A match entry becomes a 4-feature sample (ml, tml, lq, li); models are
-logistic regression trained by full-batch gradient descent and k-nearest
-neighbors, both over z-scored features. Model selection runs a double
-cross-validation: leave-one-song-out outside, seeded 10-fold inside, with
-candidates that ever pass a wrong match discarded first. Extra training
+L2-regularised logistic regression, fitted exactly by Newton/IRLS, and
+k-nearest neighbors, both over z-scored features. Model selection runs a
+double cross-validation: leave-one-song-out outside, seeded 10-fold inside,
+with candidates that ever pass a wrong match discarded first. Extra training
 data comes for free from repetition entries (class 0) and from clusters
 whose segments all agree at offset zero (class 1).
 """
@@ -223,88 +223,60 @@ def logreg_gradient(
     return gw, float(r.mean())
 
 
-def train_logreg(
-    x: np.ndarray,
-    y: np.ndarray,
-    c: float,
-    max_epochs: int = 2000,
-    lr: float = 0.1,
-    tol: float = 1e-8,
-) -> LogRegModel:
-    """Full-batch gradient descent from zero weights; stops when J stalls."""
+# Newton stops once every gradient component is this small. A step counts
+# as no worse when the loss rises by less than _LOSS_SLACK of itself: near
+# the optimum the loss is flat to rounding, and a strict test would reject
+# the step that zeroes the gradient. After _MAX_HALVINGS rejected halvings
+# the iterate is as good as the arithmetic allows.
+_GRAD_TOL = 1e-10
+_LOSS_SLACK = 1e-13
+_MAX_NEWTON_STEPS = 100
+_MAX_HALVINGS = 50
+
+
+def train_logreg(x: np.ndarray, y: np.ndarray, c: float) -> LogRegModel:
+    """Minimise logreg_loss by Newton/IRLS from zero weights.
+
+    The Hessian is (d+1)x(d+1) for d features plus the bias. Each Newton step
+    is halved until the loss does not increase, and training stops when no
+    logreg_gradient component exceeds _GRAD_TOL.
+    """
     if c <= 0:
         raise ValueError("regularization parameter c must be positive")
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
-    w = np.zeros(x.shape[1])
+    n, d = x.shape
+    design = np.column_stack([x, np.ones(n)])
+    ridge = np.diag(np.append(np.full(d, 1.0 / (c * n)), 0.0))
+    w = np.zeros(d)
     b = 0.0
-    prev = logreg_loss(w, b, x, y, c)
-    for _ in range(max_epochs):
+    loss = logreg_loss(w, b, x, y, c)
+    for _ in range(_MAX_NEWTON_STEPS):
         gw, gb = logreg_gradient(w, b, x, y, c)
-        w = w - lr * gw
-        b = b - lr * gb
-        loss = logreg_loss(w, b, x, y, c)
-        if not np.isfinite(loss):
-            raise ValueError("logistic-regression loss diverged; check feature scaling")
-        if abs(prev - loss) < tol:
+        grad = np.append(gw, gb)
+        if np.abs(grad).max() <= _GRAD_TOL:
             break
-        prev = loss
+        z = x @ w + b
+        curvature = expit(z) * expit(-z)  # p(1-p) without cancellation
+        hessian = (design.T * curvature) @ design / n + ridge
+        step = np.linalg.solve(hessian, grad)
+        t = 1.0
+        for _ in range(_MAX_HALVINGS):
+            w_try = w - t * step[:d]
+            b_try = b - t * float(step[d])
+            loss_try = logreg_loss(w_try, b_try, x, y, c)
+            if loss_try <= loss * (1.0 + _LOSS_SLACK):
+                break
+            t *= 0.5
+        else:
+            break
+        w, b, loss = w_try, b_try, loss_try
     return LogRegModel(weights=w, bias=b, c=c)
 
 
-def train_logreg_grid(
-    x: np.ndarray,
-    y: np.ndarray,
-    cs: Sequence[float],
-    max_epochs: int = 2000,
-    lr: float = 0.1,
-    tol: float = 1e-8,
-) -> list[LogRegModel]:
-    """All regularization values in one batched descent.
-
-    Column j follows exactly the update/stop schedule of train_logreg(c=cs[j]);
-    converged columns freeze while the rest keep going. Exists because the
-    model grid retrains thousands of times inside the double CV.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    n, d = x.shape
-    m = len(cs)
-    reg = 1.0 / (np.asarray(cs, dtype=np.float64) * n)  # (m,)
-    w = np.zeros((m, d))
-    b = np.zeros(m)
-    col_active = np.ones(m, dtype=bool)
-    row_active = np.ones((1, m), dtype=bool)
-
-    def losses(z: np.ndarray) -> np.ndarray:
-        # mean cross-entropy = mean softplus(z) - (y . z)/n, plus the ridge term
-        ce = np.logaddexp(0.0, z).mean(axis=0) - (y @ z) / n
-        return ce + 0.5 * reg * np.einsum("md,md->m", w, w)
-
-    z = x @ w.T + b  # (n, m)
-    prev = losses(z)
-    for _ in range(max_epochs):
-        r = expit(z)
-        r -= y[:, None]
-        gw = r.T @ x
-        gw *= 1.0 / n
-        gw += w * reg[:, None]
-        np.subtract(w, lr * gw, out=w, where=col_active[:, None])
-        np.subtract(b, lr * r.mean(axis=0), out=b, where=col_active)
-        np.matmul(x, w.T, out=z[:, :])
-        np.add(z, b, out=z, where=row_active)
-        loss = losses(z)
-        if not np.all(np.isfinite(loss[col_active])):
-            raise ValueError("logistic-regression loss diverged; check feature scaling")
-        col_active &= np.abs(prev - loss) >= tol
-        np.copyto(prev, loss, where=col_active)
-        if not col_active.any():
-            break
-        row_active[0, :] = col_active
-    return [
-        LogRegModel(weights=w[j].copy(), bias=float(b[j]), c=float(cs[j]))
-        for j in range(m)
-    ]
+def train_logreg_grid(x: np.ndarray, y: np.ndarray, cs: Sequence[float]) -> list[LogRegModel]:
+    """One train_logreg fit per regularization value, in grid order."""
+    return [train_logreg(x, y, float(c)) for c in cs]
 
 
 @dataclass
@@ -313,17 +285,10 @@ class KnnModel:
     train_x: np.ndarray
     train_y: np.ndarray
 
-    def predict_one(self, x: np.ndarray) -> tuple[int, float]:
-        """Majority vote of the k nearest; distance ties keep index order."""
-        if len(self.train_x) == 0:
-            raise ValueError("empty model")
-        d = np.linalg.norm(self.train_x - x, axis=1)
-        nearest = np.argsort(d, kind="stable")[: self.k]
-        score = float(self.train_y[nearest].mean())
-        return (1 if score >= 0.5 else 0), score
-
     def predict(self, x: np.ndarray) -> np.ndarray:
-        return np.array([self.predict_one(row)[0] for row in x], dtype=np.int64)
+        """Majority vote of the k nearest; distance ties keep index order."""
+        x = np.asarray(x, dtype=np.float64)
+        return _knn_grid_predict(self.train_x, self.train_y, x, [self.k])[0]
 
 
 def train_knn(x: np.ndarray, y: np.ndarray, k: int) -> KnnModel:
@@ -367,17 +332,41 @@ def _knn_grid_predict(
 ) -> np.ndarray:
     """Predictions of every k at once, (len(ks), len(xq)).
 
-    Same arithmetic as KnnModel.predict_one: stable argsort on the identical
-    distance values, prefix-mean vote.
+    Neighbours are ranked as a stable argsort of the Euclidean distances
+    would rank them: by distance, then by training index. Only the max(ks)
+    nearest of each query are selected and sorted; the vote is their
+    prefix mean.
     """
     for k in ks:
         if k % 2 != 1 or k < 1:
             raise ValueError(f"k must be odd and positive, got {k}")
         if k > len(tr_x):
             raise ValueError(f"k={k} exceeds training size {len(tr_x)}")
-    d = np.linalg.norm(xq[:, None, :] - tr_x[None, :, :], axis=2)
-    order = np.argsort(d, axis=1, kind="stable")
-    votes = np.cumsum(tr_y[order], axis=1)
+    k_max = max(ks)
+    # One feature column at a time: for the at most four features of a
+    # subset, the same squares summed in the same left-to-right order as
+    # np.linalg.norm(xq[:, None] - tr_x, axis=2), so bit-identical distances
+    # without the (len(xq), len(tr_x), d) temporary.
+    dist = np.zeros((len(xq), len(tr_x)))
+    diff = np.empty_like(dist)
+    for j in range(tr_x.shape[1]):
+        np.subtract.outer(xq[:, j], tr_x[:, j], out=diff)
+        diff *= diff
+        dist += diff
+    np.sqrt(dist, out=dist)
+
+    # Per row: every column strictly nearer than the k_max-th distance, then
+    # the lowest-index columns at exactly that distance until k_max are taken.
+    kth = np.partition(dist, k_max - 1, axis=1)[:, k_max - 1 : k_max]
+    nearer = dist < kth
+    at_kth = dist == kth
+    room = k_max - nearer.sum(axis=1, keepdims=True)
+    take = nearer | (at_kth & (np.cumsum(at_kth, axis=1, dtype=np.int32) <= room))
+    nearest = (np.flatnonzero(take) % len(tr_x)).reshape(len(xq), k_max)  # rising index
+    order = np.argsort(np.take_along_axis(dist, nearest, axis=1), axis=1, kind="stable")
+    nearest = np.take_along_axis(nearest, order, axis=1)
+
+    votes = np.cumsum(tr_y[nearest], axis=1)
     preds = np.empty((len(ks), len(xq)), dtype=np.int64)
     for j, k in enumerate(ks):
         preds[j] = votes[:, k - 1] / k >= 0.5

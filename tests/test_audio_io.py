@@ -98,6 +98,16 @@ class TestResample:
         assert out.rate == 11025
         assert len(out.samples) == round(len(clip.samples) * 11025 / 22050)
 
+    @pytest.mark.parametrize("rate", [22050, 44100, 48000])
+    @pytest.mark.parametrize("n", [1, 4411, 22051, 48001])
+    def test_matches_integer_time_axes(self, rate, n):
+        # the time axes were once int aranges divided into new arrays
+        samples = np.random.default_rng(n).uniform(-1.0, 1.0, size=n)
+        out = resample_mono(AudioClip(id="r", samples=samples, rate=rate), 11025)
+        n_out = int(round(n * 11025 / rate))
+        expect = np.interp(np.arange(n_out) / 11025, np.arange(n) / rate, samples)
+        assert np.array_equal(out.samples, expect)
+
     def test_linear_ramp_preserved(self):
         ramp = AudioClip(id="ramp", samples=np.linspace(0.0, 1.0, 1001), rate=1000)
         out = resample_mono(ramp, 500)

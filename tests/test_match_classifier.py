@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ugcaudio import (
@@ -295,6 +295,7 @@ class TestLogReg:
         x = np.array([[v] for v in (-3.0, -2.5, -2.0, 2.0, 2.5, 3.0)])
         y = np.array([0.0, 0.0, 0.0, 1.0, 1.0, 1.0])
         model = train_logreg(x, y, c=1e6)
+        assert np.all(np.isfinite(model.weights)) and math.isfinite(model.bias)
         assert np.array_equal(model.predict(x), y.astype(np.int64))
 
     def test_heavier_regularization_shrinks_weights(self):
@@ -304,29 +305,81 @@ class TestLogReg:
         assert np.linalg.norm(tight.weights) < np.linalg.norm(loose.weights)
         assert np.abs(tight.scores(x) - 0.5).mean() < np.abs(loose.scores(x) - 0.5).mean()
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered")
-    def test_divergence_guard_trips_outside_stable_step_regime(self):
-        # fixed-step descent is unstable once lr/(c n) > 2; the trainer
-        # reports that instead of returning garbage
-        x, y = logreg_problem(2)
-        with pytest.raises(ValueError, match="diverged"):
-            train_logreg(x, y, c=1e-8)
+    def test_gradient_vanishes_at_every_fit(self):
+        # the loss is strictly convex, so a zero gradient is the optimum
+        for seed, n, d in ((0, 40, 3), (1, 300, 4), (2, 25, 1)):
+            x, y = logreg_problem(seed, n=n, d=d)
+            for c in LOGREG_C_GRID + (1e-8, 1e6):
+                model = train_logreg(x, y, c)
+                gw, gb = logreg_gradient(model.weights, model.bias, x, y, c)
+                assert np.abs(np.append(gw, gb)).max() <= 1e-8, (seed, c)
 
     def test_invalid_c_rejected(self):
         x, y = logreg_problem(3)
-        with pytest.raises(ValueError):
-            train_logreg(x, y, c=0.0)
+        for c in (0.0, -1.0):
+            with pytest.raises(ValueError):
+                train_logreg(x, y, c=c)
+            with pytest.raises(ValueError):
+                train_logreg_grid(x, y, [1.0, c])
 
     def test_grid_matches_scalar_training(self):
         x, y = logreg_problem(5, n=60)
         cs = [1.0, 8.0, 64.0, 1024.0]
         grid_models = train_logreg_grid(x, y, cs)
+        assert [gm.c for gm in grid_models] == cs
         for c, gm in zip(cs, grid_models):
             sm = train_logreg(x, y, c)
-            assert gm.c == c
-            assert np.allclose(gm.weights, sm.weights, rtol=1e-5, atol=1e-8)
-            assert gm.bias == pytest.approx(sm.bias, rel=1e-5, abs=1e-8)
-            assert np.array_equal(gm.predict(x), sm.predict(x))
+            assert np.array_equal(gm.weights, sm.weights)
+            assert gm.bias == sm.bias
+
+
+def knn_reference(tr_x, tr_y, xq, ks):
+    """Per query, a full stable argsort of its distances and a prefix vote."""
+    out = np.empty((len(ks), len(xq)), dtype=np.int64)
+    for i, q in enumerate(xq):
+        order = np.argsort(np.linalg.norm(tr_x - q, axis=1), kind="stable")
+        for j, k in enumerate(ks):
+            out[j, i] = tr_y[order[:k]].mean() >= 0.5
+    return out
+
+
+@st.composite
+def knn_problems(draw):
+    """Tie-heavy k-NN inputs: repeated rows, often on an integer grid."""
+    d = draw(st.integers(1, 4))
+    if draw(st.booleans()):
+        value = st.integers(-2, 2).map(float)
+    else:
+        value = st.floats(-4.0, 4.0, allow_nan=False, allow_infinity=False)
+    rows = st.lists(value, min_size=d, max_size=d)
+    palette = draw(st.lists(rows, min_size=1, max_size=8))
+    picks = st.integers(0, len(palette) - 1)
+    tr_x = np.array([palette[i] for i in draw(st.lists(picks, min_size=1, max_size=30))])
+    n = len(tr_x)
+    tr_y = np.array(draw(st.lists(st.sampled_from([0.0, 1.0]), min_size=n, max_size=n)))
+    if draw(st.booleans()):
+        xq = tr_x.copy()
+    else:
+        xq = np.array(draw(st.lists(rows, min_size=1, max_size=6)))
+    odd = list(range(1, n + 1, 2))
+    ks = sorted(draw(st.sets(st.sampled_from(odd), min_size=1, max_size=4)))
+    return tr_x, tr_y, xq, ks
+
+
+# Query 0 against 1-D integer points: the k-th distance ties across the cut
+# at every k, and the lowest-index tied points must be the ones kept.
+TIED_CUT = (
+    np.array(
+        [1, -2, -2, -1, 2, 0, 1, -1, -1, 1, 2, -2, -2, 1, -1, 0, -2, 2, 0, 2, 1, 1, -1],
+        dtype=np.float64,
+    )[:, None],
+    np.array(
+        [1, 0, 1, 0, 1, 0, 1, 0, 1, 1, 1, 0, 1, 1, 1, 0, 1, 1, 0, 0, 1, 0, 1],
+        dtype=np.float64,
+    ),
+    np.zeros((1, 1)),
+    [1, 5, 9],
+)
 
 
 class TestKnn:
@@ -334,23 +387,21 @@ class TestKnn:
         x = np.array([[0.0, 0.0], [5.0, 5.0]])
         y = np.array([0.0, 1.0])
         model = train_knn(x, y, 1)
-        assert model.predict_one(np.array([5.0, 5.0])) == (1, 1.0)
+        assert model.predict(np.array([[5.0, 5.0]])).tolist() == [1]
 
     def test_frozen_three_neighbor_vote(self):
         x = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [2.0, 2.0], [3.0, 3.0]])
         y = np.array([0.0, 0.0, 1.0, 1.0, 1.0])
-        model = train_knn(x, y, 3)
         # nearest to (1.2, 0.4): (1,0) d=.447, (0,0) d=1.265, (0,1) d=1.342
-        cls, score = model.predict_one(np.array([1.2, 0.4]))
-        assert cls == 0
-        assert score == pytest.approx(1.0 / 3.0)
-        assert train_knn(x, y, 5).predict_one(np.array([1.2, 0.4]))[0] == 1
+        q = np.array([[1.2, 0.4]])
+        assert train_knn(x, y, 3).predict(q).tolist() == [0]
+        assert train_knn(x, y, 5).predict(q).tolist() == [1]
 
     def test_distance_tie_keeps_lower_index(self):
         x = np.array([[9.0, 0.0], [1.0, 0.0], [1.0, 0.0]])
         y = np.array([0.0, 1.0, 0.0])
         model = train_knn(x, y, 1)
-        assert model.predict_one(np.array([1.0, 0.0])) == (1, 1.0)
+        assert model.predict(np.array([[1.0, 0.0]])).tolist() == [1]
 
     def test_invalid_k(self):
         x = np.zeros((4, 2))
@@ -380,6 +431,14 @@ class TestKnn:
         grid = _knn_grid_predict(tr_x, tr_y, xq, ks)
         for j, k in enumerate(ks):
             assert np.array_equal(grid[j], train_knn(tr_x, tr_y, k).predict(xq))
+
+    @given(knn_problems())
+    @example(TIED_CUT)
+    @settings(deadline=None, max_examples=300)
+    def test_grid_predict_matches_stable_argsort(self, problem):
+        tr_x, tr_y, xq, ks = problem
+        got = _knn_grid_predict(tr_x, tr_y, xq, ks)
+        assert np.array_equal(got, knn_reference(tr_x, tr_y, xq, ks))
 
     def test_grid_validates_every_k(self):
         x = np.zeros((4, 2))
