@@ -30,6 +30,7 @@ from .event_graph import (
     split_repetitions,
 )
 from .fingerprint import (
+    LANDMARK_KEYS,
     FingerprintIndex,
     FpConfig,
     MatchEntry,
@@ -38,13 +39,14 @@ from .fingerprint import (
     extract_peaks,
     fingerprint_clip,
     hash_landmarks,
+    load_config,
     offset_zero_votes,
     pair_landmarks,
+    parse_config,
     peak_candidates,
     query,
     spectrogram,
     thin_peaks,
-    unpack_key,
     with_quality_params,
 )
 from .match_classifier import (
@@ -81,7 +83,7 @@ from .match_classifier import (
     train_logreg,
     train_logreg_grid,
 )
-from .pipeline import PipelineConfig, load_config, parse_config, run_pipeline
+from .pipeline import run_pipeline
 from .storage import (
     StorageError,
     load_index,

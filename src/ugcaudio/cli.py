@@ -8,6 +8,7 @@ or incompatible stored file, failed precondition).
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from pathlib import Path
 
@@ -20,7 +21,15 @@ from .audio_io import (
     read_clip,
     synth_corpus,
 )
-from .fingerprint import FingerprintIndex, MatchEntry, MatchingList, clip_fingerprint, query
+from .fingerprint import (
+    FingerprintIndex,
+    FpConfig,
+    MatchEntry,
+    MatchingList,
+    clip_fingerprint,
+    load_config,
+    query,
+)
 from .match_classifier import (
     CvResult,
     autolabel,
@@ -31,13 +40,7 @@ from .match_classifier import (
     select_model,
     SUBSETS,
 )
-from .pipeline import (
-    PipelineConfig,
-    load_config,
-    load_corpus,
-    run_pipeline,
-    seed_override,
-)
+from .pipeline import load_corpus, run_pipeline
 from .storage import (
     StorageError,
     dump_json,
@@ -50,6 +53,8 @@ from .storage import (
 )
 from .timeline import cut_audio
 
+ENV_SEED = "UGC_SEED"
+
 
 def _require(path: str, what: str) -> str:
     if not Path(path).exists():
@@ -57,12 +62,19 @@ def _require(path: str, what: str) -> str:
     return path
 
 
-def _config_from(args) -> PipelineConfig:
-    cfg = PipelineConfig()
-    if getattr(args, "config", None):
-        cfg = load_config(_require(args.config, "config file"), cfg)
-    cfg.seed = seed_override(cfg.seed)
-    return cfg
+def _config_from(args) -> FpConfig:
+    return load_config(_require(args.config, "config file")) if args.config else FpConfig()
+
+
+def seed_override(default: int) -> int:
+    """UGC_SEED in the environment beats a `--seed` flag."""
+    raw = os.environ.get(ENV_SEED)
+    if raw is None:
+        return default
+    try:
+        return int(raw)
+    except ValueError:
+        raise ValueError(f"{ENV_SEED} must be an integer, got {raw!r}") from None
 
 
 def cmd_synth(args) -> int:
@@ -89,12 +101,11 @@ def cmd_synth(args) -> int:
 
 def cmd_index(args) -> int:
     cfg = _config_from(args)
-    fp_cfg = cfg.fp_config()
-    index = FingerprintIndex(fp_cfg)
+    index = FingerprintIndex(cfg)
     for name in args.files:
         path = Path(_require(name, "audio file"))
-        clip = read_clip(path, fp_cfg.rate)
-        hashed, _ = clip_fingerprint(clip, fp_cfg)
+        clip = read_clip(path, cfg.rate)
+        hashed, _ = clip_fingerprint(clip, cfg)
         if len(hashed) == 0:
             print(f"warning: {clip.id}: no landmarks, skipped", file=sys.stderr)
             continue
@@ -147,14 +158,13 @@ def matches_from_doc(doc: dict) -> list[MatchingList]:
 
 def cmd_match(args) -> int:
     cfg = _config_from(args)
-    fp_cfg = cfg.fp_config()
     index = load_index(_require(args.index, "index file"))
     lists = []
     for name in args.files:
         path = Path(_require(name, "audio file"))
-        clip = read_clip(path, fp_cfg.rate)
-        hashed, _ = clip_fingerprint(clip, fp_cfg)
-        lists.append(query(index, clip.id, hashed, fp_cfg))
+        clip = read_clip(path, cfg.rate)
+        hashed, _ = clip_fingerprint(clip, cfg)
+        lists.append(query(index, clip.id, hashed, cfg))
     doc = matches_to_doc(lists)
     if args.out:
         save_json(doc, args.out)
@@ -166,11 +176,7 @@ def cmd_match(args) -> int:
 
 def cmd_pipeline(args) -> int:
     cfg = _config_from(args)
-    corpus_dir = args.input or cfg.input
-    if not corpus_dir:
-        print("error: no corpus directory (--in or config `input`)", file=sys.stderr)
-        return 2
-    _require(corpus_dir, "corpus directory")
+    corpus_dir = _require(args.input, "corpus directory")
 
     match_filter = None
     meta = None
@@ -185,10 +191,9 @@ def cmd_pipeline(args) -> int:
 
     result = run_pipeline(load_corpus(corpus_dir, cfg.rate), cfg, match_filter, meta)
 
-    out = args.out or cfg.output
-    if out:
-        save_json(result.report, out)
-        print(f"wrote report ({len(result.events)} events) to {out}")
+    if args.out:
+        save_json(result.report, args.out)
+        print(f"wrote report ({len(result.events)} events) to {args.out}")
     else:
         print(dump_json(result.report), end="")
 
@@ -330,7 +335,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_match)
 
     p = sub.add_parser("pipeline", help="full run: cluster, align, segment, report")
-    p.add_argument("--in", dest="input")
+    p.add_argument("--in", dest="input", required=True, metavar="corpus_dir")
     p.add_argument("--config")
     p.add_argument("--model", help="trained match classifier to filter edges")
     p.add_argument("--out")

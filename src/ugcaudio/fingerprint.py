@@ -17,7 +17,7 @@ bin whose vote count clears the matching threshold.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -33,25 +33,46 @@ _DF_BIAS = 63
 _STFT_BLOCK = 256
 
 
+# The parameters that shape stored postings, in FpConfig's field order. An
+# index answers only queries fingerprinted under its values of these.
+LANDMARK_KEYS = (
+    "rate",
+    "window",
+    "hop",
+    "log_floor",
+    "peak_density",
+    "fanout",
+    "dt_min",
+    "dt_max",
+    "df_min",
+    "df_max",
+)
+
+
 @dataclass(frozen=True)
 class FpConfig:
-    """Spectrogram and matching parameters.
+    """Every tunable of a run, loadable from a `key = value` file.
 
     The cited landmark tooling leaves window, hop, density, fan-out, and the
     peak-picking rule unspecified; these defaults are this library's own and
-    are all surfaced here.
+    are all surfaced here. LANDMARK_KEYS shape the fingerprints; the rest act
+    at query time, in quality scoring, or in the timeline report.
     """
 
     rate: int = PROCESS_RATE
     window: int = 512
     hop: int = 256
+    log_floor: float = -10.0
     peak_density: float = 20.0  # target peaks per second
     fanout: int = 3  # max pairs per anchor peak
-    dt_range: tuple[int, int] = (1, 63)  # frames
-    df_range: tuple[int, int] = (-63, 63)  # bins
+    dt_min: int = 1  # frames
+    dt_max: int = 63
+    df_min: int = -63  # bins
+    df_max: int = 63
     match_threshold: int = 5  # min matching landmarks in one offset bin
     offset_merge: int = 1  # merge vote-histogram bins within +/- this
-    log_floor: float = -10.0
+    density_multiplier: float = 3.0  # peak-density boost for quality scoring
+    consistency_eps: float = 0.1  # seconds; larger timeline residuals are flagged
 
     def __post_init__(self):
         if self.window <= 0 or self.window & (self.window - 1):
@@ -66,14 +87,53 @@ class FpConfig:
             raise ValueError("peak_density must be positive")
         if self.offset_merge < 0:
             raise ValueError("offset_merge must be >= 0")
+        if self.density_multiplier <= 0:
+            raise ValueError("density_multiplier must be positive")
 
-    def compatible_with(self, other: "FpConfig") -> bool:
-        """True when offsets computed under one config are valid under the other."""
-        return (
-            self.rate == other.rate
-            and self.window == other.window
-            and self.hop == other.hop
-        )
+    def compatible_with(self, other: "FpConfig") -> None:
+        """Raise ValueError unless this config may query postings built under `other`.
+
+        They must agree on every LANDMARK_KEYS parameter; the error names the
+        first that differs and both values.
+        """
+        for key in LANDMARK_KEYS:
+            mine, theirs = getattr(self, key), getattr(other, key)
+            if mine != theirs:
+                raise ValueError(
+                    f"{key} = {mine!r} differs from the index's {key} = {theirs!r};"
+                    " landmark parameters must match the index"
+                )
+
+
+def parse_config(text: str) -> FpConfig:
+    """`key = value` lines over FpConfig's fields; blank lines and # comments ignored.
+
+    Keys left out keep their defaults. An unknown key or a badly typed value
+    names its line; an invalid value raises FpConfig's own ValueError.
+    """
+    kinds = {f.name: int if f.type == "int" else float for f in fields(FpConfig)}
+    values = {}
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise ValueError(f"config line {lineno}: expected 'key = value', got {raw!r}")
+        key, value = (part.strip() for part in line.split("=", 1))
+        if key not in kinds:
+            raise ValueError(f"config line {lineno}: unknown key {key!r}")
+        try:
+            values[key] = kinds[key](value)
+        except ValueError:
+            raise ValueError(
+                f"config line {lineno}: {key} expects {kinds[key].__name__}, got {value!r}"
+            ) from None
+    return FpConfig(**values)
+
+
+def load_config(path: str) -> FpConfig:
+    with open(path, "r", encoding="utf-8") as f:
+        return parse_config(f.read())
 
 
 @dataclass
@@ -183,8 +243,8 @@ def _holed_max(spec: np.ndarray) -> np.ndarray:
 def pair_landmarks(peaks: np.ndarray, cfg: FpConfig) -> np.ndarray:
     """Pair each anchor peak with up to cfg.fanout later peaks.
 
-    Admissible partners have a frame delta inside dt_range, a bin delta inside
-    df_range, and both bins within the 8-bit key budget. The (frame, bin)
+    Admissible partners have a frame delta in [dt_min, dt_max], a bin delta in
+    [df_min, df_max], and both bins within the 8-bit key budget. The (frame, bin)
     peak rows are ordered, so scanning forward takes partners nearest in time
     first. Returns an N x 4 int array of (t1, f1, f2, dt) rows, grouped by
     anchor in peak order and by partner in peak order within an anchor.
@@ -192,8 +252,6 @@ def pair_landmarks(peaks: np.ndarray, cfg: FpConfig) -> np.ndarray:
     peaks = np.asarray(peaks, dtype=np.int64).reshape(-1, 2)
     frames, bins = peaks[:, 0], peaks[:, 1]
     n = len(peaks)
-    dt_lo, dt_hi = cfg.dt_range
-    df_lo, df_hi = cfg.df_range
     taken = np.zeros(n, dtype=np.int64)
     firsts = [np.empty(0, dtype=np.int64)]
     seconds = [np.empty(0, dtype=np.int64)]
@@ -205,10 +263,10 @@ def pair_landmarks(peaks: np.ndarray, cfg: FpConfig) -> np.ndarray:
         active = active[active + k < n]
         partner = active + k
         dt = frames[partner] - frames[active]
-        in_reach = dt <= dt_hi  # the scan stops at the first peak past dt_hi
+        in_reach = dt <= cfg.dt_max  # the scan stops at the first peak past dt_max
         active, partner, dt = active[in_reach], partner[in_reach], dt[in_reach]
         df = bins[partner] - bins[active]
-        ok = (dt >= dt_lo) & (bins[partner] <= _F1_MAX) & (df >= df_lo) & (df <= df_hi)
+        ok = (dt >= cfg.dt_min) & (bins[partner] <= _F1_MAX) & (df >= cfg.df_min) & (df <= cfg.df_max)
         firsts.append(active[ok])
         seconds.append(partner[ok])
         taken[active[ok]] += 1
@@ -220,16 +278,6 @@ def pair_landmarks(peaks: np.ndarray, cfg: FpConfig) -> np.ndarray:
     return np.stack(
         [frames[first], bins[first], bins[second], frames[second] - frames[first]], axis=1
     )
-
-
-def unpack_key(key: int) -> tuple[int, int, int]:
-    """Inverse of the key packing in hash_landmarks: (f1, df, dt)."""
-    if not (0 <= key < 1 << 21):
-        raise ValueError(f"key {key} outside the 21-bit domain")
-    dt = key & 0x3F
-    df = ((key >> _DF_SHIFT) & 0x7F) - _DF_BIAS
-    f1 = key >> _F1_SHIFT
-    return f1, df, dt
 
 
 def hash_landmarks(landmarks: np.ndarray) -> np.ndarray:
@@ -296,9 +344,6 @@ class FingerprintIndex:
         self._postings: np.ndarray | None = None
         self._keys = np.empty(0, dtype=np.int64)
         self._ids: list[str] = []
-
-    def add_clip(self, clip_id: str, landmarks: np.ndarray, duration: float = 0.0) -> None:
-        self.add_hashed(clip_id, hash_landmarks(landmarks), duration)
 
     def add_hashed(self, clip_id: str, hashed, duration: float = 0.0) -> None:
         if clip_id in self.landmark_counts:
@@ -387,8 +432,7 @@ def query(
     appears in its own matching list.
     """
     cfg = cfg or index.cfg
-    if not cfg.compatible_with(index.cfg):
-        raise ValueError("query config incompatible with the index it targets")
+    cfg.compatible_with(index.cfg)
     hashed = _as_hashed(hashed)
     postings = index.postings()
 
@@ -456,10 +500,10 @@ def offset_zero_votes(hashed_a, hashed_b, tol_frames: int = 2) -> int:
     return int((hi - lo).sum())
 
 
-def with_quality_params(cfg: FpConfig, density_multiplier: float = 3.0) -> FpConfig:
-    """Derive the high-density, threshold-1 config used for quality scoring."""
+def with_quality_params(cfg: FpConfig) -> FpConfig:
+    """The config quality scoring uses: density_multiplier times the density, threshold 1."""
     return replace(
         cfg,
-        peak_density=cfg.peak_density * density_multiplier,
+        peak_density=cfg.peak_density * cfg.density_multiplier,
         match_threshold=1,
     )

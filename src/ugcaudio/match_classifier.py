@@ -44,9 +44,6 @@ class MatchFeatures:
         if self.ml > self.tml:
             raise ValueError(f"ml {self.ml} exceeds tml {self.tml}")
 
-    def as_array(self) -> np.ndarray:
-        return np.array([self.ml, self.tml, self.lq, self.li], dtype=np.float64)
-
 
 @dataclass(frozen=True)
 class FeatureSubset:

@@ -4,15 +4,13 @@ Clips stream through the run: each is fingerprinted as it arrives and only
 its duration, hashed landmarks and peak candidates are kept, so a corpus
 read with `load_corpus` holds one clip's audio in memory at a time.
 
-Also owns the run configuration: a flat `key = value` file mirroring every
-fingerprint parameter plus the alignment and classifier knobs. Unknown keys
-are rejected so a typo cannot silently fall back to a default.
+One `FpConfig` drives the run: its landmark parameters fingerprint and
+match the clips, `with_quality_params` of it scores segment quality, and its
+`consistency_eps` flags timeline residuals in the report.
 """
 
 from __future__ import annotations
 
-import dataclasses
-import os
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -40,95 +38,6 @@ from .timeline import (
     normalize_positions,
     segment_quality,
 )
-
-ENV_SEED = "UGC_SEED"
-
-
-@dataclass
-class PipelineConfig:
-    """Every tunable of a run, loadable from a `key = value` file."""
-
-    rate: int = 11025
-    window: int = 512
-    hop: int = 256
-    peak_density: float = 20.0
-    fanout: int = 3
-    dt_min: int = 1
-    dt_max: int = 63
-    df_min: int = -63
-    df_max: int = 63
-    match_threshold: int = 5
-    offset_merge: int = 1
-    log_floor: float = -10.0
-    density_multiplier: float = 3.0
-    consistency_eps: float = 0.1
-    family: str = "logreg"
-    subset: str = "S4"
-    seed: int = 0
-    input: str = ""
-    output: str = ""
-
-    def fp_config(self) -> FpConfig:
-        return FpConfig(
-            rate=self.rate,
-            window=self.window,
-            hop=self.hop,
-            peak_density=self.peak_density,
-            fanout=self.fanout,
-            dt_range=(self.dt_min, self.dt_max),
-            df_range=(self.df_min, self.df_max),
-            match_threshold=self.match_threshold,
-            offset_merge=self.offset_merge,
-            log_floor=self.log_floor,
-        )
-
-    def hi_config(self) -> FpConfig:
-        return with_quality_params(self.fp_config(), self.density_multiplier)
-
-
-def parse_config(text: str, base: PipelineConfig | None = None) -> PipelineConfig:
-    """`key = value` lines; blank lines and # comments ignored."""
-    cfg = dataclasses.replace(base) if base else PipelineConfig()
-    types = {f.name: f.type for f in dataclasses.fields(PipelineConfig)}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise ValueError(f"config line {lineno}: expected 'key = value', got {raw!r}")
-        key, value = (part.strip() for part in line.split("=", 1))
-        if key not in types:
-            raise ValueError(f"config line {lineno}: unknown key {key!r}")
-        kind = types[key]
-        try:
-            if kind == "int":
-                parsed = int(value)
-            elif kind == "float":
-                parsed = float(value)
-            else:
-                parsed = value
-        except ValueError:
-            raise ValueError(
-                f"config line {lineno}: {key} expects {kind}, got {value!r}"
-            ) from None
-        setattr(cfg, key, parsed)
-    return cfg
-
-
-def load_config(path: str, base: PipelineConfig | None = None) -> PipelineConfig:
-    with open(path, "r", encoding="utf-8") as f:
-        return parse_config(f.read(), base)
-
-
-def seed_override(default: int) -> int:
-    """UGC_SEED in the environment beats any configured seed."""
-    raw = os.environ.get(ENV_SEED)
-    if raw is None:
-        return default
-    try:
-        return int(raw)
-    except ValueError:
-        raise ValueError(f"{ENV_SEED} must be an integer, got {raw!r}") from None
 
 
 def load_corpus(directory: str, rate: int) -> Iterator[AudioClip]:
@@ -162,7 +71,7 @@ class PipelineResult:
 
 def run_pipeline(
     clips: Iterable[AudioClip],
-    cfg: PipelineConfig,
+    cfg: FpConfig,
     match_filter: MatchFilter | None = None,
     classifier_meta: dict | None = None,
 ) -> PipelineResult:
@@ -174,10 +83,9 @@ def run_pipeline(
     holds no audio, only each clip's duration; `cut_audio` on a clip read
     again gives a segment's cut.
     """
-    fp_cfg = cfg.fp_config()
-    hi_cfg = cfg.hi_config()
+    hi_cfg = with_quality_params(cfg)
 
-    index = FingerprintIndex(fp_cfg)
+    index = FingerprintIndex(cfg)
     durations: dict[str, float] = {}
     hashed: dict[str, np.ndarray] = {}
     # Peak candidates serve quality scoring too: the quality config differs
@@ -186,7 +94,7 @@ def run_pipeline(
     unmatched: list[str] = []
     for clip in clips:
         durations[clip.id] = clip.duration
-        h, candidates[clip.id] = clip_fingerprint(clip, fp_cfg)
+        h, candidates[clip.id] = clip_fingerprint(clip, cfg)
         if len(h) == 0:
             unmatched.append(clip.id)
         else:
@@ -194,7 +102,7 @@ def run_pipeline(
             index.add_hashed(clip.id, h, clip.duration)
         del clip  # free its samples before the next clip is decoded
 
-    lists = [query(index, cid, hashed[cid], fp_cfg) for cid in index.clip_ids]
+    lists = [query(index, cid, hashed[cid], cfg) for cid in index.clip_ids]
     graph = build_graph(lists, filter_fn=match_filter)
 
     events: list[EventResult] = []
@@ -219,7 +127,7 @@ def run_pipeline(
 
 def _build_report(
     result: PipelineResult,
-    cfg: PipelineConfig,
+    cfg: FpConfig,
     graph: MatchGraph,
     classifier_meta: dict | None,
 ) -> dict:

@@ -1,11 +1,17 @@
 """On-disk formats: binary fingerprint index, text model file, JSON report.
 
-The index layout is fixed-width little-endian so a round trip is
-byte-identical and a hexdump diff is readable:
+The index layout is little-endian and, apart from the header text and the
+clip ids, fixed-width, so a round trip is byte-identical and a hexdump diff
+is readable:
 
-    magic 'UGFP', u16 version=1, u32 rate, u16 window, u16 hop,
+    magic 'UGFP', u16 version=2, u32 header length, header bytes,
     u32 n_clips, per clip {u16 id length, id bytes, f64 duration, u32 #L},
     u64 n_postings, per posting {u32 key, u32 clip ordinal, u32 t1}
+
+The header is UTF-8 `key = value` lines, one per LANDMARK_KEYS parameter in
+that order, floats written with repr: the config file format, read back by
+the same parser, so the index knows every parameter its postings depend on.
+Version 1 files stored only rate, window and hop, and are refused.
 
 Clips are in sorted-id order and postings sorted by (key, ordinal, t1), so
 the posting block is exactly the index's in-memory posting array: it is
@@ -23,7 +29,7 @@ from typing import Any
 
 import numpy as np
 
-from .fingerprint import FingerprintIndex, FpConfig
+from .fingerprint import LANDMARK_KEYS, FingerprintIndex, parse_config
 from .match_classifier import (
     FAMILY_KNN,
     FAMILY_LOGREG,
@@ -35,7 +41,7 @@ from .match_classifier import (
 )
 
 INDEX_MAGIC = b"UGFP"
-INDEX_VERSION = 1
+INDEX_VERSION = 2
 MODEL_VERSION = 1
 # One posting row is three of these: key, clip ordinal, anchor frame.
 _POSTING = np.dtype("<u4")
@@ -74,16 +80,12 @@ class _Reader:
 def index_to_bytes(index: FingerprintIndex) -> bytes:
     """Serialize with clips in sorted-id order and postings fully sorted."""
     clip_ids = index.clip_ids
+    header = "".join(f"{key} = {getattr(index.cfg, key)!r}\n" for key in LANDMARK_KEYS).encode()
     parts = [
         INDEX_MAGIC,
-        struct.pack(
-            "<HIHHI",
-            INDEX_VERSION,
-            index.cfg.rate,
-            index.cfg.window,
-            index.cfg.hop,
-            len(clip_ids),
-        ),
+        struct.pack("<HI", INDEX_VERSION, len(header)),
+        header,
+        struct.pack("<I", len(clip_ids)),
     ]
     for cid in clip_ids:
         raw = cid.encode("utf-8")
@@ -106,10 +108,25 @@ def index_from_bytes(data: bytes) -> FingerprintIndex:
     if r.take_bytes(4) != INDEX_MAGIC:
         raise StorageError("not an index file (bad magic)")
     (version,) = r.take("<H")
+    if version == 1:
+        raise StorageError(
+            "index file version 1 does not record its landmark parameters; re-index the clips"
+        )
     if version != INDEX_VERSION:
         raise StorageError(f"unsupported version {version} (expected {INDEX_VERSION})")
-    rate, window, hop, n_clips = r.take("<IHHI")
-    index = FingerprintIndex(FpConfig(rate=rate, window=window, hop=hop))
+    (header_len,) = r.take("<I")
+    try:
+        text = r.take_bytes(header_len).decode("utf-8")
+        cfg = parse_config(text)
+    except ValueError as exc:
+        raise StorageError(f"index header: {exc}") from None
+    keys = [line.partition("=")[0].strip() for line in text.splitlines()]
+    if sorted(keys) != sorted(LANDMARK_KEYS):
+        raise StorageError(
+            f"index header sets {', '.join(keys)}; expected exactly {', '.join(LANDMARK_KEYS)}"
+        )
+    (n_clips,) = r.take("<I")
+    index = FingerprintIndex(cfg)
 
     clip_ids: list[str] = []
     for _ in range(n_clips):

@@ -20,7 +20,6 @@ from ugcaudio import (
     MatchEntry,
     MatchGraph,
     MatchingList,
-    PipelineConfig,
     S1,
     S2,
     S4,
@@ -96,7 +95,7 @@ def clustering_runs():
     for seed in range(5):
         clips, truth = synth_corpus(spec_of(seed))
         t0 = time.perf_counter()
-        result = run_pipeline(clips, PipelineConfig())
+        result = run_pipeline(clips, FpConfig())
         elapsed += time.perf_counter() - t0
         runs.append((truth, result))
     return runs, elapsed
@@ -392,7 +391,7 @@ def test_criterion_10_persistence_round_trips_exactly():
     index = FingerprintIndex(cfg)
     for i in range(3):
         clip = burst_clip(f"clip{i:02d}", duration=4.0, seed=600 + i)
-        index.add_clip(clip.id, fingerprint_clip(clip, cfg), clip.duration)
+        index.add_hashed(clip.id, hash_landmarks(fingerprint_clip(clip, cfg)), clip.duration)
     blob = index_to_bytes(index)
     assert index_to_bytes(index_from_bytes(blob)) == blob
 

@@ -195,6 +195,45 @@ class TestIndex:
         assert "unknown key" in capsys.readouterr().err
 
 
+class TestConfigFiles:
+    def run_index(self, small_corpus, tmp_path, text):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(text)
+        wav = str(next(iter(sorted(small_corpus.glob("*.wav")))))
+        return main(["index", wav, "--config", str(cfg), "--out", str(tmp_path / "o.idx")])
+
+    def test_invalid_value_exits_3_naming_the_key(self, small_corpus, tmp_path, capsys):
+        assert self.run_index(small_corpus, tmp_path, "window = 500\n") == 3
+        assert "window must be a power of two, got 500" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key", ["family", "subset", "seed", "input", "output"])
+    def test_removed_key_exits_3(self, small_corpus, tmp_path, capsys, key):
+        assert self.run_index(small_corpus, tmp_path, f"{key} = x\n") == 3
+        assert f"config line 1: unknown key {key!r}" in capsys.readouterr().err
+
+    def test_index_match_and_pipeline_ignore_env_seed(self, small_corpus, indexed, tmp_path, monkeypatch):
+        monkeypatch.setenv("UGC_SEED", "not-a-number")
+        wav = str(next(iter(sorted(small_corpus.glob("*.wav")))))
+        assert main(["index", wav, "--out", str(tmp_path / "o.idx")]) == 0
+        assert main(["match", wav, "--index", str(indexed[0]), "--out", str(tmp_path / "m.json")]) == 0
+        assert main(["pipeline", "--in", str(small_corpus), "--out", str(tmp_path / "r.json")]) == 0
+
+    def test_match_refuses_other_landmark_parameters(self, indexed, tmp_path, capsys):
+        idx, wavs = indexed  # built with the defaults
+        dense = tmp_path / "dense.cfg"
+        dense.write_text("peak_density = 40\n")
+        capsys.readouterr()
+        assert main(["match", wavs[0], "--index", str(idx), "--config", str(dense)]) == 3
+        err = capsys.readouterr().err
+        assert "peak_density = 40.0 differs from the index's peak_density = 20.0" in err
+
+        strict = tmp_path / "strict.cfg"
+        strict.write_text("match_threshold = 9\n")
+        assert main(["match", wavs[0], "--index", str(idx), "--config", str(strict)]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert all(e["ml"] >= 9 for q in doc["queries"] for e in q["entries"])
+
+
 class TestEmptyFingerprints:
     def test_silent_and_short_clips_are_skipped(self, indexed, small_corpus, tmp_path, capsys):
         silent = AudioClip(id="quiet", samples=np.zeros(PROCESS_RATE), rate=PROCESS_RATE)

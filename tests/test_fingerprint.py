@@ -1,4 +1,6 @@
+import re
 from collections import Counter
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -6,19 +8,21 @@ from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from ugcaudio import (
+    LANDMARK_KEYS,
     AudioClip,
     FingerprintIndex,
     FpConfig,
     extract_peaks,
     fingerprint_clip,
     hash_landmarks,
+    load_config,
     offset_zero_votes,
     pair_landmarks,
+    parse_config,
     peak_candidates,
     query,
     spectrogram,
     thin_peaks,
-    unpack_key,
     with_quality_params,
 )
 from ugcaudio.fingerprint import _merge_offset_bins
@@ -48,6 +52,7 @@ class TestConfig:
             {"fanout": 0},
             {"peak_density": 0.0},
             {"offset_merge": -1},
+            {"density_multiplier": 0.0},
         ],
     )
     def test_invalid_rejected(self, kw):
@@ -56,8 +61,48 @@ class TestConfig:
 
     def test_compatibility_ignores_matching_params(self):
         a = FpConfig()
-        assert a.compatible_with(FpConfig(match_threshold=9, fanout=5))
-        assert not a.compatible_with(FpConfig(hop=128))
+        a.compatible_with(FpConfig(match_threshold=9, offset_merge=0, density_multiplier=2.0))
+        with pytest.raises(ValueError, match="fanout = 5 differs .* fanout = 3"):
+            FpConfig(fanout=5).compatible_with(a)
+        with pytest.raises(ValueError, match="hop = 128 differs .* hop = 256"):
+            FpConfig(hop=128).compatible_with(a)
+
+    @pytest.mark.parametrize("key", LANDMARK_KEYS)
+    def test_every_landmark_key_must_match(self, key):
+        other = replace(FpConfig(), **{key: getattr(FpConfig(), key) * 2})
+        with pytest.raises(ValueError, match=f"^{key} = "):
+            other.compatible_with(FpConfig())
+
+    def test_file_sets_every_field(self, tmp_path):
+        want = FpConfig(
+            rate=22050, window=1024, hop=512, log_floor=-8.5, peak_density=12.5,
+            fanout=4, dt_min=2, dt_max=40, df_min=-30, df_max=31, match_threshold=7,
+            offset_merge=2, density_multiplier=2.5, consistency_eps=0.25,
+        )
+        assert len(fields(FpConfig)) == 14
+        assert all(getattr(want, f.name) != f.default for f in fields(FpConfig))
+        path = tmp_path / "run.cfg"
+        path.write_text(
+            "# every key\n\n" + "".join(f"{f.name} = {getattr(want, f.name)}\n" for f in fields(FpConfig))
+        )
+        assert load_config(str(path)) == want
+
+    def test_unset_keys_keep_defaults(self):
+        assert parse_config("hop = 128\n# fanout = 9\n") == FpConfig(hop=128)
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("hop = 256\nfanout = three\n", "config line 2: fanout expects int, got 'three'"),
+            ("\n# c\npeak_density = dense\n", "config line 3: peak_density expects float"),
+            ("window = 512.0", "config line 1: window expects int"),
+            ("hop 256", "config line 1: expected 'key = value'"),
+            ("seed = 3", "config line 1: unknown key 'seed'"),
+        ],
+    )
+    def test_bad_line_is_named(self, text, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            parse_config(text)
 
 
 class TestSpectrogram:
@@ -196,7 +241,7 @@ def _brute_force_pairs(peaks, cfg):
         for b_frame, b_bin in ordered[i + 1 :]:
             dt = b_frame - a_frame
             df = b_bin - a_bin
-            if cfg.dt_range[0] <= dt <= cfg.dt_range[1] and cfg.df_range[0] <= df <= cfg.df_range[1] and b_bin <= 255:
+            if cfg.dt_min <= dt <= cfg.dt_max and cfg.df_min <= df <= cfg.df_max and b_bin <= 255:
                 partners.append((a_frame, a_bin, b_bin, dt))
             if len(partners) == cfg.fanout:
                 break
@@ -227,8 +272,8 @@ class TestLandmarks:
         assert len(lms) > 0
         anchors = {}
         for t1, f1, f2, dt in lms.tolist():
-            assert cfg.dt_range[0] <= dt <= cfg.dt_range[1]
-            assert cfg.df_range[0] <= f2 - f1 <= cfg.df_range[1]
+            assert cfg.dt_min <= dt <= cfg.dt_max
+            assert cfg.df_min <= f2 - f1 <= cfg.df_max
             assert 0 <= f1 <= 255 and 0 <= f2 <= 255
             anchors[(t1, f1)] = anchors.get((t1, f1), 0) + 1
         assert max(anchors.values()) <= 2
@@ -248,7 +293,8 @@ class TestKeys:
     def test_round_trip(self, f1, df, dt):
         key, t1 = hash_landmarks(np.array([[7, f1, f1 + df, dt]]))[0].tolist()
         assert t1 == 7
-        assert unpack_key(key) == (f1, df, dt)
+        # f1 in bits 13-20, df + 63 in bits 6-12, dt in bits 0-5: one-to-one.
+        assert (key >> 13, ((key >> 6) & 0x7F) - 63, key & 0x3F) == (f1, df, dt)
         assert 0 <= key < 2**21
 
     def test_out_of_range_rejected(self):
@@ -260,8 +306,8 @@ class TestKeys:
             hash_landmarks(np.array([[0, 10, 12, 0]]))
 
     def test_wide_bin_delta_rejected_at_hashing(self):
-        # Pairing honours any df_range; the key budget is enforced when hashing.
-        cfg = FpConfig(df_range=(-120, 120))
+        # Pairing honours any df_min/df_max; the key budget is enforced when hashing.
+        cfg = FpConfig(df_min=-120, df_max=120)
         landmarks = fingerprint_clip(burst_clip("wide", duration=4.0, seed=9), cfg)
         with pytest.raises(ValueError, match="bin delta"):
             hash_landmarks(landmarks)
@@ -369,7 +415,7 @@ class TestIndexAndQuery:
 
     def test_incompatible_config_rejected(self):
         index = FingerprintIndex(FpConfig())
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="hop = 128"):
             query(index, "x", [(1, 0)], FpConfig(hop=128))
 
     @given(
@@ -449,8 +495,10 @@ class TestQualityHelpers:
         assert offset_zero_votes(np.array(a, dtype=np.int64), np.array(b, dtype=np.int64), tol) == expect
 
     def test_with_quality_params(self):
-        cfg = FpConfig()
-        hi = with_quality_params(cfg, 3.0)
-        assert hi.peak_density == cfg.peak_density * 3
-        assert hi.match_threshold == 1
-        assert hi.compatible_with(cfg)
+        # Quality scoring only re-thins stored peak candidates and never
+        # queries an index, so its denser config need not be compatible.
+        cfg = FpConfig(density_multiplier=2.5)
+        hi = with_quality_params(cfg)
+        assert hi == replace(cfg, peak_density=cfg.peak_density * 2.5, match_threshold=1)
+        with pytest.raises(ValueError, match="peak_density"):
+            hi.compatible_with(cfg)

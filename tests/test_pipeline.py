@@ -7,7 +7,7 @@ from ugcaudio import (
     PROCESS_RATE,
     AudioClip,
     DecodeError,
-    PipelineConfig,
+    FpConfig,
     SynthSpec,
     encode_wav,
     run_pipeline,
@@ -39,12 +39,12 @@ def test_run_pipeline_holds_one_clip_at_a_time():
             yield fresh
             del fresh
 
-    streamed = run_pipeline(stream(), PipelineConfig())
+    streamed = run_pipeline(stream(), FpConfig())
     # Before each clip is made, every clip yielded before it is gone.
     assert alive_at_next == [[] for _ in clips]
     assert len(yielded) == len(clips)
 
-    listed = run_pipeline(clips, PipelineConfig())
+    listed = run_pipeline(clips, FpConfig())
     assert streamed.report == listed.report
     assert streamed.durations == {c.id: c.duration for c in clips}
 

@@ -1,3 +1,6 @@
+import struct
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -10,14 +13,17 @@ from ugcaudio import (
     S2,
     S4,
     Standardizer,
+    LANDMARK_KEYS,
     StorageError,
     fingerprint_clip,
+    hash_landmarks,
     load_index,
     load_model,
     save_index,
     save_model,
 )
 from ugcaudio.storage import (
+    INDEX_MAGIC,
     INDEX_VERSION,
     dump_json,
     index_from_bytes,
@@ -36,22 +42,26 @@ def toy_index() -> FingerprintIndex:
     return index
 
 
-def real_index() -> FingerprintIndex:
-    cfg = FpConfig()
+def real_index(cfg: FpConfig = FpConfig()) -> FingerprintIndex:
     index = FingerprintIndex(cfg)
     for i in range(3):
         clip = burst_clip(f"clip{i:02d}", duration=3.0, seed=20 + i)
-        index.add_clip(clip.id, fingerprint_clip(clip, cfg), duration=3.0)
+        index.add_hashed(clip.id, hash_landmarks(fingerprint_clip(clip, cfg)), duration=3.0)
     return index
+
+
+def with_header(blob: bytes, text: str, version: int = INDEX_VERSION) -> bytes:
+    """The index blob with its landmark header replaced by `text`."""
+    (old_len,) = struct.unpack_from("<I", blob, 6)
+    raw = text.encode()
+    return blob[:4] + struct.pack("<HI", version, len(raw)) + raw + blob[10 + old_len :]
 
 
 class TestIndexFormat:
     def test_round_trip_preserves_everything(self):
         for index in (toy_index(), real_index()):
             loaded = index_from_bytes(index_to_bytes(index))
-            assert loaded.cfg.rate == index.cfg.rate
-            assert loaded.cfg.window == index.cfg.window
-            assert loaded.cfg.hop == index.cfg.hop
+            assert loaded.cfg == index.cfg
             assert loaded.clip_ids == index.clip_ids
             assert loaded.durations == index.durations
             assert loaded.landmark_counts == index.landmark_counts
@@ -59,6 +69,45 @@ class TestIndexFormat:
                 rows = sorted(tuple(kt) for kt in index.hashed[cid].tolist())
                 assert sorted(tuple(kt) for kt in loaded.hashed[cid].tolist()) == rows
             assert np.array_equal(loaded.postings(), index.postings())
+
+    def test_round_trip_keeps_landmark_parameters(self):
+        cfg = FpConfig(fanout=5, peak_density=33.5, dt_max=40, df_min=-20, match_threshold=9)
+        blob = index_to_bytes(real_index(cfg))
+        loaded = index_from_bytes(blob)
+        for key in LANDMARK_KEYS:
+            assert getattr(loaded.cfg, key) == getattr(cfg, key), key
+        # Query-time parameters are not stored: the loaded index has defaults.
+        assert loaded.cfg == replace(cfg, match_threshold=FpConfig().match_threshold)
+        assert index_to_bytes(loaded) == blob
+        assert b"peak_density = 33.5\nfanout = 5\n" in blob  # LANDMARK_KEYS order
+
+    def test_version_1_refused_naming_the_version(self):
+        # Version 1: u16 version, u32 rate, u16 window, u16 hop, u32 n_clips = 0, u64 0.
+        blob = INDEX_MAGIC + struct.pack("<HIHHIQ", 1, 11025, 512, 256, 0, 0)
+        with pytest.raises(StorageError, match="version 1 .* re-index"):
+            index_from_bytes(blob)
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda lines: lines[:-1],  # df_max missing
+            lambda lines: lines + ["match_threshold = 5"],  # a query-time key
+            lambda lines: lines + [lines[0]],  # rate twice
+        ],
+    )
+    def test_header_must_set_exactly_the_landmark_keys(self, edit):
+        blob = index_to_bytes(toy_index())
+        lines = [f"{key} = {getattr(FpConfig(), key)!r}" for key in LANDMARK_KEYS]
+        assert index_from_bytes(with_header(blob, "\n".join(lines) + "\n")).cfg == FpConfig()
+        with pytest.raises(StorageError, match="index header sets"):
+            index_from_bytes(with_header(blob, "\n".join(edit(lines)) + "\n"))
+
+    def test_bad_header_value_refused(self):
+        blob = index_to_bytes(toy_index())
+        text = blob[10 : 10 + struct.unpack_from("<I", blob, 6)[0]].decode()
+        for bad in (text.replace("window = 512", "window = 500"), text.replace("fanout = 3", "fanout = x")):
+            with pytest.raises(StorageError, match="index header: .*(window|fanout)"):
+                index_from_bytes(with_header(blob, bad))
 
     def test_serialization_is_canonical(self):
         # same content added in a different order serializes identically
