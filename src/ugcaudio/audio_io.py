@@ -181,15 +181,19 @@ def decode_wav(data: bytes, clip_id: str = "") -> AudioClip:
 
 
 def _decode_data(raw: memoryview, fmt, body_offset: int, clip_id: str) -> AudioClip:
+    """The data chunk's samples as a mono float64 clip in [-1, 1].
+
+    PCM-16 is converted and scaled in one pass: multiplying by 2**-15 is
+    exact, so it gives the bits of astype(float64) / 32768. Its values, and
+    a stereo pair's mean, lie in [-1, 32767/32768] and are never -0.0, so
+    it is not clipped. Float-32 input is widened and clipped in place.
+    """
     audio_format, channels, rate, _, block_align, bits = fmt
     if channels not in (1, 2):
         raise DecodeError(f"unsupported channel count {channels}", body_offset)
-    # One float64 array per clip (two for stereo): scaling and clipping act
-    # in place. Dividing by 2**15 is exact, so in place gives the same values.
     if audio_format == _WAVE_FORMAT_PCM and bits == 16:
-        samples = np.frombuffer(raw[: len(raw) - len(raw) % 2], dtype="<i2")
-        samples = samples.astype(np.float64)
-        samples /= 32768.0
+        codes = np.frombuffer(raw[: len(raw) - len(raw) % 2], dtype="<i2")
+        samples = np.multiply(codes, 2.0**-15, dtype=np.float64)
     elif audio_format == _WAVE_FORMAT_IEEE_FLOAT and bits == 32:
         samples = np.frombuffer(raw[: len(raw) - len(raw) % 4], dtype="<f4")
         samples = samples.astype(np.float64)
@@ -200,7 +204,8 @@ def _decode_data(raw: memoryview, fmt, body_offset: int, clip_id: str) -> AudioC
     if channels == 2:
         samples = samples[: len(samples) - len(samples) % 2]
         samples = samples.reshape(-1, 2).mean(axis=1)
-    np.clip(samples, -1.0, 1.0, out=samples)
+    if audio_format == _WAVE_FORMAT_IEEE_FLOAT:
+        np.clip(samples, -1.0, 1.0, out=samples)
     return AudioClip(id=clip_id, samples=samples, rate=rate)
 
 
@@ -242,12 +247,23 @@ def resample_mono(clip: AudioClip, target_rate: int) -> AudioClip:
     Peak positions, not waveform fidelity, drive matching downstream, so a
     linear interpolator is a documented, deliberate approximation. Identity
     when the rates already agree.
+
+    When the rate is an integer multiple of the target (44.1 -> 11.025 kHz),
+    every output time falls on an input sample: k / target and
+    step * k / rate are the same real number, so the same double, and
+    np.interp returns fp[j] exactly at x == xp[j]. That case takes every
+    step-th sample, bit-identical to the interpolation and without its
+    time axes.
     """
     if target_rate <= 0:
         raise ValueError(f"target_rate must be positive, got {target_rate}")
     if clip.rate == target_rate:
         return AudioClip(id=clip.id, samples=clip.samples.copy(), rate=clip.rate)
     n_out = int(round(len(clip.samples) * target_rate / clip.rate))
+    if clip.rate % target_rate == 0:
+        # n_out <= ceil(n / step), so the slice has every wanted sample.
+        samples = clip.samples[:: clip.rate // target_rate][:n_out].copy()
+        return AudioClip(id=clip.id, samples=samples, rate=target_rate)
     # float64 aranges divided in place: the same values as int aranges
     # divided into new arrays (int -> float64 is exact below 2**53), with
     # one input-length array fewer.

@@ -281,17 +281,16 @@ def cmd_train(args) -> int:
 def cmd_classify(args) -> int:
     flt, _ = load_model(_require(args.model, "model file"))
     lists = matches_from_doc(load_json(_require(args.matches, "matches file")))
-    rows = []
-    for ml in lists:
-        for e in ml.entries:
-            rows.append(
-                {
-                    "query": e.query_id,
-                    "clip": e.clip_id,
-                    "offset_frames": e.offset_frames,
-                    "predicted_class": flt(e),
-                }
-            )
+    entries = [e for ml in lists for e in ml.entries]
+    rows = [
+        {
+            "query": e.query_id,
+            "clip": e.clip_id,
+            "offset_frames": e.offset_frames,
+            "predicted_class": cls,
+        }
+        for e, cls in zip(entries, flt.predict(entries).tolist())
+    ]
     doc = {"predictions": rows}
     if args.out:
         save_json(doc, args.out)

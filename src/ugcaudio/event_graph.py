@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Sequence
 
 from .fingerprint import MatchEntry, MatchingList
 
@@ -78,13 +78,14 @@ def split_repetitions(
 
 def build_graph(
     lists: Iterable[MatchingList],
-    filter_fn: Callable[[MatchEntry], int] | None = None,
+    filter_fn: Callable[[list[MatchEntry]], Sequence[int]] | None = None,
 ) -> MatchGraph:
     """Assemble the match graph from all clips' matching lists.
 
-    Repetitions are dropped first; if a classifier is supplied, primaries it
-    predicts as false matches (class 0) are dropped too, before any edge is
-    inserted. Each surviving primary q->i contributes the edge pair
+    Repetitions are dropped first; if a classifier is supplied, it is called
+    once on every list's primaries together, and those it predicts as false
+    matches (class 0) are dropped too, before any edge is inserted. Each
+    surviving primary q->i contributes the edge pair
     (q, i, -offset) and (i, q, +offset). When both directions survive
     independently, the pair from the higher-landmark-count entry wins and the
     disagreement between the two is recorded as a residual.
@@ -97,22 +98,22 @@ def build_graph(
     # Best surviving primary per unordered pair; (ml, query_id) decides which
     # direction's offset defines the edge pair.
     chosen: dict[tuple[str, str], MatchEntry] = {}
-    for ml in lists:
-        primaries, _ = split_repetitions(ml)
-        for entry in primaries:
-            if filter_fn is not None and filter_fn(entry) == 0:
-                continue
-            graph.nodes.add(entry.clip_id)
-            pair = tuple(sorted((entry.query_id, entry.clip_id)))
-            other = chosen.get(pair)
-            if other is None:
+    primaries = [entry for ml in lists for entry in split_repetitions(ml)[0]]
+    if filter_fn is not None:
+        keep = filter_fn(primaries)
+        primaries = [entry for entry, cls in zip(primaries, keep) if cls != 0]
+    for entry in primaries:
+        graph.nodes.add(entry.clip_id)
+        pair = tuple(sorted((entry.query_id, entry.clip_id)))
+        other = chosen.get(pair)
+        if other is None:
+            chosen[pair] = entry
+        else:
+            graph.residuals[pair] = abs(
+                -other.offset_seconds + -entry.offset_seconds
+            )
+            if (entry.ml, other.query_id) > (other.ml, entry.query_id):
                 chosen[pair] = entry
-            else:
-                graph.residuals[pair] = abs(
-                    -other.offset_seconds + -entry.offset_seconds
-                )
-                if (entry.ml, other.query_id) > (other.ml, entry.query_id):
-                    chosen[pair] = entry
 
     for entry in chosen.values():
         w = -entry.offset_seconds  # start(clip) - start(query)

@@ -28,9 +28,11 @@ _F1_SHIFT = 13
 _DF_SHIFT = 6
 _F1_MAX = 255
 _DF_BIAS = 63
+_DT_MAX = 63
 
-# Frames per FFT call in spectrogram.
-_STFT_BLOCK = 256
+# Frames per block: per FFT call in spectrogram, and per holed-maximum
+# pass in peak_candidates.
+_FRAME_BLOCK = 256
 
 
 # The parameters that shape stored postings, in FpConfig's field order. An
@@ -89,6 +91,14 @@ class FpConfig:
             raise ValueError("offset_merge must be >= 0")
         if self.density_multiplier <= 0:
             raise ValueError("density_multiplier must be positive")
+        # Every admissible pair must fit the landmark key.
+        for delta, lo, hi in (("dt", 1, _DT_MAX), ("df", -_DF_BIAS, _DF_BIAS)):
+            low, high = getattr(self, f"{delta}_min"), getattr(self, f"{delta}_max")
+            for key, value in ((f"{delta}_min", low), (f"{delta}_max", high)):
+                if not lo <= value <= hi:
+                    raise ValueError(f"{key} must be in [{lo}, {hi}], got {value}")
+            if low > high:
+                raise ValueError(f"{delta}_min = {low} exceeds {delta}_max = {high}")
 
     def compatible_with(self, other: "FpConfig") -> None:
         """Raise ValueError unless this config may query postings built under `other`.
@@ -174,8 +184,8 @@ def spectrogram(clip: AudioClip, cfg: FpConfig) -> np.ndarray:
     mag = np.empty((frames, cfg.window // 2 + 1))
     # Blocks of frames bound the windowed and complex temporaries; each
     # frame's FFT is independent, so the values do not depend on the block.
-    for i in range(0, frames, _STFT_BLOCK):
-        mag[i : i + _STFT_BLOCK] = np.abs(np.fft.rfft(strided[i : i + _STFT_BLOCK] * hann, axis=1))
+    for i in range(0, frames, _FRAME_BLOCK):
+        mag[i : i + _FRAME_BLOCK] = np.abs(np.fft.rfft(strided[i : i + _FRAME_BLOCK] * hann, axis=1))
     with np.errstate(divide="ignore"):
         np.log(mag, out=mag)
     return np.maximum(mag, cfg.log_floor, out=mag)
@@ -186,12 +196,26 @@ def peak_candidates(spec: np.ndarray, cfg: FpConfig) -> np.ndarray:
 
     Every cell above all its neighbors that clears log_floor + 1, as an
     N x 2 int32 array of (frame, bin) rows in thinning order: magnitude
-    descending, then frame, then bin.
+    descending, then frame, then bin. The mask is built over blocks of
+    _FRAME_BLOCK frames, each with its 3-frame halo, so the temporaries are
+    block-sized; every cell sees the same neighbors, so the result does not
+    depend on the block.
     """
     if spec.size == 0:
         raise ValueError("empty spectrogram")
-    mask = (spec > _holed_max(spec)) & (spec > cfg.log_floor + 1.0)
-    frames_idx, bins_idx = np.nonzero(mask)  # row-major: sorted by (frame, bin)
+    n_frames, n_bins = spec.shape
+    block = min(_FRAME_BLOCK, n_frames)
+    padded = np.full((block + 6, n_bins + 6), -np.inf)
+    scratch = np.empty((block + 6, n_bins))
+    found_frames, found_bins = [], []
+    for f0 in range(0, n_frames, block):
+        # Above the neighborhood max and the floor: above the larger of them.
+        bar = _holed_max(spec, f0, padded, scratch)
+        np.maximum(bar, cfg.log_floor + 1.0, out=bar)
+        frames_idx, bins_idx = np.nonzero(spec[f0 : f0 + block] > bar)  # sorted by (frame, bin)
+        found_frames.append(frames_idx + f0)
+        found_bins.append(bins_idx)
+    frames_idx, bins_idx = np.concatenate(found_frames), np.concatenate(found_bins)
     order = np.lexsort((bins_idx, frames_idx, -spec[frames_idx, bins_idx]))
     return np.stack([frames_idx[order], bins_idx[order]], axis=1).astype(np.int32)
 
@@ -219,24 +243,35 @@ def extract_peaks(spec: np.ndarray, cfg: FpConfig) -> np.ndarray:
     return thin_peaks(peak_candidates(spec, cfg), 0, spec.shape[0], cfg)
 
 
-def _holed_max(spec: np.ndarray) -> np.ndarray:
+def _holed_max(
+    spec: np.ndarray, f0: int, padded: np.ndarray, scratch: np.ndarray
+) -> np.ndarray:
     """Max over each cell's 7 x 7 neighborhood, the cell itself excluded.
 
-    Equal to scipy.ndimage.maximum_filter with a holed 7 x 7 footprint and
-    cval=-inf: the neighborhood splits into the same frame at bins +/-1..3
-    and frames +/-1..3 at bins within +/-3, each a max of shifted slices.
+    Covers the frames [f0, f0 + m), m = len(padded) - 6 or fewer at the end
+    of spec. Equal there to scipy.ndimage.maximum_filter of the whole spec
+    with a holed 7 x 7 footprint and cval=-inf: the neighborhood splits into
+    the same frame at bins +/-1..3 and frames +/-1..3 at bins within +/-3,
+    each a max of shifted slices. `padded` holds the block and its 3-frame
+    halo between 3 columns of -inf on each side, which this never writes;
+    the result is a view of `scratch`.
     """
     n_frames, n_bins = spec.shape
-    padded = np.full((n_frames + 6, n_bins + 6), -np.inf)
-    padded[3:-3, 3:-3] = spec
-    sides = np.maximum(padded[:, 0:n_bins], padded[:, 1 : n_bins + 1])
+    m = min(len(padded) - 6, n_frames - f0)
+    lo, hi = max(f0 - 3, 0), min(f0 + m + 3, n_frames)
+    padded = padded[: m + 6]
+    inner = padded[:, 3 : n_bins + 3]  # full +/-3 bins, per padded frame
+    inner[: lo - f0 + 3] = -np.inf  # halo rows beyond the spectrogram
+    inner[lo - f0 + 3 : hi - f0 + 3] = spec[lo:hi]
+    inner[hi - f0 + 3 :] = -np.inf
+    sides = scratch[: m + 6]
+    np.maximum(padded[:, 0:n_bins], padded[:, 1 : n_bins + 1], out=sides)
     for shift in (2, 4, 5, 6):
         np.maximum(sides, padded[:, shift : shift + n_bins], out=sides)
-    rows = padded[:, 3 : n_bins + 3]  # full +/-3 bins, per padded frame
-    np.maximum(rows, sides, out=rows)
-    out = sides[3 : n_frames + 3]
+    np.maximum(inner, sides, out=inner)
+    out = sides[3 : m + 3]
     for shift in (0, 1, 2, 4, 5, 6):
-        np.maximum(out, rows[shift : shift + n_frames], out=out)
+        np.maximum(out, inner[shift : shift + m], out=out)
     return out
 
 
@@ -290,7 +325,7 @@ def hash_landmarks(landmarks: np.ndarray) -> np.ndarray:
     df = f2 - f1
     bad_f1 = (f1 < 0) | (f1 > _F1_MAX)
     bad_df = (df < -_DF_BIAS) | (df > _DF_BIAS)
-    bad_dt = (dt < 1) | (dt > 63)
+    bad_dt = (dt < 1) | (dt > _DT_MAX)
     bad = bad_f1 | bad_df | bad_dt
     if bad.any():
         i = int(np.argmax(bad))
@@ -298,7 +333,7 @@ def hash_landmarks(landmarks: np.ndarray) -> np.ndarray:
             raise ValueError(f"f1 {f1[i]} outside [0, {_F1_MAX}]")
         if bad_df[i]:
             raise ValueError(f"bin delta {df[i]} outside [-{_DF_BIAS}, {_DF_BIAS}]")
-        raise ValueError(f"dt {dt[i]} outside [1, 63]")
+        raise ValueError(f"dt {dt[i]} outside [1, {_DT_MAX}]")
     keys = (f1 << _F1_SHIFT) | ((df + _DF_BIAS) << _DF_SHIFT) | dt
     return np.stack([keys, t1], axis=1)
 

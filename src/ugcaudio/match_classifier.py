@@ -12,7 +12,7 @@ whose segments all agree at offset zero (class 1).
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 from scipy.special import expit
@@ -481,6 +481,10 @@ def double_cv(
     Train and validation errors are means over every (song, fold) pair;
     accuracy and the wrong-match false-positive count pool the test
     predictions of all left-out songs.
+
+    A k-NN grid is cut to the k that fit every training set, inner and
+    outer; only those get a result. When none fits, ValueError names the
+    smallest training size.
     """
     songs = {s.query_song_id for s in data}
     if len(songs) < 2:
@@ -491,6 +495,14 @@ def double_cv(
         raise ValueError("empty parameter grid")
 
     folds = _prepare_folds(data, subset, seed, inner_folds)
+    if family == FAMILY_KNN:
+        # Each inner training set is a part of its outer fold's.
+        smallest = min(len(tr_y) for fold in folds for _, tr_y, _, _ in fold.inner)
+        grid = [k for k in grid if int(k) <= smallest]
+        if not grid:
+            raise ValueError(
+                f"no k in the grid fits the smallest training set, {smallest} samples"
+            )
     m = len(grid)
     train_sum = np.zeros(m)
     val_sum = np.zeros(m)
@@ -611,17 +623,22 @@ def confirm_cluster(
 
 @dataclass
 class MatchFilter:
-    """Trained model bundled with its preprocessing, callable on entries."""
+    """Trained model bundled with its preprocessing.
+
+    `predict` classifies a batch of entries with one model call, as double
+    CV evaluates its models.
+    """
 
     subset: FeatureSubset
     standardizer: Standardizer
     model: LogRegModel | KnnModel
 
-    def __call__(self, entry: MatchEntry) -> int:
-        x = self.standardizer.apply(
-            np.array([self.subset.project(featurize(entry))], dtype=np.float64)
-        )
-        return int(self.model.predict(x)[0])
+    def predict(self, entries: Sequence[MatchEntry]) -> np.ndarray:
+        """Class per entry, 1 true match and 0 false, as an int64 array."""
+        x = np.array(
+            [self.subset.project(featurize(e)) for e in entries], dtype=np.float64
+        ).reshape(len(entries), len(self.subset.fields))
+        return self.model.predict(self.standardizer.apply(x))
 
     @property
     def family(self) -> str:

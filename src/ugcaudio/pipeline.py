@@ -103,7 +103,7 @@ def run_pipeline(
         del clip  # free its samples before the next clip is decoded
 
     lists = [query(index, cid, hashed[cid], cfg) for cid in index.clip_ids]
-    graph = build_graph(lists, filter_fn=match_filter)
+    graph = build_graph(lists, filter_fn=match_filter.predict if match_filter else None)
 
     events: list[EventResult] = []
     for cluster in connected_components(graph):

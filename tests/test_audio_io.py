@@ -1,4 +1,5 @@
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -43,8 +44,6 @@ class TestWavCodec:
         frames[1::2] = right
         ints = np.round(frames * 32767.0).astype("<i2")
         body = ints.tobytes()
-        import struct
-
         header = b"RIFF" + struct.pack("<I", 36 + len(body)) + b"WAVE"
         fmt = b"fmt " + struct.pack("<IHHIIHH", 16, 1, 2, rate, rate * 4, 4, 16)
         data = b"data" + struct.pack("<I", len(body)) + body
@@ -53,17 +52,41 @@ class TestWavCodec:
         assert clip.samples.shape == (100,)
         assert np.allclose(clip.samples, expected, atol=1e-9)
 
-    def test_float32_format_decodes(self):
-        import struct
+    @staticmethod
+    def pcm16_wav(codes: np.ndarray, channels: int, rate: int = 44100) -> bytes:
+        body = codes.astype("<i2").tobytes()
+        header = b"RIFF" + struct.pack("<I", 36 + len(body)) + b"WAVE"
+        fmt = b"fmt " + struct.pack("<IHHIIHH", 16, 1, channels, rate, rate * 2 * channels, 2 * channels, 16)
+        return header + fmt + b"data" + struct.pack("<I", len(body)) + body
 
+    def test_pcm16_every_code_mono(self):
+        codes = np.arange(-32768, 32768, dtype=np.int16)
+        clip = decode_wav(self.pcm16_wav(codes, 1))
+        expect = codes.astype(np.float64) / 32768
+        assert np.array_equal(clip.samples, expect)
+        assert clip.samples.tobytes() == expect.tobytes()  # signs of zero too
+
+    def test_pcm16_every_code_stereo(self):
+        codes = np.arange(-32768, 32768, dtype=np.int16)
+        frames = np.empty(2 * len(codes), dtype=np.int16)
+        frames[0::2] = codes
+        frames[1::2] = np.random.default_rng(0).permutation(codes)
+        clip = decode_wav(self.pcm16_wav(frames, 2))
+        expect = (frames.astype(np.float64) / 32768).reshape(-1, 2).mean(axis=1)
+        assert np.array_equal(clip.samples, expect)
+        assert clip.samples.tobytes() == expect.tobytes()
+
+    def test_float32_format_decodes(self):
         rate = 11025
         x = np.linspace(-0.5, 0.5, 64).astype("<f4")
+        x[:3] = [1.5, -2.0, 1.0]  # over-range float samples are clipped
         body = x.tobytes()
         header = b"RIFF" + struct.pack("<I", 36 + len(body)) + b"WAVE"
         fmt = b"fmt " + struct.pack("<IHHIIHH", 16, 3, 1, rate, rate * 4, 4, 32)
         data = b"data" + struct.pack("<I", len(body)) + body
         clip = decode_wav(header + fmt + data)
-        assert np.allclose(clip.samples, x.astype(np.float64), atol=1e-7)
+        assert np.allclose(clip.samples, np.clip(x.astype(np.float64), -1.0, 1.0), atol=1e-7)
+        assert clip.samples[:3].tolist() == [1.0, -1.0, 1.0]
 
     def test_bad_magic_reports_offset_zero(self):
         with pytest.raises(DecodeError) as exc:
@@ -98,15 +121,20 @@ class TestResample:
         assert out.rate == 11025
         assert len(out.samples) == round(len(clip.samples) * 11025 / 22050)
 
-    @pytest.mark.parametrize("rate", [22050, 44100, 48000])
-    @pytest.mark.parametrize("n", [1, 4411, 22051, 48001])
+    @pytest.mark.parametrize("rate", [22050, 44100, 48000, 88200])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7, 8, 4411, 22051, 48001])
     def test_matches_integer_time_axes(self, rate, n):
-        # the time axes were once int aranges divided into new arrays
+        # The time axes were once int aranges divided into new arrays. The
+        # lengths take every residue mod each integer ratio, whose output
+        # slices every n-th sample: the same bits, signed zeros included.
         samples = np.random.default_rng(n).uniform(-1.0, 1.0, size=n)
+        samples[::3] = -0.0
         out = resample_mono(AudioClip(id="r", samples=samples, rate=rate), 11025)
         n_out = int(round(n * 11025 / rate))
         expect = np.interp(np.arange(n_out) / 11025, np.arange(n) / rate, samples)
         assert np.array_equal(out.samples, expect)
+        assert out.samples.tobytes() == expect.tobytes()
+        assert out.samples.flags.c_contiguous
 
     def test_linear_ramp_preserved(self):
         ramp = AudioClip(id="ramp", samples=np.linspace(0.0, 1.0, 1001), rate=1000)

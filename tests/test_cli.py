@@ -206,6 +206,10 @@ class TestConfigFiles:
         assert self.run_index(small_corpus, tmp_path, "window = 500\n") == 3
         assert "window must be a power of two, got 500" in capsys.readouterr().err
 
+    def test_delta_outside_key_budget_exits_3_naming_the_key(self, small_corpus, tmp_path, capsys):
+        assert self.run_index(small_corpus, tmp_path, "dt_max = 100\n") == 3
+        assert "dt_max must be in [1, 63], got 100" in capsys.readouterr().err
+
     @pytest.mark.parametrize("key", ["family", "subset", "seed", "input", "output"])
     def test_removed_key_exits_3(self, small_corpus, tmp_path, capsys, key):
         assert self.run_index(small_corpus, tmp_path, f"{key} = x\n") == 3
@@ -304,6 +308,29 @@ class TestTrain:
         assert len(report["results"]) == 20  # odd k 1..39
         assert report["chosen"]["family"] == "knn"
         assert report["chosen"]["wrong_fps"] == meta["wrong_fps"]
+
+    def test_knn_grid_fits_a_small_corpus(self, tmp_path):
+        # 25 balanced samples per inner training set: the k above 25 are left out.
+        corpus = tmp_path / "corpus"
+        assert main(["synth", "--events", "3", "--clips", "4", "--seed", "7", "--out", str(corpus)]) == 0
+        wavs = sorted(str(p) for p in corpus.glob("*.wav"))
+        idx, matches = tmp_path / "c.idx", tmp_path / "m.json"
+        assert main(["index", *wavs, "--out", str(idx)]) == 0
+        assert main(["match", *wavs, "--index", str(idx), "--out", str(matches)]) == 0
+        report = tmp_path / "cv.json"
+        rc = main(
+            [
+                "train",
+                "--matches", str(matches),
+                "--manifest", str(corpus / "manifest.json"),
+                "--family", "knn",
+                "--out", str(tmp_path / "m.txt"),
+                "--report", str(report),
+            ]
+        )
+        assert rc == 0
+        results = json.loads(report.read_text())["results"]
+        assert {r["param"] for r in results} == {float(k) for k in range(1, 26, 2)}
 
     def test_missing_manifest_exits_2(self, matches_file, tmp_path):
         rc = main(

@@ -132,9 +132,25 @@ class TestBuildGraph:
         keep_all = build_graph(lists)
         assert len(connected_components(keep_all)) == 1
 
-        weak_out = build_graph(lists, filter_fn=lambda e: 1 if e.ml >= 10 else 0)
+        weak_out = build_graph(lists, filter_fn=lambda es: [1 if e.ml >= 10 else 0 for e in es])
         comps = [c.members for c in connected_components(weak_out)]
         assert comps == [["a", "b"], ["c"]]
+
+    def test_filter_sees_every_primary_in_one_batch(self):
+        lists = [
+            MatchingList("a", [entry("a", "b", 5, 30), entry("a", "b", 40, 6), entry("a", "c", 9, 6)]),
+            MatchingList("b", [entry("b", "a", -5, 30)]),
+            MatchingList("c", []),
+        ]
+        batches = []
+
+        def keep_strong(entries):
+            batches.append([(e.query_id, e.clip_id, e.offset_frames) for e in entries])
+            return [int(e.ml >= 10) for e in entries]
+
+        g = build_graph(lists, filter_fn=keep_strong)
+        assert batches == [[("a", "b", 5), ("a", "c", 9), ("b", "a", -5)]]
+        assert sorted(g.edges) == [("a", "b"), ("b", "a")]
 
     def test_filter_never_merges_clusters(self):
         lists = [
@@ -144,7 +160,7 @@ class TestBuildGraph:
             MatchingList("d", []),
         ]
         before = {tuple(c.members) for c in connected_components(build_graph(lists))}
-        filtered = build_graph(lists, filter_fn=lambda e: 0 if e.ml < 10 else 1)
+        filtered = build_graph(lists, filter_fn=lambda es: [0 if e.ml < 10 else 1 for e in es])
         after = {tuple(c.members) for c in connected_components(filtered)}
         # every filtered cluster is a subset of one unfiltered cluster
         for comp in after:

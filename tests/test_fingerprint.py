@@ -4,6 +4,7 @@ from dataclasses import fields, replace
 
 import numpy as np
 import pytest
+from scipy import ndimage
 from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -25,6 +26,7 @@ from ugcaudio import (
     thin_peaks,
     with_quality_params,
 )
+from ugcaudio import fingerprint
 from ugcaudio.fingerprint import _merge_offset_bins
 
 from _helpers import burst_clip, reference_peaks, snip
@@ -59,6 +61,21 @@ class TestConfig:
         with pytest.raises(ValueError):
             FpConfig(**kw)
 
+    @pytest.mark.parametrize(
+        "kw, message",
+        [
+            ({"dt_min": 0}, "dt_min must be in [1, 63], got 0"),
+            ({"dt_max": 100}, "dt_max must be in [1, 63], got 100"),
+            ({"dt_min": 10, "dt_max": 5}, "dt_min = 10 exceeds dt_max = 5"),
+            ({"df_min": -64}, "df_min must be in [-63, 63], got -64"),
+            ({"df_max": 120}, "df_max must be in [-63, 63], got 120"),
+            ({"df_min": 4, "df_max": -4}, "df_min = 4 exceeds df_max = -4"),
+        ],
+    )
+    def test_deltas_outside_key_budget_rejected(self, kw, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            FpConfig(**kw)
+
     def test_compatibility_ignores_matching_params(self):
         a = FpConfig()
         a.compatible_with(FpConfig(match_threshold=9, offset_merge=0, density_multiplier=2.0))
@@ -69,7 +86,9 @@ class TestConfig:
 
     @pytest.mark.parametrize("key", LANDMARK_KEYS)
     def test_every_landmark_key_must_match(self, key):
-        other = replace(FpConfig(), **{key: getattr(FpConfig(), key) * 2})
+        # Doubling would take the delta bounds outside the key budget.
+        halved = {"dt_max": 31, "df_min": -31, "df_max": 31}
+        other = replace(FpConfig(), **{key: halved.get(key, getattr(FpConfig(), key) * 2)})
         with pytest.raises(ValueError, match=f"^{key} = "):
             other.compatible_with(FpConfig())
 
@@ -230,6 +249,52 @@ class TestPeaks:
         assert [tuple(p) for p in got.tolist()] == reference_peaks(spec, cfg, f0, f1)
 
 
+# Frames per peak-picking block.
+BLOCK = fingerprint._FRAME_BLOCK
+
+
+class TestBlockedPeaks:
+    """Peak candidates over several frame blocks against the whole-spectrogram oracle."""
+
+    @staticmethod
+    def oracle_candidates(spec, cfg):
+        footprint = np.ones((7, 7), dtype=bool)
+        footprint[3, 3] = False
+        holed = ndimage.maximum_filter(spec, footprint=footprint, mode="constant", cval=-np.inf)
+        frames_idx, bins_idx = np.nonzero((spec > holed) & (spec > cfg.log_floor + 1.0))
+        order = np.lexsort((bins_idx, frames_idx, -spec[frames_idx, bins_idx]))
+        return [(int(frames_idx[i]), int(bins_idx[i])) for i in order]
+
+    @pytest.mark.parametrize("n_frames", [1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 3])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_tie_heavy_matches_oracle(self, n_frames, seed):
+        cfg = FpConfig()
+        levels = np.array([-10.0, -9.0, -8.5, -4.0, -4.0, 0.0])
+        spec = np.random.default_rng(seed).choice(levels, size=(n_frames, 40))
+        got = [tuple(p) for p in peak_candidates(spec, cfg).tolist()]
+        assert got == self.oracle_candidates(spec, cfg)
+
+    @pytest.mark.parametrize("n_frames", [BLOCK + 2, BLOCK + 4, 2 * BLOCK + 3])
+    def test_peaks_planted_at_block_edges(self, n_frames):
+        cfg = FpConfig()
+        spec = np.full((n_frames, 60), cfg.log_floor)
+        # Strict peaks on the frames either side of the boundary, and a pair
+        # tied across it, which neither may win.
+        for frame, b, level in [
+            (BLOCK - 1, 5, -2.0), (BLOCK, 20, -1.0), (BLOCK + 1, 35, -3.0),
+            (BLOCK - 1, 50, 0.0), (BLOCK, 52, 0.0),
+        ]:
+            spec[frame, b] = level
+        # A peak whose only rival sits in the next block's halo.
+        spec[BLOCK - 3, 10] = -5.0
+        spec[BLOCK, 12] = -4.0
+        got = [tuple(p) for p in peak_candidates(spec, cfg).tolist()]
+        assert got == self.oracle_candidates(spec, cfg)
+        assert {(BLOCK - 1, 5), (BLOCK, 20), (BLOCK + 1, 35)} <= set(got)
+        assert (BLOCK - 1, 50) not in got and (BLOCK, 52) not in got
+        assert (BLOCK - 3, 10) not in got and (BLOCK, 12) in got
+
+
 def _brute_force_pairs(peaks, cfg):
     """Independent landmark oracle: all pairs in window, fanout nearest."""
     out = []
@@ -306,11 +371,14 @@ class TestKeys:
             hash_landmarks(np.array([[0, 10, 12, 0]]))
 
     def test_wide_bin_delta_rejected_at_hashing(self):
-        # Pairing honours any df_min/df_max; the key budget is enforced when hashing.
-        cfg = FpConfig(df_min=-120, df_max=120)
-        landmarks = fingerprint_clip(burst_clip("wide", duration=4.0, seed=9), cfg)
-        with pytest.raises(ValueError, match="bin delta"):
-            hash_landmarks(landmarks)
+        # The config refuses deltas outside the key budget; hashing still
+        # checks each raw landmark row.
+        with pytest.raises(ValueError, match="df_min must be in"):
+            FpConfig(df_min=-120, df_max=120)
+        with pytest.raises(ValueError, match="bin delta 120 outside"):
+            hash_landmarks(np.array([[3, 10, 130, 5], [0, 10, 20, 5]]))
+        with pytest.raises(ValueError, match="dt 64 outside"):
+            hash_landmarks(np.array([[0, 10, 20, 64]]))
 
 
 class TestMergeBins:

@@ -548,6 +548,15 @@ class TestDoubleCv:
         with pytest.raises(ValueError):
             double_cv(songs_dataset(), "knn", [], S1, seed=0)
 
+    def test_knn_grid_cut_to_smallest_training_set(self):
+        # 18 balanced samples per left-out song; 5 inner folds train on 14 or 15.
+        data = songs_dataset()
+        results = double_cv(data, "knn", KNN_K_GRID, S1, seed=0, inner_folds=5)
+        assert [r.param for r in results] == [float(k) for k in range(1, 15, 2)]
+        assert results == double_cv(data, "knn", range(1, 15, 2), S1, seed=0, inner_folds=5)
+        with pytest.raises(ValueError, match="smallest training set, 14 samples"):
+            double_cv(data, "knn", [15, 17], S1, seed=0, inner_folds=5)
+
     def test_default_grids(self):
         assert LOGREG_C_GRID == tuple(float(2**i) for i in range(20))
         assert KNN_K_GRID == tuple(range(1, 40, 2))
@@ -686,18 +695,29 @@ class TestMatchFilter:
     def test_knn_filter_separates(self):
         data = songs_dataset()
         filt = fit_filter(data, "knn", 1, S1, seed=0)
-        assert filt(entry(ml=55, tml=56)) == 1
-        assert filt(entry(ml=3, tml=4)) == 0
+        assert filt.predict([entry(ml=55, tml=56), entry(ml=3, tml=4)]).tolist() == [1, 0]
         assert filt.family == "knn"
         assert filt.param == 1.0
 
     def test_logreg_filter_separates(self):
         data = songs_dataset()
         filt = fit_filter(data, "logreg", 64.0, S1, seed=0)
-        assert filt(entry(ml=55, tml=56)) == 1
-        assert filt(entry(ml=3, tml=4)) == 0
+        assert filt.predict([entry(ml=55, tml=56), entry(ml=3, tml=4)]).tolist() == [1, 0]
         assert filt.family == "logreg"
         assert filt.param == 64.0
+
+    @pytest.mark.parametrize("family, param", [("knn", 3), ("logreg", 64.0)])
+    def test_batch_agrees_with_single_entries(self, family, param):
+        filt = fit_filter(songs_dataset(), family, param, S3, seed=0)
+        rng = np.random.default_rng(5)
+        batch = [
+            entry(ml=int(m), lq=int(q), li=int(i))
+            for m, q, i in rng.integers(1, 120, size=(40, 3))
+        ]
+        got = filt.predict(batch)
+        assert got.dtype == np.int64 and got.shape == (40,)
+        assert got.tolist() == [int(filt.predict([e])[0]) for e in batch]
+        assert filt.predict([]).shape == (0,)
 
     def test_feature_matrix_shape(self):
         data = songs_dataset()
