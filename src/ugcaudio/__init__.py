@@ -47,7 +47,6 @@ from .fingerprint import (
     query,
     spectrogram,
     thin_peaks,
-    with_quality_params,
 )
 from .match_classifier import (
     CvResult,

@@ -191,6 +191,8 @@ def _decode_data(raw: memoryview, fmt, body_offset: int, clip_id: str) -> AudioC
     audio_format, channels, rate, _, block_align, bits = fmt
     if channels not in (1, 2):
         raise DecodeError(f"unsupported channel count {channels}", body_offset)
+    if rate == 0:
+        raise DecodeError("sample rate 0 in fmt chunk", body_offset)
     if audio_format == _WAVE_FORMAT_PCM and bits == 16:
         codes = np.frombuffer(raw[: len(raw) - len(raw) % 2], dtype="<i2")
         samples = np.multiply(codes, 2.0**-15, dtype=np.float64)

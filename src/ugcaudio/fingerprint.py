@@ -9,15 +9,15 @@ carried as int arrays, one row per item:
     pair_landmarks  N x 4  (t1, f1, f2, dt), t1 the anchor frame
     hash_landmarks  N x 2  (key, t1)
 
-The index keeps each clip's (key, t1) array and one key-sorted
-(key, clip ordinal, t1) posting array built from them. Querying votes
+The index is one key-sorted (key, clip ordinal, t1) posting array, built
+once from the clips' (key, t1) arrays and frozen from then on. Querying votes
 anchor-frame differences per candidate clip and reports every merged offset
 bin whose vote count clears the matching threshold.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -77,6 +77,9 @@ class FpConfig:
     consistency_eps: float = 0.1  # seconds; larger timeline residuals are flagged
 
     def __post_init__(self):
+        for f in fields(self):
+            if f.type == "float" and not np.isfinite(getattr(self, f.name)):
+                raise ValueError(f"{f.name} must be finite, got {getattr(self, f.name)!r}")
         if self.window <= 0 or self.window & (self.window - 1):
             raise ValueError(f"window must be a power of two, got {self.window}")
         if not (0 < self.hop <= self.window):
@@ -216,7 +219,8 @@ def peak_candidates(spec: np.ndarray, cfg: FpConfig) -> np.ndarray:
         found_frames.append(frames_idx + f0)
         found_bins.append(bins_idx)
     frames_idx, bins_idx = np.concatenate(found_frames), np.concatenate(found_bins)
-    order = np.lexsort((bins_idx, frames_idx, -spec[frames_idx, bins_idx]))
+    # Already in (frame, bin) order, so a stable sort keeps it among equals.
+    order = np.argsort(-spec[frames_idx, bins_idx], kind="stable")
     return np.stack([frames_idx[order], bins_idx[order]], axis=1).astype(np.int32)
 
 
@@ -362,25 +366,25 @@ def _as_hashed(hashed) -> np.ndarray:
 
 
 class FingerprintIndex:
-    """Inverted landmark index over per-clip (key, anchor frame) arrays.
+    """Inverted landmark index, held as one (key, clip ordinal, t1) u32 array.
 
-    The postings are one (key, clip ordinal, t1) u32 array sorted by all
-    three columns, with ordinals in sorted clip-id order: the block the
-    index file stores. It is built on first use after an insert.
-    Single-writer while building; immutable and safe for concurrent queries
-    once built. Every indexed clip must contribute at least one landmark.
+    The postings are sorted by all three columns, ordinals in sorted clip-id
+    order: the block the index file stores. add_hashed keeps a clip's rows
+    only until the first postings() builds that block. Single-writer until
+    then; frozen after, when add_hashed raises and queries may run at once.
+    Every indexed clip must contribute at least one landmark.
     """
 
     def __init__(self, cfg: FpConfig):
         self.cfg = cfg
-        self.hashed: dict[str, np.ndarray] = {}
         self.landmark_counts: dict[str, int] = {}
         self.durations: dict[str, float] = {}
+        self._pending: dict[str, np.ndarray] = {}
         self._postings: np.ndarray | None = None
-        self._keys = np.empty(0, dtype=np.int64)
-        self._ids: list[str] = []
 
     def add_hashed(self, clip_id: str, hashed, duration: float = 0.0) -> None:
+        if self._postings is not None:
+            raise ValueError(f"cannot add clip {clip_id!r}: the index is frozen once its postings are built")
         if clip_id in self.landmark_counts:
             raise ValueError(f"clip {clip_id!r} already indexed")
         hashed = _as_hashed(hashed)
@@ -388,38 +392,27 @@ class FingerprintIndex:
             raise ValueError(f"clip {clip_id!r} has no landmarks")
         if hashed.min() < 0 or hashed[:, 0].max() >= 1 << 21 or hashed[:, 1].max() > 0xFFFFFFFF:
             raise ValueError(f"clip {clip_id!r}: key or anchor frame out of range")
-        self.hashed[clip_id] = hashed
+        self._pending[clip_id] = hashed
         self.landmark_counts[clip_id] = len(hashed)
         self.durations[clip_id] = duration
-        self._postings = None
 
     def postings(self) -> np.ndarray:
-        """The sorted (key, clip ordinal, t1) u32 posting array."""
+        """The sorted (key, clip ordinal, t1) u32 posting array; builds it on first use."""
         if self._postings is None:
-            ids = self.clip_ids
             parts = [np.empty((0, 3), dtype=np.uint32)]
-            for ordinal, cid in enumerate(ids):
-                h = self.hashed[cid]
+            for ordinal, cid in enumerate(self.clip_ids):
+                h = self._pending[cid]
                 parts.append(np.stack([h[:, 0], np.full(len(h), ordinal), h[:, 1]], axis=1).astype(np.uint32))
             block = np.concatenate(parts)
-            self._set_postings(block[np.lexsort((block[:, 2], block[:, 1], block[:, 0]))], ids)
+            self.freeze(block[np.lexsort((block[:, 2], block[:, 1], block[:, 0]))])
         return self._postings
 
-    def adopt_postings(self, block: np.ndarray) -> None:
-        """Take a stored posting array holding exactly the per-clip rows.
-
-        It is used as is when sorted, as index files store it; otherwise the
-        next use builds the array afresh.
-        """
-        step = np.diff(block.astype(np.int64), axis=0)
-        key, ordinal, t1 = step[:, 0], step[:, 1], step[:, 2]
-        if np.all((key > 0) | ((key == 0) & ((ordinal > 0) | ((ordinal == 0) & (t1 >= 0))))):
-            self._set_postings(block, self.clip_ids)
-
-    def _set_postings(self, block: np.ndarray, ids: list[str]) -> None:
-        # _postings last: a reader that sees it set sees the rest too.
+    def freeze(self, block: np.ndarray) -> None:
+        """Make `block`, sorted as postings() sorts it, the frozen posting array."""
+        self._pending = {}
         self._keys = block[:, 0].astype(np.int64)
-        self._ids = ids
+        self._ids = self.clip_ids
+        # _postings last: a reader that sees it set sees the rest too.
         self._postings = block
 
     @property
@@ -534,11 +527,3 @@ def offset_zero_votes(hashed_a, hashed_b, tol_frames: int = 2) -> int:
     lo = np.searchsorted(codes_b, codes_a - tol_frames, "left")
     return int((hi - lo).sum())
 
-
-def with_quality_params(cfg: FpConfig) -> FpConfig:
-    """The config quality scoring uses: density_multiplier times the density, threshold 1."""
-    return replace(
-        cfg,
-        peak_density=cfg.peak_density * cfg.density_multiplier,
-        match_threshold=1,
-    )

@@ -194,11 +194,15 @@ class LogRegModel:
     bias: float
     c: float
 
-    def scores(self, x: np.ndarray) -> np.ndarray:
-        return expit(x @ self.weights + self.bias)
+    def logits(self, x: np.ndarray) -> np.ndarray:
+        """x @ weights + bias, summed column by column so no row depends on its batch."""
+        z = np.zeros(len(x))
+        for column, weight in zip(np.asarray(x, dtype=np.float64).T, self.weights):
+            z += column * weight
+        return z + self.bias
 
     def predict(self, x: np.ndarray) -> np.ndarray:
-        return (x @ self.weights + self.bias >= 0.0).astype(np.int64)
+        return (self.logits(x) >= 0.0).astype(np.int64)
 
 
 def logreg_loss(

@@ -5,8 +5,8 @@ its duration, hashed landmarks and peak candidates are kept, so a corpus
 read with `load_corpus` holds one clip's audio in memory at a time.
 
 One `FpConfig` drives the run: its landmark parameters fingerprint and
-match the clips, `with_quality_params` of it scores segment quality, and its
-`consistency_eps` flags timeline residuals in the report.
+match the clips, its `density_multiplier` sets the density segment quality
+thins at, and its `consistency_eps` flags timeline residuals in the report.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ from .fingerprint import (
     MatchingList,
     clip_fingerprint,
     query,
-    with_quality_params,
 )
 from .match_classifier import MatchFilter
 from .timeline import (
@@ -83,13 +82,11 @@ def run_pipeline(
     holds no audio, only each clip's duration; `cut_audio` on a clip read
     again gives a segment's cut.
     """
-    hi_cfg = with_quality_params(cfg)
-
     index = FingerprintIndex(cfg)
     durations: dict[str, float] = {}
     hashed: dict[str, np.ndarray] = {}
-    # Peak candidates serve quality scoring too: the quality config differs
-    # only in density and threshold, which act after candidate picking.
+    # Peak candidates serve quality scoring too: its higher density acts
+    # only after candidate picking.
     candidates: dict[str, np.ndarray] = {}
     unmatched: list[str] = []
     for clip in clips:
@@ -109,7 +106,7 @@ def run_pipeline(
     for cluster in connected_components(graph):
         pm = normalize_positions(assign_offsets(cluster, graph))
         segments = build_segments(pm, durations)
-        qualities = [segment_quality(seg, candidates, hi_cfg) for seg in segments]
+        qualities = [segment_quality(seg, candidates, cfg) for seg in segments]
         events.append(
             EventResult(cluster=cluster, positions=pm, segments=segments, qualities=qualities)
         )

@@ -14,8 +14,9 @@ the same parser, so the index knows every parameter its postings depend on.
 Version 1 files stored only rate, window and hop, and are refused.
 
 Clips are in sorted-id order and postings sorted by (key, ordinal, t1), so
-the posting block is exactly the index's in-memory posting array: it is
-written with one `tobytes` and read with one `frombuffer`, then checked.
+the posting block is the index's in-memory posting array: written with one
+`tobytes`, read with one `frombuffer`, checked, and handed to the index as
+is. A file out of either order is refused, naming where.
 
 Model files are `key = value` text with repr'd floats, which round-trip
 float64 exactly. Reports are JSON with sorted keys and a trailing newline.
@@ -135,6 +136,10 @@ def index_from_bytes(data: bytes) -> FingerprintIndex:
         duration, n_landmarks = r.take("<dI")
         if cid in index.landmark_counts:
             raise StorageError(f"duplicate clip id {cid!r} in index file")
+        if clip_ids and cid < clip_ids[-1]:
+            raise StorageError(
+                f"clip table out of id order: clip {len(clip_ids)} {cid!r} follows {clip_ids[-1]!r}"
+            )
         clip_ids.append(cid)
         index.landmark_counts[cid] = n_landmarks
         index.durations[cid] = duration
@@ -143,11 +148,18 @@ def index_from_bytes(data: bytes) -> FingerprintIndex:
     row = 3 * _POSTING.itemsize
     complete = min(n_postings, (len(data) - r.pos) // row)
     block = np.frombuffer(data, dtype=_POSTING, count=3 * complete, offset=r.pos).reshape(-1, 3)
-    # Faults are reported in file order: a bad ordinal before a short tail.
+    # Faults are reported in file order: bad posting rows before a short tail.
     bad = np.flatnonzero(block[:, 1] >= len(clip_ids))
     if len(bad):
         raise StorageError(
             f"posting references clip ordinal {block[bad[0], 1]} of {len(clip_ids)}"
+        )
+    # (key, ordinal) fits one int64 code; t1 breaks its ties.
+    step = np.diff((block[:, 0].astype(np.int64) << 32) | block[:, 1])
+    bad = np.flatnonzero((step < 0) | ((step == 0) & (block[1:, 2] < block[:-1, 2])))
+    if len(bad):
+        raise StorageError(
+            f"postings out of (key, ordinal, t1) order: posting {bad[0] + 1} sorts before posting {bad[0]}"
         )
     r.pos += row * complete
     if complete < n_postings:
@@ -161,12 +173,7 @@ def index_from_bytes(data: bytes) -> FingerprintIndex:
                 f"clip {cid!r} declares {index.landmark_counts[cid]} landmarks "
                 f"but has {count} postings"
             )
-
-    by_clip = block[np.argsort(block[:, 1], kind="stable")][:, [0, 2]].astype(np.int64)
-    for cid, rows in zip(clip_ids, np.split(by_clip, np.cumsum(seen)[:-1])):
-        index.hashed[cid] = rows
-    if clip_ids == sorted(clip_ids):
-        index.adopt_postings(block)
+    index.freeze(block)
     return index
 
 

@@ -6,13 +6,14 @@ boundaries are exactly the clip start/end positions; each segment carries the
 cut of every clip fully active across it, and members of a segment are ranked
 by how many near-zero-offset landmark votes their cut shares with the others.
 A cut's landmarks come from its clip's peak candidates (one STFT per clip):
-the frames whose window lies inside the cut, thinned at the quality density.
+the frames whose window lies inside the cut, thinned at the quality density
+(density_multiplier x peak_density).
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -218,21 +219,19 @@ def cut_landmarks(candidates: np.ndarray, cut: ClipCut, cfg: FpConfig) -> np.nda
 def segment_quality(
     segment: Segment,
     candidates: dict[str, np.ndarray],
-    hi_cfg: FpConfig,
+    cfg: FpConfig,
 ) -> QualityRanking:
     """Rank a segment's members by shared near-zero-offset landmark votes.
 
     Each member's cut gets landmarks from its clip's peak candidates (see
-    peak_candidates) at the high-density config; for every pair the
-    landmark votes within QUALITY_OFFSET_TOL_FRAMES of offset zero are
+    peak_candidates) at density_multiplier x peak_density; for every pair
+    the landmark votes within QUALITY_OFFSET_TOL_FRAMES of offset zero are
     counted (all members are time-aligned here, so other offsets are noise
     and ignored). A member's score sums its votes against all others. Cuts
     that hold no whole window score zero.
     """
-    if hi_cfg.match_threshold != 1:
-        raise ValueError("quality scoring requires match_threshold = 1")
-
-    hashed = {cut.clip_id: cut_landmarks(candidates[cut.clip_id], cut, hi_cfg) for cut in segment.members}
+    dense = replace(cfg, peak_density=cfg.peak_density * cfg.density_multiplier)
+    hashed = {cut.clip_id: cut_landmarks(candidates[cut.clip_id], cut, dense) for cut in segment.members}
 
     ids = sorted(hashed)
     pair_votes: dict[tuple[str, str], int] = {}

@@ -39,7 +39,6 @@ from ugcaudio import (
     select_model,
     split_repetitions,
     synth_corpus,
-    with_quality_params,
 )
 from ugcaudio.cli import main as cli_main
 from ugcaudio.match_classifier import (
@@ -301,7 +300,7 @@ def test_criterion_07_gradient_matches_finite_differences():
 
 
 def test_criterion_08_quality_ranking_tracks_snr():
-    hi = with_quality_params(FpConfig())
+    cfg = FpConfig()
     hits = 0
     for trial in range(50):
         # melody_clip keeps the clean copy's peak count under the density cap;
@@ -326,7 +325,7 @@ def test_criterion_08_quality_ranking_tracks_snr():
             t_end=8.0,
             members=[ClipCut(cid, 0.0, 8.0) for cid in sorted(clips)],
         )
-        q = segment_quality(seg, candidates_of(clips, hi), hi)
+        q = segment_quality(seg, candidates_of(clips, cfg), cfg)
         if [cid for cid, _ in q.ranking] == ["z_clean", "m_mid", "a_low"]:
             hits += 1
     print(f"\ncriterion 8: SNR ordering correct in {hits}/50 trials (need >= 45)")
@@ -340,8 +339,8 @@ def _confirmation_setup(third_clip):
     clips = {c.id: c for c in (a, b, third_clip)}
     members = sorted(clips)
     seg = Segment(0.0, 6.0, [ClipCut(cid, 0.0, 6.0) for cid in members])
-    hi = with_quality_params(FpConfig())
-    quality = segment_quality(seg, candidates_of(clips, hi), hi)
+    cfg = FpConfig()
+    quality = segment_quality(seg, candidates_of(clips, cfg), cfg)
 
     graph = MatchGraph(nodes=set(members))
     for frm in members:

@@ -13,6 +13,7 @@ from ugcaudio import (
     SynthSpec,
     decode_wav,
     encode_wav,
+    read_clip,
     resample_mono,
     synth_corpus,
 )
@@ -105,6 +106,18 @@ class TestWavCodec:
         with pytest.raises(DecodeError) as exc:
             decode_wav(bytes(bad))
         assert exc.value.offset == 8
+
+    def test_zero_sample_rate_is_located(self, tmp_path):
+        bad = bytearray(encode_wav(burst_clip("t", duration=0.2, seed=2)))
+        bad[24:28] = bytes(4)  # fmt sample rate
+        with pytest.raises(DecodeError) as exc:
+            decode_wav(bytes(bad))
+        assert (exc.value.message, exc.value.offset) == ("sample rate 0 in fmt chunk", 44)
+        path = tmp_path / "zero.wav"
+        path.write_bytes(bytes(bad))
+        with pytest.raises(DecodeError) as exc:
+            read_clip(path, PROCESS_RATE)
+        assert str(exc.value) == f"{path}: sample rate 0 in fmt chunk (byte offset 44)"
 
 
 class TestResample:

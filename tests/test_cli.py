@@ -210,6 +210,26 @@ class TestConfigFiles:
         assert self.run_index(small_corpus, tmp_path, "dt_max = 100\n") == 3
         assert "dt_max must be in [1, 63], got 100" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "command, text",
+        [
+            ("index", "peak_density = inf"),
+            ("pipeline", "density_multiplier = nan"),
+            ("pipeline", "consistency_eps = nan"),
+        ],
+    )
+    def test_non_finite_value_exits_3_naming_the_key(self, small_corpus, tmp_path, capsys, command, text):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(text + "\n")
+        key, value = text.split(" = ")
+        if command == "index":
+            wav = str(next(iter(sorted(small_corpus.glob("*.wav")))))
+            argv = ["index", wav, "--out", str(tmp_path / "o.idx")]
+        else:
+            argv = ["pipeline", "--in", str(small_corpus), "--out", str(tmp_path / "r.json")]
+        assert main([*argv, "--config", str(cfg)]) == 3
+        assert f"error: {key} must be finite, got {value}" in capsys.readouterr().err
+
     @pytest.mark.parametrize("key", ["family", "subset", "seed", "input", "output"])
     def test_removed_key_exits_3(self, small_corpus, tmp_path, capsys, key):
         assert self.run_index(small_corpus, tmp_path, f"{key} = x\n") == 3
@@ -454,6 +474,15 @@ class TestPipeline:
         assert main(["index", *paths, "--out", str(tmp_path / "o.idx")]) == 3
         err = capsys.readouterr().err
         assert f"{bad}: truncated data chunk (byte offset 44)" in err
+
+    def test_zero_sample_rate_exits_3_naming_the_file(self, small_corpus, tmp_path, capsys):
+        bad = tmp_path / "zero.wav"
+        raw = bytearray(next(iter(sorted(small_corpus.glob("*.wav")))).read_bytes())
+        raw[24:28] = bytes(4)  # fmt sample rate
+        bad.write_bytes(bytes(raw))
+        capsys.readouterr()
+        assert main(["index", str(bad), "--out", str(tmp_path / "o.idx")]) == 3
+        assert f"{bad}: sample rate 0 in fmt chunk (byte offset 44)" in capsys.readouterr().err
 
     def test_no_corpus_dir_exits_2(self, capsys):
         assert main(["pipeline"]) == 2

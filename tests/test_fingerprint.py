@@ -1,3 +1,4 @@
+import math
 import re
 from collections import Counter
 from dataclasses import fields, replace
@@ -24,7 +25,6 @@ from ugcaudio import (
     query,
     spectrogram,
     thin_peaks,
-    with_quality_params,
 )
 from ugcaudio import fingerprint
 from ugcaudio.fingerprint import _merge_offset_bins
@@ -60,6 +60,15 @@ class TestConfig:
     def test_invalid_rejected(self, kw):
         with pytest.raises(ValueError):
             FpConfig(**kw)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("key", ["log_floor", "peak_density", "density_multiplier", "consistency_eps"])
+    def test_non_finite_floats_rejected(self, key, value):
+        message = re.escape(f"{key} must be finite, got {value!r}")
+        with pytest.raises(ValueError, match=message):
+            FpConfig(**{key: value})
+        with pytest.raises(ValueError, match=message):
+            parse_config(f"{key} = {value!r}\n")
 
     @pytest.mark.parametrize(
         "kw, message",
@@ -418,11 +427,22 @@ class TestIndexAndQuery:
         hashed = hash_landmarks(fingerprint_clip(clip, cfg))
         index = FingerprintIndex(cfg)
         index.add_hashed("h", hashed, clip.duration)
-        assert np.array_equal(index.hashed["h"], hashed)
+        assert index.landmark_counts["h"] == len(hashed)
         postings = index.postings()
+        assert postings.dtype == np.uint32
         assert (postings[:, 1] == 0).all()
         stored = sorted(zip(postings[:, 0].tolist(), postings[:, 2].tolist()))
         assert stored == sorted(tuple(kt) for kt in hashed.tolist())
+
+    @pytest.mark.parametrize("build", [FingerprintIndex.postings, lambda index: query(index, "x", [(1, 0)])])
+    def test_add_after_build_raises_naming_the_clip(self, build):
+        index = FingerprintIndex(FpConfig())
+        index.add_hashed("a", [(1, 0)], 1.0)
+        build(index)
+        with pytest.raises(ValueError, match="cannot add clip 'b': the index is frozen"):
+            index.add_hashed("b", [(2, 0)], 1.0)
+        assert index.clip_ids == ["a"]
+        assert index.postings().tolist() == [[1, 0, 0]]
 
     def test_self_match_identity(self):
         cfg = FpConfig()
@@ -562,11 +582,3 @@ class TestQualityHelpers:
         expect = sum(1 for ka, ta in a for kb, tb in b if ka == kb and abs(ta - tb) <= tol)
         assert offset_zero_votes(np.array(a, dtype=np.int64), np.array(b, dtype=np.int64), tol) == expect
 
-    def test_with_quality_params(self):
-        # Quality scoring only re-thins stored peak candidates and never
-        # queries an index, so its denser config need not be compatible.
-        cfg = FpConfig(density_multiplier=2.5)
-        hi = with_quality_params(cfg)
-        assert hi == replace(cfg, peak_density=cfg.peak_density * 2.5, match_threshold=1)
-        with pytest.raises(ValueError, match="peak_density"):
-            hi.compatible_with(cfg)

@@ -303,7 +303,20 @@ class TestLogReg:
         tight = train_logreg(x, y, c=0.01)
         loose = train_logreg(x, y, c=100.0)
         assert np.linalg.norm(tight.weights) < np.linalg.norm(loose.weights)
-        assert np.abs(tight.scores(x) - 0.5).mean() < np.abs(loose.scores(x) - 0.5).mean()
+        assert np.abs(tight.logits(x)).mean() < np.abs(loose.logits(x)).mean()
+
+    def test_batched_predictions_equal_row_by_row(self):
+        x, y = logreg_problem(4, n=500, d=4)
+        model = train_logreg(x, y, c=1.0)
+        alone = [model.logits(x[i : i + 1])[0] for i in range(len(x))]
+        ref = []  # columns in order, bias last
+        for row in x:
+            z = 0.0
+            for value, weight in zip(row, model.weights):
+                z += value * weight
+            ref.append(z + model.bias)
+        assert model.logits(x).tolist() == alone == ref
+        assert model.predict(x).tolist() == [model.predict(x[i : i + 1])[0] for i in range(len(x))]
 
     def test_gradient_vanishes_at_every_fit(self):
         # the loss is strictly convex, so a zero gradient is the optimum

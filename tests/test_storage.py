@@ -1,3 +1,4 @@
+import re
 import struct
 from dataclasses import replace
 
@@ -19,6 +20,7 @@ from ugcaudio import (
     hash_landmarks,
     load_index,
     load_model,
+    query,
     save_index,
     save_model,
 )
@@ -42,12 +44,25 @@ def toy_index() -> FingerprintIndex:
     return index
 
 
+def real_rows(cfg: FpConfig = FpConfig()) -> dict[str, np.ndarray]:
+    clips = [burst_clip(f"clip{i:02d}", duration=3.0, seed=20 + i) for i in range(3)]
+    return {clip.id: hash_landmarks(fingerprint_clip(clip, cfg)) for clip in clips}
+
+
 def real_index(cfg: FpConfig = FpConfig()) -> FingerprintIndex:
     index = FingerprintIndex(cfg)
-    for i in range(3):
-        clip = burst_clip(f"clip{i:02d}", duration=3.0, seed=20 + i)
-        index.add_hashed(clip.id, hash_landmarks(fingerprint_clip(clip, cfg)), duration=3.0)
+    for cid, hashed in real_rows(cfg).items():
+        index.add_hashed(cid, hashed, duration=3.0)
     return index
+
+
+def clip_rows(index: FingerprintIndex) -> dict[str, list[tuple[int, int]]]:
+    """Each clip's sorted (key, t1) rows, read back from the posting array."""
+    ids = index.clip_ids
+    rows = {cid: [] for cid in ids}
+    for key, ordinal, t1 in index.postings().tolist():
+        rows[ids[ordinal]].append((key, t1))
+    return {cid: sorted(r) for cid, r in rows.items()}
 
 
 def with_header(blob: bytes, text: str, version: int = INDEX_VERSION) -> bytes:
@@ -59,16 +74,32 @@ def with_header(blob: bytes, text: str, version: int = INDEX_VERSION) -> bytes:
 
 class TestIndexFormat:
     def test_round_trip_preserves_everything(self):
-        for index in (toy_index(), real_index()):
+        toy = {"alpha": [(2_097_087, 63)], "beta": [(512, 4), (99, 0), (512, 9)]}
+        for index, added in ((toy_index(), toy), (real_index(), real_rows())):
             loaded = index_from_bytes(index_to_bytes(index))
             assert loaded.cfg == index.cfg
             assert loaded.clip_ids == index.clip_ids
             assert loaded.durations == index.durations
             assert loaded.landmark_counts == index.landmark_counts
-            for cid in index.clip_ids:
-                rows = sorted(tuple(kt) for kt in index.hashed[cid].tolist())
-                assert sorted(tuple(kt) for kt in loaded.hashed[cid].tolist()) == rows
+            rows = {cid: sorted(map(tuple, np.asarray(h).tolist())) for cid, h in added.items()}
+            assert clip_rows(loaded) == rows
             assert np.array_equal(loaded.postings(), index.postings())
+
+    def test_loaded_index_answers_queries_like_the_fresh_one(self):
+        rows = real_rows()
+        fresh = real_index()
+        loaded = index_from_bytes(index_to_bytes(fresh))
+        probes = {**rows, "probe": np.concatenate([h[::2] for h in rows.values()])}
+        cfg = FpConfig(match_threshold=1)
+        for qid, hashed in probes.items():
+            want = query(fresh, qid, hashed, cfg).entries
+            assert query(loaded, qid, hashed, cfg).entries == want
+        assert {e.clip_id for e in want} == set(rows)  # the probe, last, meets every clip
+
+    def test_loaded_index_is_frozen(self):
+        loaded = index_from_bytes(index_to_bytes(toy_index()))
+        with pytest.raises(ValueError, match="cannot add clip 'gamma': the index is frozen"):
+            loaded.add_hashed("gamma", [(1, 0)], duration=1.0)
 
     def test_round_trip_keeps_landmark_parameters(self):
         cfg = FpConfig(fanout=5, peak_density=33.5, dt_max=40, df_min=-20, match_threshold=9)
@@ -105,8 +136,12 @@ class TestIndexFormat:
     def test_bad_header_value_refused(self):
         blob = index_to_bytes(toy_index())
         text = blob[10 : 10 + struct.unpack_from("<I", blob, 6)[0]].decode()
-        for bad in (text.replace("window = 512", "window = 500"), text.replace("fanout = 3", "fanout = x")):
-            with pytest.raises(StorageError, match="index header: .*(window|fanout)"):
+        for bad in (
+            text.replace("window = 512", "window = 500"),
+            text.replace("fanout = 3", "fanout = x"),
+            text.replace("log_floor = -10.0", "log_floor = nan"),
+        ):
+            with pytest.raises(StorageError, match="index header: .*(window|fanout|log_floor)"):
                 index_from_bytes(with_header(blob, bad))
 
     def test_serialization_is_canonical(self):
@@ -161,6 +196,25 @@ class TestIndexFormat:
         pos = blob.index(b"alpha") + len(b"alpha") + 8
         blob[pos:pos + 4] = (2).to_bytes(4, "little")
         with pytest.raises(StorageError, match="declares 2 landmarks"):
+            index_from_bytes(bytes(blob))
+
+    def test_clip_table_out_of_id_order_rejected(self):
+        index = FingerprintIndex(FpConfig())
+        index.add_hashed("x1", [(5, 0)], duration=1.0)
+        index.add_hashed("x2", [(6, 0)], duration=1.0)
+        blob = index_to_bytes(index).replace(b"x1", b"x3", 1)
+        with pytest.raises(StorageError, match="clip table out of id order: clip 1 'x2' follows 'x3'"):
+            index_from_bytes(blob)
+
+    # Toy postings: (99, 1, 0), (512, 1, 4), (512, 1, 9), (2097087, 0, 63).
+    @pytest.mark.parametrize("swap", [(1, 2), (2, 3)])  # t1 order, then key order
+    def test_postings_out_of_order_rejected(self, swap):
+        blob = bytearray(index_to_bytes(toy_index()))
+        start = len(blob) - 4 * 12
+        i, j = (start + 12 * k for k in swap)
+        blob[i : i + 12], blob[j : j + 12] = blob[j : j + 12], blob[i : i + 12]
+        message = f"postings out of (key, ordinal, t1) order: posting {swap[1]} sorts before posting {swap[0]}"
+        with pytest.raises(StorageError, match=re.escape(message)):
             index_from_bytes(bytes(blob))
 
     def test_out_of_range_ordinal_rejected(self):

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -20,7 +22,6 @@ from ugcaudio import (
     peak_candidates,
     segment_quality,
     spectrogram,
-    with_quality_params,
 )
 from ugcaudio.timeline import QUALITY_OFFSET_TOL_FRAMES, ClipCut, Segment
 
@@ -158,11 +159,29 @@ class TestCutAudio:
 
 
 class TestSegmentQuality:
-    def test_requires_threshold_one(self):
-        seg_members = [ClipCut("a", 0.0, 1.0)]
-        seg = Segment(t_start=0.0, t_end=1.0, members=seg_members)
-        with pytest.raises(ValueError):
-            segment_quality(seg, candidates_of({"a": burst_clip("a", 1.0)}, FpConfig()), FpConfig())
+    def test_ignores_match_threshold(self):
+        master = burst_clip("m", duration=4.0, seed=12)
+        clips = {cid: AudioClip(id=cid, samples=master.samples.copy(), rate=master.rate) for cid in "ab"}
+        seg = Segment(0.0, 4.0, [ClipCut(cid, 0.0, 4.0) for cid in clips])
+        candidates = candidates_of(clips, FpConfig())
+        want = segment_quality(seg, candidates, FpConfig())
+        assert want.pair_votes[("a", "b")] > 0
+        for threshold in (1, 9):
+            assert segment_quality(seg, candidates, FpConfig(match_threshold=threshold)) == want
+
+    def test_thins_at_multiplied_density(self):
+        master = burst_clip("m", duration=4.0, seed=13)
+        clips = {cid: AudioClip(id=cid, samples=master.samples.copy(), rate=master.rate) for cid in "ab"}
+        seg = Segment(0.0, 4.0, [ClipCut(cid, 0.0, 4.0) for cid in clips])
+        cfg = FpConfig(density_multiplier=2.5)
+        candidates = candidates_of(clips, cfg)
+        votes = {}
+        for density in (20.0, 50.0):
+            thinned = replace(cfg, peak_density=density)
+            a, b = (cut_landmarks(candidates[cut.clip_id], cut, thinned) for cut in seg.members)
+            votes[density] = offset_zero_votes(a, b, QUALITY_OFFSET_TOL_FRAMES)
+        assert votes[50.0] > votes[20.0]
+        assert segment_quality(seg, candidates, cfg).pair_votes[("a", "b")] == votes[50.0]
 
     def test_copies_outrank_noise(self):
         master = burst_clip("m", duration=6.0, seed=10)
@@ -174,8 +193,8 @@ class TestSegmentQuality:
             t_end=6.0,
             members=[ClipCut("a", 0.0, 6.0), ClipCut("b", 0.0, 6.0), ClipCut("c", 0.0, 6.0)],
         )
-        hi = with_quality_params(FpConfig())
-        q = segment_quality(seg, candidates_of({"a": a, "b": b, "c": c}, hi), hi)
+        cfg = FpConfig()
+        q = segment_quality(seg, candidates_of({"a": a, "b": b, "c": c}, cfg), cfg)
         ranked = [cid for cid, _ in q.ranking]
         assert ranked.index("c") == 2  # unrelated content scores lowest
         assert q.pair_votes[("a", "b")] == q.pair_votes[("b", "a")]
@@ -186,12 +205,13 @@ class TestSegmentQuality:
         seg = Segment(
             t_start=0.0, t_end=0.01, members=[ClipCut("a", 0.0, 0.01)]
         )
-        hi = with_quality_params(FpConfig())
-        q = segment_quality(seg, candidates_of({"a": clip}, hi), hi)
+        cfg = FpConfig()
+        q = segment_quality(seg, candidates_of({"a": clip}, cfg), cfg)
         assert q.ranking == [("a", 0)]
 
     def test_whole_clip_cuts_match_fingerprinting_each_cut(self):
-        hi = with_quality_params(FpConfig())
+        cfg = FpConfig()
+        dense = replace(cfg, peak_density=cfg.peak_density * cfg.density_multiplier)
         for trial in range(4):
             make = burst_clip if trial % 2 else melody_clip
             master = make("m", duration=5.0, seed=60 + trial)
@@ -200,10 +220,10 @@ class TestSegmentQuality:
                 for k, (cid, snr) in enumerate((("a", 30.0), ("b", 15.0), ("c", 5.0)))
             }
             seg = Segment(0.0, 5.0, [ClipCut(cid, 0.0, clip.duration) for cid, clip in clips.items()])
-            q = segment_quality(seg, candidates_of(clips, hi), hi)
+            q = segment_quality(seg, candidates_of(clips, cfg), cfg)
             # The old path: every cut fingerprinted as a clip of its own.
             hashed = {
-                cut.clip_id: hash_landmarks(fingerprint_clip(cut_audio(clips[cut.clip_id], cut), hi))
+                cut.clip_id: hash_landmarks(fingerprint_clip(cut_audio(clips[cut.clip_id], cut), dense))
                 for cut in seg.members
             }
             want = {
@@ -237,12 +257,12 @@ class TestCutLandmarks:
         ],
     )
     def test_only_frames_inside_the_cut(self, start, end):
-        hi = with_quality_params(FpConfig())
+        cfg = FpConfig(peak_density=60.0)
         clip = burst_clip("a", duration=3.0, seed=21)
-        assert (len(clip.samples) - hi.window) % hi.hop != 0  # a partial frame at the end
+        assert (len(clip.samples) - cfg.window) % cfg.hop != 0  # a partial frame at the end
         end = len(clip.samples) if end is None else end
         cut = ClipCut("a", start / clip.rate, end / clip.rate)
-        got = cut_landmarks(peak_candidates(spectrogram(clip, hi), hi), cut, hi)
-        want = _inside_cut_oracle(clip, cut, hi)
+        got = cut_landmarks(peak_candidates(spectrogram(clip, cfg), cfg), cut, cfg)
+        want = _inside_cut_oracle(clip, cut, cfg)
         assert len(want) > 0
         assert got.tolist() == want.tolist()
