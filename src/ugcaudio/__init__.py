@@ -55,7 +55,6 @@ from .match_classifier import (
     KnnModel,
     LOGREG_C_GRID,
     LogRegModel,
-    MatchFeatures,
     MatchFilter,
     S1,
     S2,
@@ -70,7 +69,7 @@ from .match_classifier import (
     default_grid,
     double_cv,
     expand_from_repetitions,
-    featurize,
+    feature_matrix,
     fit_filter,
     fit_standardizer,
     logreg_gradient,

@@ -158,6 +158,7 @@ def decode_wav(data: bytes, clip_id: str = "") -> AudioClip:
         raise DecodeError("missing WAVE form type", 8)
 
     fmt = None
+    fmt_body = 0
     pos = 12
     while pos + 8 <= len(data):
         chunk_id = data[pos : pos + 4]
@@ -167,12 +168,13 @@ def decode_wav(data: bytes, clip_id: str = "") -> AudioClip:
             if body + 16 > len(data):
                 raise DecodeError("truncated fmt chunk", body)
             fmt = struct.unpack_from("<HHIIHH", data, body)
+            fmt_body = body
         elif chunk_id == b"data":
             if fmt is None:
                 raise DecodeError("data chunk before fmt chunk", pos)
             if body + chunk_size > len(data):
                 raise DecodeError("truncated data chunk", body)
-            return _decode_data(memoryview(data)[body : body + chunk_size], fmt, body, clip_id)
+            return _decode_data(memoryview(data)[body : body + chunk_size], fmt, fmt_body, clip_id)
         pos = body + chunk_size + (chunk_size & 1)
 
     if fmt is None:
@@ -180,8 +182,11 @@ def decode_wav(data: bytes, clip_id: str = "") -> AudioClip:
     raise DecodeError("no data chunk found", pos)
 
 
-def _decode_data(raw: memoryview, fmt, body_offset: int, clip_id: str) -> AudioClip:
+def _decode_data(raw: memoryview, fmt, fmt_offset: int, clip_id: str) -> AudioClip:
     """The data chunk's samples as a mono float64 clip in [-1, 1].
+
+    A fault in the fmt chunk, whose body starts at byte `fmt_offset`, is
+    located at its field: format tag at +0, channel count at +2, rate at +4.
 
     PCM-16 is converted and scaled in one pass: multiplying by 2**-15 is
     exact, so it gives the bits of astype(float64) / 32768. Its values, and
@@ -190,9 +195,9 @@ def _decode_data(raw: memoryview, fmt, body_offset: int, clip_id: str) -> AudioC
     """
     audio_format, channels, rate, _, block_align, bits = fmt
     if channels not in (1, 2):
-        raise DecodeError(f"unsupported channel count {channels}", body_offset)
+        raise DecodeError(f"unsupported channel count {channels}", fmt_offset + 2)
     if rate == 0:
-        raise DecodeError("sample rate 0 in fmt chunk", body_offset)
+        raise DecodeError("sample rate 0 in fmt chunk", fmt_offset + 4)
     if audio_format == _WAVE_FORMAT_PCM and bits == 16:
         codes = np.frombuffer(raw[: len(raw) - len(raw) % 2], dtype="<i2")
         samples = np.multiply(codes, 2.0**-15, dtype=np.float64)
@@ -201,7 +206,7 @@ def _decode_data(raw: memoryview, fmt, body_offset: int, clip_id: str) -> AudioC
         samples = samples.astype(np.float64)
     else:
         raise DecodeError(
-            f"unsupported codec (format {audio_format}, {bits}-bit)", body_offset
+            f"unsupported codec (format {audio_format}, {bits}-bit)", fmt_offset
         )
     if channels == 2:
         samples = samples[: len(samples) - len(samples) % 2]

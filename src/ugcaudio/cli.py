@@ -137,10 +137,16 @@ def matches_to_doc(lists: list[MatchingList]) -> dict:
 
 
 def matches_from_doc(doc: dict) -> list[MatchingList]:
+    """Matching lists from a matches document, refusing impossible counts.
+
+    No count may be negative and ml may not exceed tml; a ValueError names
+    the query and the entry's index in its list.
+    """
     lists = []
     for q in doc["queries"]:
-        entries = [
-            MatchEntry(
+        entries = []
+        for i, e in enumerate(q["entries"]):
+            entry = MatchEntry(
                 query_id=q["query"],
                 clip_id=e["clip"],
                 offset_frames=int(e["offset_frames"]),
@@ -150,8 +156,11 @@ def matches_from_doc(doc: dict) -> list[MatchingList]:
                 lq=int(e["lq"]),
                 li=int(e["li"]),
             )
-            for e in q["entries"]
-        ]
+            if min(entry.ml, entry.tml, entry.lq, entry.li) < 0:
+                raise ValueError(f"query {entry.query_id!r} entry {i}: negative landmark count")
+            if entry.ml > entry.tml:
+                raise ValueError(f"query {entry.query_id!r} entry {i}: ml {entry.ml} exceeds tml {entry.tml}")
+            entries.append(entry)
         lists.append(MatchingList(query_id=q["query"], entries=entries))
     return lists
 
@@ -249,7 +258,7 @@ def cmd_train(args) -> int:
         for subset in subsets:
             results.extend(double_cv(samples, family, grid, subset, seed))
 
-    chosen = select_model(results, require_clean_wrong=not args.no_wrong_constraint)
+    chosen = select_model(results)
     flt = fit_filter(samples, chosen.family, chosen.param, chosen.subset, seed)
     save_model(
         flt,
@@ -347,7 +356,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--family", choices=("logreg", "knn", "both"), default="logreg")
     p.add_argument("--subset", choices=("S1", "S2", "S3", "S4", "all"), default="all")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--no-wrong-constraint", action="store_true")
     p.add_argument("--out", required=True)
     p.add_argument("--report", help="also write every grid cell's CV numbers here")
     p.set_defaults(func=cmd_train)

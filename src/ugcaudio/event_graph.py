@@ -27,9 +27,6 @@ class MatchEdge:
 class MatchGraph:
     nodes: set[str] = field(default_factory=set)
     edges: dict[tuple[str, str], MatchEdge] = field(default_factory=dict)
-    # |w(i->j) + w(j->i)| per unordered pair where both directions matched
-    # independently; nonzero values are surfaced in reports, not errors.
-    residuals: dict[tuple[str, str], float] = field(default_factory=dict)
 
     def neighbors(self, node: str) -> list[str]:
         return sorted(to for (frm, to) in self.edges if frm == node)
@@ -87,8 +84,7 @@ def build_graph(
     matches (class 0) are dropped too, before any edge is inserted. Each
     surviving primary q->i contributes the edge pair
     (q, i, -offset) and (i, q, +offset). When both directions survive
-    independently, the pair from the higher-landmark-count entry wins and the
-    disagreement between the two is recorded as a residual.
+    independently, the pair from the higher-landmark-count entry wins.
     """
     lists = list(lists)
     graph = MatchGraph()
@@ -106,14 +102,8 @@ def build_graph(
         graph.nodes.add(entry.clip_id)
         pair = tuple(sorted((entry.query_id, entry.clip_id)))
         other = chosen.get(pair)
-        if other is None:
+        if other is None or (entry.ml, other.query_id) > (other.ml, entry.query_id):
             chosen[pair] = entry
-        else:
-            graph.residuals[pair] = abs(
-                -other.offset_seconds + -entry.offset_seconds
-            )
-            if (entry.ml, other.query_id) > (other.ml, entry.query_id):
-                chosen[pair] = entry
 
     for entry in chosen.values():
         w = -entry.offset_seconds  # start(clip) - start(query)

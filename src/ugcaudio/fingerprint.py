@@ -29,6 +29,7 @@ _DF_SHIFT = 6
 _F1_MAX = 255
 _DF_BIAS = 63
 _DT_MAX = 63
+_KEY_LIMIT = 1 << 21  # every key is below this
 
 # Frames per block: per FFT call in spectrogram, and per holed-maximum
 # pass in peak_candidates.
@@ -122,10 +123,12 @@ def parse_config(text: str) -> FpConfig:
     """`key = value` lines over FpConfig's fields; blank lines and # comments ignored.
 
     Keys left out keep their defaults. An unknown key or a badly typed value
-    names its line; an invalid value raises FpConfig's own ValueError.
+    names its line, and a repeated key names both of its lines; an invalid
+    value raises FpConfig's own ValueError.
     """
     kinds = {f.name: int if f.type == "int" else float for f in fields(FpConfig)}
     values = {}
+    line_of: dict[str, int] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -135,6 +138,9 @@ def parse_config(text: str) -> FpConfig:
         key, value = (part.strip() for part in line.split("=", 1))
         if key not in kinds:
             raise ValueError(f"config line {lineno}: unknown key {key!r}")
+        if key in line_of:
+            raise ValueError(f"config line {lineno}: {key} already set on line {line_of[key]}")
+        line_of[key] = lineno
         try:
             values[key] = kinds[key](value)
         except ValueError:
@@ -390,7 +396,7 @@ class FingerprintIndex:
         hashed = _as_hashed(hashed)
         if len(hashed) == 0:
             raise ValueError(f"clip {clip_id!r} has no landmarks")
-        if hashed.min() < 0 or hashed[:, 0].max() >= 1 << 21 or hashed[:, 1].max() > 0xFFFFFFFF:
+        if hashed.min() < 0 or hashed[:, 0].max() >= _KEY_LIMIT or hashed[:, 1].max() > 0xFFFFFFFF:
             raise ValueError(f"clip {clip_id!r}: key or anchor frame out of range")
         self._pending[clip_id] = hashed
         self.landmark_counts[clip_id] = len(hashed)
@@ -410,7 +416,7 @@ class FingerprintIndex:
     def freeze(self, block: np.ndarray) -> None:
         """Make `block`, sorted as postings() sorts it, the frozen posting array."""
         self._pending = {}
-        self._keys = block[:, 0].astype(np.int64)
+        self._keys = np.ascontiguousarray(block[:, 0])
         self._ids = self.clip_ids
         # _postings last: a reader that sees it set sees the rest too.
         self._postings = block
@@ -464,9 +470,13 @@ def query(
     hashed = _as_hashed(hashed)
     postings = index.postings()
 
-    # Every posting under each query key, as (query row, posting row).
-    lo = np.searchsorted(index._keys, hashed[:, 0], "left")
-    hits = np.searchsorted(index._keys, hashed[:, 0], "right") - lo
+    # Every posting under each query key, as (query row, posting row). Keys
+    # are searched as u32, the postings' own type; a key outside the key
+    # range becomes _KEY_LIMIT, which no posting holds, rather than wrapping.
+    keys = hashed[:, 0]
+    keys = np.where((keys >= 0) & (keys < _KEY_LIMIT), keys, _KEY_LIMIT).astype(np.uint32)
+    lo = np.searchsorted(index._keys, keys, "left")
+    hits = np.searchsorted(index._keys, keys, "right") - lo
     rows = np.repeat(np.arange(len(hashed)), hits)
     starts = np.cumsum(hits) - hits
     post = np.repeat(lo - starts, hits) + np.arange(len(rows))

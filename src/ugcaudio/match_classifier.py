@@ -1,6 +1,6 @@
 """False-match classification over landmark-count features.
 
-A match entry becomes a 4-feature sample (ml, tml, lq, li); models are
+A match entry's features are its own counts (ml, tml, lq, li); models are
 L2-regularised logistic regression, fitted exactly by Newton/IRLS, and
 k-nearest neighbors, both over z-scored features. Model selection runs a
 double cross-validation: leave-one-song-out outside, seeded 10-fold inside,
@@ -11,7 +11,7 @@ whose segments all agree at offset zero (class 1).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -26,32 +26,11 @@ KIND_TRUE = "true"
 KIND_REPETITION = "repetition"
 KIND_WRONG = "wrong"
 
-FEATURE_NAMES = ("ml", "tml", "lq", "li")
-
-
-@dataclass(frozen=True)
-class MatchFeatures:
-    """Landmark counts of one match: vote peak, total votes, clip sizes."""
-
-    ml: int
-    tml: int
-    lq: int
-    li: int
-
-    def __post_init__(self):
-        if min(self.ml, self.tml, self.lq, self.li) < 0:
-            raise ValueError("feature counts must be non-negative")
-        if self.ml > self.tml:
-            raise ValueError(f"ml {self.ml} exceeds tml {self.tml}")
-
 
 @dataclass(frozen=True)
 class FeatureSubset:
     name: str
-    fields: tuple[str, ...]
-
-    def project(self, f: MatchFeatures) -> tuple[int, ...]:
-        return tuple(getattr(f, name) for name in self.fields)
+    fields: tuple[str, ...]  # MatchEntry count attributes, in column order
 
 
 S1 = FeatureSubset("S1", ("ml", "tml"))
@@ -71,29 +50,16 @@ def parse_subset(name: str) -> FeatureSubset:
 
 @dataclass
 class Sample:
-    """One labeled match. kind true is class 1; repetition and wrong are 0."""
+    """One labeled match entry. Kind true is class 1; repetition and wrong are 0."""
 
-    features: MatchFeatures
-    cls: int
+    entry: MatchEntry
     kind: str
     query_song_id: str
-    query_id: str
-    clip_id: str
-    offset_frames: int
     vacuous: bool = False  # emitted by a single-member-segment confirmation
 
-    def __post_init__(self):
-        if self.kind == KIND_TRUE and self.cls != 1:
-            raise ValueError("kind 'true' requires class 1")
-        if self.kind in (KIND_REPETITION, KIND_WRONG) and self.cls != 0:
-            raise ValueError(f"kind {self.kind!r} requires class 0")
-        if self.kind not in (KIND_TRUE, KIND_REPETITION, KIND_WRONG):
-            raise ValueError(f"unknown kind {self.kind!r}")
-
-
-def featurize(entry: MatchEntry) -> MatchFeatures:
-    """Counts only; the offset value itself stays out of the feature space."""
-    return MatchFeatures(ml=entry.ml, tml=entry.tml, lq=entry.lq, li=entry.li)
+    @property
+    def cls(self) -> int:
+        return int(self.kind == KIND_TRUE)
 
 
 def song_of(clip_id: str, truth: GroundTruth | None) -> str:
@@ -106,16 +72,8 @@ def song_of(clip_id: str, truth: GroundTruth | None) -> str:
     return clip_id.rsplit("_c", 1)[0]
 
 
-def _sample_from(entry: MatchEntry, cls: int, kind: str, truth: GroundTruth | None) -> Sample:
-    return Sample(
-        features=featurize(entry),
-        cls=cls,
-        kind=kind,
-        query_song_id=song_of(entry.query_id, truth),
-        query_id=entry.query_id,
-        clip_id=entry.clip_id,
-        offset_frames=entry.offset_frames,
-    )
+def _sample_from(entry: MatchEntry, kind: str, truth: GroundTruth | None) -> Sample:
+    return Sample(entry, kind, song_of(entry.query_id, truth))
 
 
 def autolabel(
@@ -136,11 +94,11 @@ def autolabel(
             if truth is not None and song_of(entry.query_id, truth) != song_of(
                 entry.clip_id, truth
             ):
-                samples.append(_sample_from(entry, 0, KIND_WRONG, truth))
+                samples.append(_sample_from(entry, KIND_WRONG, truth))
             else:
-                samples.append(_sample_from(entry, 1, KIND_TRUE, truth))
+                samples.append(_sample_from(entry, KIND_TRUE, truth))
         for entry in repetitions:
-            samples.append(_sample_from(entry, 0, KIND_REPETITION, truth))
+            samples.append(_sample_from(entry, KIND_REPETITION, truth))
     return samples
 
 
@@ -159,10 +117,11 @@ def balance(data: Sequence[Sample], seed: int) -> list[Sample]:
     return [s for i, s in enumerate(data) if i in keep]
 
 
-def feature_matrix(data: Sequence[Sample], subset: FeatureSubset) -> np.ndarray:
-    return np.array([subset.project(s.features) for s in data], dtype=np.float64).reshape(
-        len(data), len(subset.fields)
-    )
+def feature_matrix(entries: Sequence[MatchEntry], subset: FeatureSubset) -> np.ndarray:
+    """One float64 row per entry: its counts named by subset.fields, in order."""
+    return np.array(
+        [[getattr(e, name) for name in subset.fields] for e in entries], dtype=np.float64
+    ).reshape(len(entries), len(subset.fields))
 
 
 def labels_of(data: Sequence[Sample]) -> np.ndarray:
@@ -437,7 +396,7 @@ def _prepare_folds(
                 f"leaving out song {song!r} leaves {len(bal)} balanced samples, "
                 f"fewer than {inner_folds} folds"
             )
-        bal_x = feature_matrix(bal, subset)
+        bal_x = feature_matrix([s.entry for s in bal], subset)
         bal_y = labels_of(bal)
 
         perm = np.random.default_rng(seed).permutation(len(bal))
@@ -461,7 +420,7 @@ def _prepare_folds(
                 inner=inner,
                 full_x=std.apply(bal_x),
                 full_y=bal_y,
-                test_x=std.apply(feature_matrix(test, subset)),
+                test_x=std.apply(feature_matrix([s.entry for s in test], subset)),
                 test_y=labels_of(test),
                 test_kinds=[s.kind for s in test],
             )
@@ -542,7 +501,7 @@ def double_cv(
     ]
 
 
-def select_model(results: Sequence[CvResult], require_clean_wrong: bool = True) -> CvResult:
+def select_model(results: Sequence[CvResult]) -> CvResult:
     """Lowest validation error among models that never pass a wrong match.
 
     Ties fall to the smaller parameter, then the smaller feature subset.
@@ -555,16 +514,14 @@ def select_model(results: Sequence[CvResult], require_clean_wrong: bool = True) 
     def key(r: CvResult):
         return (r.val_error, r.param, _SUBSET_RANK[r.subset.name], r.family)
 
-    if require_clean_wrong:
-        clean = [r for r in results if r.wrong_fps == 0]
-        if clean:
-            return min(clean, key=key)
-        return replace(min(results, key=key), degraded=True)
-    return min(results, key=key)
+    clean = [r for r in results if r.wrong_fps == 0]
+    if clean:
+        return min(clean, key=key)
+    return replace(min(results, key=key), degraded=True)
 
 
 def _dedup_key(s: Sample) -> tuple[str, str, int]:
-    return (s.query_id, s.clip_id, s.offset_frames)
+    return (s.entry.query_id, s.entry.clip_id, s.entry.offset_frames)
 
 
 def expand_from_repetitions(
@@ -582,7 +539,7 @@ def expand_from_repetitions(
     for ml in lists:
         _, repetitions = split_repetitions(ml)
         for entry in repetitions:
-            sample = _sample_from(entry, 0, KIND_REPETITION, truth)
+            sample = _sample_from(entry, KIND_REPETITION, truth)
             if _dedup_key(sample) not in seen:
                 seen.add(_dedup_key(sample))
                 out.append(sample)
@@ -616,8 +573,7 @@ def confirm_cluster(
     samples = []
     seen: set[tuple[str, str, int]] = set()
     for edge in cluster_edges(cluster, graph):
-        entry = edge.source_entry
-        sample = _sample_from(entry, 1, KIND_TRUE, truth)
+        sample = _sample_from(edge.source_entry, KIND_TRUE, truth)
         sample.vacuous = vacuous
         if _dedup_key(sample) not in seen:
             seen.add(_dedup_key(sample))
@@ -639,9 +595,7 @@ class MatchFilter:
 
     def predict(self, entries: Sequence[MatchEntry]) -> np.ndarray:
         """Class per entry, 1 true match and 0 false, as an int64 array."""
-        x = np.array(
-            [self.subset.project(featurize(e)) for e in entries], dtype=np.float64
-        ).reshape(len(entries), len(self.subset.fields))
+        x = feature_matrix(entries, self.subset)
         return self.model.predict(self.standardizer.apply(x))
 
     @property
@@ -662,7 +616,7 @@ def fit_filter(
 ) -> MatchFilter:
     """Train a deployable filter on the full balanced data."""
     bal = balance(data, seed)
-    x = feature_matrix(bal, subset)
+    x = feature_matrix([s.entry for s in bal], subset)
     std = fit_standardizer(x)
     model = _fit(family, std.apply(x), labels_of(bal), param)
     return MatchFilter(subset=subset, standardizer=std, model=model)

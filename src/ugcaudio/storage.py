@@ -118,14 +118,15 @@ def index_from_bytes(data: bytes) -> FingerprintIndex:
     (header_len,) = r.take("<I")
     try:
         text = r.take_bytes(header_len).decode("utf-8")
+        # The key list first, so that a repeated key is refused as a header fault.
+        keys = [line.partition("=")[0].strip() for line in text.splitlines()]
+        if sorted(keys) != sorted(LANDMARK_KEYS):
+            raise StorageError(
+                f"index header sets {', '.join(keys)}; expected exactly {', '.join(LANDMARK_KEYS)}"
+            )
         cfg = parse_config(text)
     except ValueError as exc:
         raise StorageError(f"index header: {exc}") from None
-    keys = [line.partition("=")[0].strip() for line in text.splitlines()]
-    if sorted(keys) != sorted(LANDMARK_KEYS):
-        raise StorageError(
-            f"index header sets {', '.join(keys)}; expected exactly {', '.join(LANDMARK_KEYS)}"
-        )
     (n_clips,) = r.take("<I")
     index = FingerprintIndex(cfg)
 

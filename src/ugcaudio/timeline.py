@@ -47,7 +47,6 @@ class PositionMap:
     cluster_id: str
     representative: str
     earliest: str
-    raw: dict[str, float]
     positions: dict[str, float]
 
 
@@ -63,10 +62,6 @@ class Segment:
     t_start: float
     t_end: float
     members: list[ClipCut]
-
-    @property
-    def member_ids(self) -> list[str]:
-        return [m.clip_id for m in self.members]
 
 
 @dataclass
@@ -120,7 +115,6 @@ def normalize_positions(raw: RawOffsets) -> PositionMap:
         cluster_id=raw.cluster_id,
         representative=raw.representative,
         earliest=earliest,
-        raw=dict(raw.offsets),
         positions=positions,
     )
 

@@ -142,7 +142,6 @@ def pm_of(positions: dict[str, float]):
         cluster_id=rep,
         representative=rep,
         earliest=min(positions, key=lambda c: (positions[c], c)),
-        raw=dict(positions),
         positions=dict(positions),
     )
 
@@ -195,7 +194,7 @@ def check_layout_against_oracle(pos_ms: dict[str, int], dur_ms: dict[str, int]) 
     for seg, (t0, t1, members) in zip(got, want):
         assert abs(seg.t_start - t0 / 1000.0) < 1e-9
         assert abs(seg.t_end - t1 / 1000.0) < 1e-9
-        assert seg.member_ids == members
+        assert [cut.clip_id for cut in seg.members] == members
         for cut in seg.members:
             assert abs(cut.local_start - (t0 - pos_ms[cut.clip_id]) / 1000.0) < 1e-9
             assert abs(cut.local_end - (t1 - pos_ms[cut.clip_id]) / 1000.0) < 1e-9

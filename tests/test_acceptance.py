@@ -43,7 +43,6 @@ from ugcaudio import (
 from ugcaudio.cli import main as cli_main
 from ugcaudio.match_classifier import (
     KIND_WRONG,
-    MatchFeatures,
     Sample,
     _prepare_folds,
 )
@@ -409,13 +408,13 @@ def test_criterion_10_persistence_round_trips_exactly():
                 ml = int(rng.integers(40, 60)) if cls else int(rng.integers(1, 12))
                 out.append(
                     Sample(
-                        features=MatchFeatures(ml=ml, tml=ml + 5, lq=400, li=380),
-                        cls=cls,
+                        MatchEntry(
+                            query_id=f"{song}_c{i:02d}", clip_id=f"{song}_c{i + 1:02d}",
+                            offset_frames=i, offset_seconds=0.0,
+                            ml=ml, tml=ml + 5, lq=400, li=380,
+                        ),
                         kind="true" if cls else "repetition",
                         query_song_id=song,
-                        query_id=f"{song}_c{i:02d}",
-                        clip_id=f"{song}_c{i + 1:02d}",
-                        offset_frames=i,
                     )
                 )
         return out

@@ -112,12 +112,26 @@ class TestWavCodec:
         bad[24:28] = bytes(4)  # fmt sample rate
         with pytest.raises(DecodeError) as exc:
             decode_wav(bytes(bad))
-        assert (exc.value.message, exc.value.offset) == ("sample rate 0 in fmt chunk", 44)
+        assert (exc.value.message, exc.value.offset) == ("sample rate 0 in fmt chunk", 24)
         path = tmp_path / "zero.wav"
         path.write_bytes(bytes(bad))
         with pytest.raises(DecodeError) as exc:
             read_clip(path, PROCESS_RATE)
-        assert str(exc.value) == f"{path}: sample rate 0 in fmt chunk (byte offset 44)"
+        assert str(exc.value) == f"{path}: sample rate 0 in fmt chunk (byte offset 24)"
+
+    @pytest.mark.parametrize(
+        "field, value, message, offset",
+        [
+            (slice(22, 24), (3).to_bytes(2, "little"), "unsupported channel count 3", 22),
+            (slice(20, 22), (2).to_bytes(2, "little"), "unsupported codec (format 2, 16-bit)", 20),
+        ],
+    )
+    def test_fmt_faults_are_located_at_their_field(self, field, value, message, offset):
+        bad = bytearray(encode_wav(burst_clip("t", duration=0.2, seed=2)))
+        bad[field] = value
+        with pytest.raises(DecodeError) as exc:
+            decode_wav(bytes(bad))
+        assert (exc.value.message, exc.value.offset) == (message, offset)
 
 
 class TestResample:

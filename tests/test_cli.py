@@ -1,4 +1,6 @@
+import glob
 import json
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -12,6 +14,7 @@ from ugcaudio.cli import main, matches_from_doc
 from ugcaudio.timeline import ClipCut, cut_audio
 
 SCHEMA_DIR = Path(__file__).resolve().parent.parent / "docs"
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def load_schema(name: str) -> Draft202012Validator:
@@ -235,6 +238,10 @@ class TestConfigFiles:
         assert self.run_index(small_corpus, tmp_path, f"{key} = x\n") == 3
         assert f"config line 1: unknown key {key!r}" in capsys.readouterr().err
 
+    def test_repeated_key_exits_3_naming_both_lines(self, small_corpus, tmp_path, capsys):
+        assert self.run_index(small_corpus, tmp_path, "fanout = 3\n# denser\nfanout = 5\n") == 3
+        assert "config line 3: fanout already set on line 1" in capsys.readouterr().err
+
     def test_index_match_and_pipeline_ignore_env_seed(self, small_corpus, indexed, tmp_path, monkeypatch):
         monkeypatch.setenv("UGC_SEED", "not-a-number")
         wav = str(next(iter(sorted(small_corpus.glob("*.wav")))))
@@ -314,6 +321,42 @@ class TestMatch:
 
     def test_usage_error_exits_2(self):
         assert main(["match"]) == 2
+
+
+GOOD_ENTRY = {"clip": "b", "offset_frames": 3, "offset_seconds": 0.07, "ml": 9, "tml": 12, "lq": 300, "li": 280}
+
+
+def matches_doc(**counts):
+    """One query 'a' whose second entry (index 1) takes the given counts."""
+    return {"queries": [{"query": "a", "entries": [GOOD_ENTRY, {**GOOD_ENTRY, "clip": "c", **counts}]}]}
+
+
+class TestMatchesFromDoc:
+    def test_negative_count_rejected(self):
+        for key in ("ml", "tml", "lq", "li"):
+            with pytest.raises(ValueError, match="^query 'a' entry 1: negative landmark count$"):
+                matches_from_doc(matches_doc(**{key: -1}))
+
+    def test_ml_above_tml_rejected(self):
+        with pytest.raises(ValueError, match="^query 'a' entry 1: ml 13 exceeds tml 12$"):
+            matches_from_doc(matches_doc(ml=13))
+        assert matches_from_doc(matches_doc(ml=12))[0].entries[1].ml == 12
+
+    @pytest.mark.parametrize("command", ["train", "classify"])
+    @pytest.mark.parametrize(
+        "counts, message", [({"ml": 13}, "ml 13 exceeds tml 12"), ({"li": -1}, "negative landmark count")]
+    )
+    def test_bad_counts_exit_3(self, train_corpus, trained_model, tmp_path, capsys, command, counts, message):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(matches_doc(**counts)))
+        if command == "train":
+            manifest = str(train_corpus / "manifest.json")
+            argv = ["train", "--matches", str(bad), "--manifest", manifest, "--out", str(tmp_path / "m.txt")]
+        else:
+            argv = ["classify", "--model", str(trained_model[0]), "--matches", str(bad)]
+        capsys.readouterr()
+        assert main(argv) == 3
+        assert f"error: query 'a' entry 1: {message}" in capsys.readouterr().err
 
 
 class TestTrain:
@@ -482,11 +525,29 @@ class TestPipeline:
         bad.write_bytes(bytes(raw))
         capsys.readouterr()
         assert main(["index", str(bad), "--out", str(tmp_path / "o.idx")]) == 3
-        assert f"{bad}: sample rate 0 in fmt chunk (byte offset 44)" in capsys.readouterr().err
+        assert f"{bad}: sample rate 0 in fmt chunk (byte offset 24)" in capsys.readouterr().err
 
     def test_no_corpus_dir_exits_2(self, capsys):
         assert main(["pipeline"]) == 2
         assert "corpus" in capsys.readouterr().err
+
+
+def quick_start_commands() -> list[list[str]]:
+    """The arguments of every `ugcaudio` line in the README's Quick start."""
+    section = README.read_text(encoding="utf-8").split("\n## Quick start\n", 1)[1].split("\n## ", 1)[0]
+    lines = section.replace("\\\n", " ").splitlines()
+    return [shlex.split(line)[1:] for line in lines if line.startswith("ugcaudio ")]
+
+
+def test_readme_quick_start_runs(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    commands = quick_start_commands()
+    assert [argv[0] for argv in commands] == [
+        "synth", "pipeline", "index", "match", "train", "classify", "pipeline"
+    ]
+    for argv in commands:
+        argv = [path for arg in argv for path in (sorted(glob.glob(arg)) if "*" in arg else [arg])]
+        assert main(argv) == 0, argv
 
 
 def test_console_script_help_runs():

@@ -126,6 +126,7 @@ class TestConfig:
             ("window = 512.0", "config line 1: window expects int"),
             ("hop 256", "config line 1: expected 'key = value'"),
             ("seed = 3", "config line 1: unknown key 'seed'"),
+            ("fanout = 3\n\nfanout = 5\n", "config line 3: fanout already set on line 1"),
         ],
     )
     def test_bad_line_is_named(self, text, message):
@@ -541,6 +542,16 @@ class TestIndexAndQuery:
         for e in query(index, query_id, hashed, cfg).entries:
             assert all(type(v) is int for v in (e.offset_frames, e.ml, e.tml, e.lq, e.li))
             assert type(e.offset_seconds) is float
+
+    def test_keys_outside_key_range_match_nothing(self):
+        cfg = FpConfig(match_threshold=1)
+        index = FingerprintIndex(cfg)
+        index.add_hashed("a", [(0, 0), (5, 1), ((1 << 21) - 1, 2)], 1.0)
+        assert len(query(index, "x", [(5, 1), ((1 << 21) - 1, 2)], cfg).entries) == 1
+        # Each of these wraps onto an indexed key if cast to u32 unchecked.
+        wrapping = (-(1 << 32), -(1 << 32) + 5, 1 << 32, (1 << 32) + 5, (1 << 33) + (1 << 21) - 1)
+        assert query(index, "x", [(k, 1) for k in wrapping], cfg).entries == []
+        assert query(index, "x", [(-1, 0), (1 << 21, 0), ((1 << 21) + 5, 1)], cfg).entries == []
 
     def test_tml_sums_all_offsets(self):
         cfg = FpConfig(match_threshold=1, offset_merge=0)

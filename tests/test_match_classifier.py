@@ -22,7 +22,6 @@ from ugcaudio import (
     confirm_cluster,
     double_cv,
     expand_from_repetitions,
-    featurize,
     fit_filter,
     fit_standardizer,
     logreg_gradient,
@@ -38,7 +37,6 @@ from ugcaudio.match_classifier import (
     KIND_REPETITION,
     KIND_TRUE,
     KIND_WRONG,
-    MatchFeatures,
     S1,
     S2,
     S3,
@@ -74,7 +72,6 @@ def entry(
 
 def sample(
     ml,
-    cls,
     kind,
     song="songA",
     query="songA_c00",
@@ -82,32 +79,18 @@ def sample(
     offset=0,
     tml=None,
 ) -> Sample:
-    return Sample(
-        features=MatchFeatures(ml=ml, tml=ml + 1 if tml is None else tml, lq=500, li=500),
-        cls=cls,
-        kind=kind,
-        query_song_id=song,
-        query_id=query,
-        clip_id=clip,
-        offset_frames=offset,
-    )
+    tml = ml + 1 if tml is None else tml
+    return Sample(entry(query, clip, offset, ml, tml, lq=500, li=500), kind, song)
 
 
 class TestFeatures:
     def test_projection_per_subset(self):
-        f = featurize(entry(ml=40, tml=55, lq=900, li=1200))
-        assert S1.project(f) == (40, 55)
-        assert S2.project(f) == (40, 55, 900)
-        assert S3.project(f) == (40, 900, 1200)
-        assert S4.project(f) == (40, 55, 900, 1200)
-
-    def test_negative_count_rejected(self):
-        with pytest.raises(ValueError):
-            MatchFeatures(ml=-1, tml=5, lq=10, li=10)
-
-    def test_ml_above_tml_rejected(self):
-        with pytest.raises(ValueError):
-            MatchFeatures(ml=6, tml=5, lq=10, li=10)
+        entries = [entry(ml=40, tml=55, lq=900, li=1200), entry(ml=7, tml=9, lq=30, li=20)]
+        assert feature_matrix(entries, S1).tolist() == [[40, 55], [7, 9]]
+        assert feature_matrix(entries, S2).tolist() == [[40, 55, 900], [7, 9, 30]]
+        assert feature_matrix(entries, S3).tolist() == [[40, 900, 1200], [7, 30, 20]]
+        assert feature_matrix(entries, S4).tolist() == [[40, 55, 900, 1200], [7, 9, 30, 20]]
+        assert feature_matrix(entries, S4).dtype == np.float64
 
     def test_parse_subset(self):
         assert parse_subset("S2") is S2
@@ -115,12 +98,9 @@ class TestFeatures:
             parse_subset("S5")
 
     def test_sample_kind_class_consistency(self):
-        with pytest.raises(ValueError):
-            sample(5, 0, KIND_TRUE)
-        with pytest.raises(ValueError):
-            sample(5, 1, KIND_WRONG)
-        with pytest.raises(ValueError):
-            sample(5, 1, "maybe")
+        assert sample(5, KIND_TRUE).cls == 1
+        assert sample(5, KIND_REPETITION).cls == 0
+        assert sample(5, KIND_WRONG).cls == 0
 
 
 class TestSongOf:
@@ -149,9 +129,9 @@ class TestAutolabel:
         samples = autolabel([ml])
         by_kind = {s.kind: s for s in samples}
         assert set(by_kind) == {KIND_TRUE, KIND_REPETITION}
-        assert by_kind[KIND_TRUE].offset_frames == 10
+        assert by_kind[KIND_TRUE].entry.offset_frames == 10
         assert by_kind[KIND_TRUE].cls == 1
-        assert by_kind[KIND_REPETITION].offset_frames == 90
+        assert by_kind[KIND_REPETITION].entry.offset_frames == 90
         assert by_kind[KIND_REPETITION].cls == 0
 
     def test_truth_demotes_cross_event_primary(self):
@@ -203,8 +183,8 @@ class TestAutolabel:
 
 class TestBalance:
     def test_downsamples_majority(self):
-        data = [sample(i, 0, KIND_REPETITION, query=f"q{i}") for i in range(10)]
-        data += [sample(50 + i, 1, KIND_TRUE, query=f"p{i}") for i in range(4)]
+        data = [sample(i, KIND_REPETITION, query=f"q{i}") for i in range(10)]
+        data += [sample(50 + i, KIND_TRUE, query=f"p{i}") for i in range(4)]
         out = balance(data, seed=0)
         assert sum(s.cls == 0 for s in out) == 4
         assert sum(s.cls == 1 for s in out) == 4
@@ -213,24 +193,24 @@ class TestBalance:
         assert idx == sorted(idx)
 
     def test_balanced_input_unchanged(self):
-        data = [sample(1, 0, KIND_REPETITION), sample(2, 1, KIND_TRUE)]
+        data = [sample(1, KIND_REPETITION), sample(2, KIND_TRUE)]
         assert balance(data, seed=3) == data
 
     def test_seed_deterministic(self):
-        data = [sample(i, 0, KIND_REPETITION, query=f"q{i}") for i in range(30)]
-        data += [sample(90, 1, KIND_TRUE, query="p")]
+        data = [sample(i, KIND_REPETITION, query=f"q{i}") for i in range(30)]
+        data += [sample(90, KIND_TRUE, query="p")]
         a = balance(data, seed=7)
         b = balance(data, seed=7)
         assert a == b
 
     def test_single_class_rejected(self):
         with pytest.raises(ValueError):
-            balance([sample(1, 0, KIND_REPETITION)], seed=0)
+            balance([sample(1, KIND_REPETITION)], seed=0)
 
     @given(st.integers(1, 20), st.integers(1, 20), st.integers(0, 100))
     def test_classes_end_up_equal(self, n0, n1, seed):
-        data = [sample(i, 0, KIND_REPETITION, query=f"q{i}") for i in range(n0)]
-        data += [sample(50 + i, 1, KIND_TRUE, query=f"p{i}") for i in range(n1)]
+        data = [sample(i, KIND_REPETITION, query=f"q{i}") for i in range(n0)]
+        data += [sample(50 + i, KIND_TRUE, query=f"p{i}") for i in range(n1)]
         out = balance(data, seed=seed)
         assert sum(s.cls == 0 for s in out) == sum(s.cls == 1 for s in out) == min(n0, n1)
 
@@ -472,7 +452,6 @@ def songs_dataset(per_song=None, songs=("A", "B", "C", "D")):
             data.append(
                 sample(
                     int(rng.integers(50, 60)),
-                    1,
                     KIND_TRUE,
                     song=song,
                     query=f"{song}_c{i:02d}",
@@ -483,7 +462,6 @@ def songs_dataset(per_song=None, songs=("A", "B", "C", "D")):
             data.append(
                 sample(
                     int(rng.integers(2, 9)),
-                    0,
                     KIND_REPETITION,
                     song=song,
                     query=f"{song}_c{i:02d}",
@@ -495,7 +473,6 @@ def songs_dataset(per_song=None, songs=("A", "B", "C", "D")):
             data.append(
                 sample(
                     100,
-                    0,
                     KIND_WRONG,
                     song=song,
                     query=f"{song}_c{i:02d}",
@@ -541,7 +518,6 @@ class TestDoubleCv:
                 data.append(
                     sample(
                         int(rng.integers(0, 200)),
-                        cls,
                         KIND_TRUE if cls else KIND_REPETITION,
                         song=song,
                         query=f"{song}_c{i:02d}",
@@ -593,11 +569,6 @@ class TestSelectModel:
         clean = cv_result(0.04, fps=0)
         assert select_model([dirty, clean]) is clean
 
-    def test_constraint_disabled_takes_raw_minimum(self):
-        dirty = cv_result(0.03, fps=1)
-        clean = cv_result(0.04, fps=0)
-        assert select_model([dirty, clean], require_clean_wrong=False) is dirty
-
     def test_all_dirty_best_flagged_degraded(self):
         a = cv_result(0.05, fps=2)
         b = cv_result(0.03, fps=1)
@@ -637,7 +608,7 @@ class TestExpansion:
 
     def test_three_offsets_give_two_samples(self):
         out = expand_from_repetitions(self.lists_with_repeats())
-        assert [s.offset_frames for s in out] == [120, 240]
+        assert [s.entry.offset_frames for s in out] == [120, 240]
         assert all(s.cls == 0 and s.kind == KIND_REPETITION for s in out)
 
     def test_idempotent_via_existing(self):
@@ -676,7 +647,7 @@ class TestConfirmCluster:
         assert len(out) == 6  # both directions of each of the 3 pairs
         assert all(s.cls == 1 and s.kind == KIND_TRUE for s in out)
         assert not any(s.vacuous for s in out)
-        assert {(s.query_id, s.clip_id) for s in out} == {
+        assert {(s.entry.query_id, s.entry.clip_id) for s in out} == {
             (a, b) for a in "abc" for b in "abc" if a != b
         }
 
@@ -734,5 +705,5 @@ class TestMatchFilter:
 
     def test_feature_matrix_shape(self):
         data = songs_dataset()
-        assert feature_matrix(data, S3).shape == (len(data), 3)
+        assert feature_matrix([s.entry for s in data], S3).shape == (len(data), 3)
         assert feature_matrix([], S3).shape == (0, 3)

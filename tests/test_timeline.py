@@ -121,7 +121,7 @@ class TestBuildSegments:
         pm = pm_of({"a": 0.0, "b": 2.0})
         segs = build_segments(pm, {"a": 5.0, "b": 5.0})
         assert [(s.t_start, s.t_end) for s in segs] == [(0.0, 2.0), (2.0, 5.0), (5.0, 7.0)]
-        assert segs[1].member_ids == ["a", "b"]
+        assert [m.clip_id for m in segs[1].members] == ["a", "b"]
         cut_b = next(m for m in segs[1].members if m.clip_id == "b")
         assert cut_b.local_start == 0.0 and cut_b.local_end == pytest.approx(3.0)
 
@@ -134,7 +134,7 @@ class TestBuildSegments:
         pm = pm_of({"a": 0.0, "b": 0.0})
         segs = build_segments(pm, {"a": 3.0, "b": 3.0})
         assert len(segs) == 1
-        assert segs[0].member_ids == ["a", "b"]
+        assert [m.clip_id for m in segs[0].members] == ["a", "b"]
 
     def test_zero_duration_rejected(self):
         pm = pm_of({"a": 0.0})
