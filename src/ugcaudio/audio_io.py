@@ -186,7 +186,8 @@ def _decode_data(raw: memoryview, fmt, fmt_offset: int, clip_id: str) -> AudioCl
     """The data chunk's samples as a mono float64 clip in [-1, 1].
 
     A fault in the fmt chunk, whose body starts at byte `fmt_offset`, is
-    located at its field: format tag at +0, channel count at +2, rate at +4.
+    located at its field: format tag at +0, channel count at +2, rate at +4,
+    and bits per sample at +14 when the tag is supported but its depth is not.
 
     PCM-16 is converted and scaled in one pass: multiplying by 2**-15 is
     exact, so it gives the bits of astype(float64) / 32768. Its values, and
@@ -205,8 +206,9 @@ def _decode_data(raw: memoryview, fmt, fmt_offset: int, clip_id: str) -> AudioCl
         samples = np.frombuffer(raw[: len(raw) - len(raw) % 4], dtype="<f4")
         samples = samples.astype(np.float64)
     else:
+        field = 14 if audio_format in (_WAVE_FORMAT_PCM, _WAVE_FORMAT_IEEE_FLOAT) else 0
         raise DecodeError(
-            f"unsupported codec (format {audio_format}, {bits}-bit)", fmt_offset
+            f"unsupported codec (format {audio_format}, {bits}-bit)", fmt_offset + field
         )
     if channels == 2:
         samples = samples[: len(samples) - len(samples) % 2]

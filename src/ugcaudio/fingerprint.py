@@ -238,11 +238,17 @@ def thin_peaks(candidates: np.ndarray, f0: int, f1: int, cfg: FpConfig) -> np.nd
     """
     if f1 <= f0:
         return np.empty((0, 2), dtype=np.int64)
-    duration = ((f1 - f0 - 1) * cfg.hop + cfg.window) / cfg.rate
-    limit = max(1, int(round(cfg.peak_density * duration)))
     frames = candidates[:, 0]
-    kept = candidates[(frames >= f0) & (frames < f1)][:limit].astype(np.int64)
+    kept = candidates[(frames >= f0) & (frames < f1)][: peak_budget(f0, f1, cfg)].astype(np.int64)
     return kept[np.lexsort((kept[:, 1], kept[:, 0]))]
+
+
+def peak_budget(f0: int, f1: int, cfg: FpConfig) -> int:
+    """How many peaks thin_peaks keeps at most in frames [f0, f1): 0 if none."""
+    if f1 <= f0:
+        return 0
+    duration = ((f1 - f0 - 1) * cfg.hop + cfg.window) / cfg.rate
+    return max(1, int(round(cfg.peak_density * duration)))
 
 
 def extract_peaks(spec: np.ndarray, cfg: FpConfig) -> np.ndarray:
@@ -523,17 +529,26 @@ def query(
     return MatchingList(query_id=query_id, entries=entries)
 
 
-def offset_zero_votes(hashed_a, hashed_b, tol_frames: int = 2) -> int:
-    """Matching-landmark votes between two hashed fingerprints near offset 0.
+def offset_zero_votes(hashed: list, tol_frames: int = 2) -> np.ndarray:
+    """Matching-landmark votes near offset 0 between every two of m fingerprints.
 
-    Counts (a, b) landmark pairs with equal keys whose anchor frames differ
-    by at most tol_frames. Symmetric in its arguments.
+    Entry (a, b) of the symmetric m x m int64 result counts the (a, b)
+    landmark pairs with equal keys whose anchor frames differ by at most
+    tol_frames; the diagonal is zero. One sort of every member's (key, t1)
+    codes and one windowed search over it find all such pairs at once.
     """
-    a, b = _as_hashed(hashed_a), _as_hashed(hashed_b)
+    parts = [_as_hashed(h) for h in hashed]
+    m = len(parts)
+    member = np.repeat(np.arange(m), [len(p) for p in parts])
     # Anchor frames are below 2**32, so codes of different keys stay apart.
-    codes_b = np.sort((b[:, 0] << _OFFSET_BITS) + b[:, 1])
-    codes_a = (a[:, 0] << _OFFSET_BITS) + a[:, 1]
-    hi = np.searchsorted(codes_b, codes_a + tol_frames, "right")
-    lo = np.searchsorted(codes_b, codes_a - tol_frames, "left")
-    return int((hi - lo).sum())
-
+    codes = np.concatenate([(p[:, 0] << _OFFSET_BITS) + p[:, 1] for p in parts] + [np.empty(0, np.int64)])
+    order = np.argsort(codes)
+    codes, member = codes[order], member[order]
+    lo = np.searchsorted(codes, codes - tol_frames, "left")
+    hits = np.searchsorted(codes, codes + tol_frames, "right") - lo
+    # Every code within the window of each code, as (row, partner) positions.
+    rows = np.repeat(np.arange(len(codes)), hits)
+    partners = np.repeat(lo - (np.cumsum(hits) - hits), hits) + np.arange(len(rows))
+    votes = np.bincount(member[rows] * m + member[partners], minlength=m * m).reshape(m, m)
+    np.fill_diagonal(votes, 0)
+    return votes

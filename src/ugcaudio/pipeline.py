@@ -106,7 +106,7 @@ def run_pipeline(
     for cluster in connected_components(graph):
         pm = normalize_positions(assign_offsets(cluster, graph))
         segments = build_segments(pm, durations)
-        qualities = [segment_quality(seg, candidates, cfg) for seg in segments]
+        qualities = segment_quality(segments, candidates, cfg)
         events.append(
             EventResult(cluster=cluster, positions=pm, segments=segments, qualities=qualities)
         )

@@ -7,7 +7,9 @@ cut of every clip fully active across it, and members of a segment are ranked
 by how many near-zero-offset landmark votes their cut shares with the others.
 A cut's landmarks come from its clip's peak candidates (one STFT per clip):
 the frames whose window lies inside the cut, thinned at the quality density
-(density_multiplier x peak_density).
+(density_multiplier x peak_density). Quality scoring runs over batches of
+consecutive segments of up to QUALITY_BATCH_PEAKS peaks: one pair/hash pass
+per batch of cuts, then one vote pass per segment.
 """
 
 from __future__ import annotations
@@ -19,7 +21,14 @@ import numpy as np
 
 from .audio_io import AudioClip
 from .event_graph import Cluster, MatchGraph
-from .fingerprint import FpConfig, hash_landmarks, offset_zero_votes, pair_landmarks, thin_peaks
+from .fingerprint import (
+    FpConfig,
+    hash_landmarks,
+    offset_zero_votes,
+    pair_landmarks,
+    peak_budget,
+    thin_peaks,
+)
 
 # Boundaries closer than this collapse into one; guards against float dust
 # from position arithmetic, far below the frame quantum (~23 ms).
@@ -29,6 +38,10 @@ _BOUNDARY_EPS = 1e-9
 # many frames of zero. Positions chain offsets from bins merged over
 # +/- offset_merge frames, and noise moves peaks by a frame, hence the slack.
 QUALITY_OFFSET_TOL_FRAMES = 2
+
+# Quality scoring pairs and votes the cuts of consecutive segments together
+# until their peak budgets would pass this many; it bounds the batch's arrays.
+QUALITY_BATCH_PEAKS = 4096
 
 
 @dataclass
@@ -195,27 +208,48 @@ def cut_audio(clip: AudioClip, cut: ClipCut) -> AudioClip:
     )
 
 
-def cut_landmarks(candidates: np.ndarray, cut: ClipCut, cfg: FpConfig) -> np.ndarray:
-    """Hashed landmarks of a cut, anchors counted from the cut's first frame.
-
-    Uses the clip's peak candidates in the frames whose whole window lies
-    inside the cut's samples, thinned to cfg.peak_density per second.
-    """
+def _cut_frames(cut: ClipCut, cfg: FpConfig) -> tuple[int, int]:
+    """The frames [f0, f1) whose whole window lies inside the cut's samples."""
     i0 = int(round(cut.local_start * cfg.rate))
     i1 = int(round(cut.local_end * cfg.rate))
     f0 = -(-i0 // cfg.hop)  # first frame starting at or after i0
     f1 = (i1 - cfg.window) // cfg.hop + 1  # past the last frame ending by i1
-    peaks = thin_peaks(candidates, f0, f1, cfg)
-    peaks[:, 0] -= f0
-    return hash_landmarks(pair_landmarks(peaks, cfg))
+    return f0, f1
+
+
+def cut_landmarks(
+    candidates: dict[str, np.ndarray], cuts: list[ClipCut], cfg: FpConfig
+) -> list[np.ndarray]:
+    """Hashed landmarks of each cut, anchors counted from the cut's first frame.
+
+    A cut uses its clip's peak candidates in the frames whose whole window
+    lies inside the cut's samples, thinned to cfg.peak_density per second.
+    All cuts are paired and hashed in one pass: cut i's frames move up by
+    i strides, a stride more than the longest cut plus dt_max frames, so no
+    forward scan reaches another cut's peaks. Each result equals
+    hash_landmarks(pair_landmarks(peaks, cfg)) of that cut's peaks alone.
+    """
+    if not cuts:
+        return []
+    frames = [_cut_frames(cut, cfg) for cut in cuts]
+    stride = max(0, max(f1 - f0 for f0, f1 in frames)) + cfg.dt_max + 1
+    peaks = []
+    for i, (cut, (f0, f1)) in enumerate(zip(cuts, frames)):
+        p = thin_peaks(candidates[cut.clip_id], f0, f1, cfg)
+        p[:, 0] += i * stride - f0
+        peaks.append(p)
+    hashed = hash_landmarks(pair_landmarks(np.concatenate(peaks), cfg))
+    owner = hashed[:, 1] // stride  # rows come grouped by cut, in cut order
+    hashed[:, 1] -= owner * stride
+    return np.split(hashed, np.searchsorted(owner, np.arange(1, len(cuts))))
 
 
 def segment_quality(
-    segment: Segment,
+    segments: list[Segment],
     candidates: dict[str, np.ndarray],
     cfg: FpConfig,
-) -> QualityRanking:
-    """Rank a segment's members by shared near-zero-offset landmark votes.
+) -> list[QualityRanking]:
+    """Rank each segment's members by shared near-zero-offset landmark votes.
 
     Each member's cut gets landmarks from its clip's peak candidates (see
     peak_candidates) at density_multiplier x peak_density; for every pair
@@ -223,18 +257,44 @@ def segment_quality(
     counted (all members are time-aligned here, so other offsets are noise
     and ignored). A member's score sums its votes against all others. Cuts
     that hold no whole window score zero.
+
+    Consecutive segments are scored in batches whose cuts' peak budgets
+    (see peak_budget) sum to at most QUALITY_BATCH_PEAKS, or one segment
+    that alone exceeds it: cut_landmarks pairs a batch's cuts in one pass
+    and offset_zero_votes counts each segment's votes in one. A segment's
+    ranking does not depend on the others in its list.
     """
     dense = replace(cfg, peak_density=cfg.peak_density * cfg.density_multiplier)
-    hashed = {cut.clip_id: cut_landmarks(candidates[cut.clip_id], cut, dense) for cut in segment.members}
+    rankings: list[QualityRanking] = []
+    batch: list[list[ClipCut]] = []
+    batch_peaks = 0
+    for seg in segments:
+        by_id = {cut.clip_id: cut for cut in seg.members}  # one cut per clip, ranked in id order
+        cuts = [by_id[cid] for cid in sorted(by_id)]
+        peaks = sum(peak_budget(*_cut_frames(cut, dense), dense) for cut in cuts)
+        if batch and batch_peaks + peaks > QUALITY_BATCH_PEAKS:
+            rankings.extend(_rank_batch(batch, candidates, dense))
+            batch, batch_peaks = [], 0
+        batch.append(cuts)
+        batch_peaks += peaks
+    rankings.extend(_rank_batch(batch, candidates, dense))
+    return rankings
 
-    ids = sorted(hashed)
-    pair_votes: dict[tuple[str, str], int] = {}
-    for i, a in enumerate(ids):
-        for b in ids[i + 1 :]:
-            v = offset_zero_votes(hashed[a], hashed[b], QUALITY_OFFSET_TOL_FRAMES)
-            pair_votes[(a, b)] = v
-            pair_votes[(b, a)] = v
 
-    scores = {a: sum(pair_votes.get((a, b), 0) for b in ids if b != a) for a in ids}
-    ranking = sorted(scores.items(), key=lambda kv: (-kv[1], kv[0]))
-    return QualityRanking(ranking=ranking, pair_votes=pair_votes)
+def _rank_batch(
+    batch: list[list[ClipCut]], candidates: dict[str, np.ndarray], dense: FpConfig
+) -> list[QualityRanking]:
+    """QualityRanking of each segment's cuts (one per clip, in id order)."""
+    hashed = iter(cut_landmarks(candidates, [cut for cuts in batch for cut in cuts], dense))
+    rankings = []
+    for cuts in batch:
+        votes = offset_zero_votes([next(hashed) for _ in cuts], QUALITY_OFFSET_TOL_FRAMES).tolist()
+        ids = [cut.clip_id for cut in cuts]
+        pair_votes: dict[tuple[str, str], int] = {}
+        for i, a in enumerate(ids):
+            for j in range(i + 1, len(ids)):
+                pair_votes[(a, ids[j])] = pair_votes[(ids[j], a)] = votes[i][j]
+        scores = {a: sum(row) for a, row in zip(ids, votes)}
+        ranking = sorted(scores.items(), key=lambda kv: (-kv[1], kv[0]))
+        rankings.append(QualityRanking(ranking=ranking, pair_votes=pair_votes))
+    return rankings

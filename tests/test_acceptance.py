@@ -324,7 +324,7 @@ def test_criterion_08_quality_ranking_tracks_snr():
             t_end=8.0,
             members=[ClipCut(cid, 0.0, 8.0) for cid in sorted(clips)],
         )
-        q = segment_quality(seg, candidates_of(clips, cfg), cfg)
+        [q] = segment_quality([seg], candidates_of(clips, cfg), cfg)
         if [cid for cid, _ in q.ranking] == ["z_clean", "m_mid", "a_low"]:
             hits += 1
     print(f"\ncriterion 8: SNR ordering correct in {hits}/50 trials (need >= 45)")
@@ -339,7 +339,7 @@ def _confirmation_setup(third_clip):
     members = sorted(clips)
     seg = Segment(0.0, 6.0, [ClipCut(cid, 0.0, 6.0) for cid in members])
     cfg = FpConfig()
-    quality = segment_quality(seg, candidates_of(clips, cfg), cfg)
+    [quality] = segment_quality([seg], candidates_of(clips, cfg), cfg)
 
     graph = MatchGraph(nodes=set(members))
     for frm in members:

@@ -124,6 +124,9 @@ class TestWavCodec:
         [
             (slice(22, 24), (3).to_bytes(2, "little"), "unsupported channel count 3", 22),
             (slice(20, 22), (2).to_bytes(2, "little"), "unsupported codec (format 2, 16-bit)", 20),
+            # A supported tag with a refused depth is located at the bits field.
+            (slice(34, 36), (8).to_bytes(2, "little"), "unsupported codec (format 1, 8-bit)", 34),
+            (slice(20, 22), (3).to_bytes(2, "little"), "unsupported codec (format 3, 16-bit)", 34),
         ],
     )
     def test_fmt_faults_are_located_at_their_field(self, field, value, message, offset):

@@ -527,6 +527,15 @@ class TestPipeline:
         assert main(["index", str(bad), "--out", str(tmp_path / "o.idx")]) == 3
         assert f"{bad}: sample rate 0 in fmt chunk (byte offset 24)" in capsys.readouterr().err
 
+    def test_unsupported_bit_depth_exits_3_at_the_bits_field(self, small_corpus, tmp_path, capsys):
+        bad = tmp_path / "pcm8.wav"
+        raw = bytearray(next(iter(sorted(small_corpus.glob("*.wav")))).read_bytes())
+        raw[34:36] = (8).to_bytes(2, "little")  # fmt bits per sample
+        bad.write_bytes(bytes(raw))
+        capsys.readouterr()
+        assert main(["index", str(bad), "--out", str(tmp_path / "o.idx")]) == 3
+        assert f"{bad}: unsupported codec (format 1, 8-bit) (byte offset 34)" in capsys.readouterr().err
+
     def test_no_corpus_dir_exits_2(self, capsys):
         assert main(["pipeline"]) == 2
         assert "corpus" in capsys.readouterr().err

@@ -580,7 +580,7 @@ class TestQualityHelpers:
     def test_offset_zero_votes_symmetric_and_tolerant(self):
         a = [(1, 0), (2, 10), (3, 20)]
         b = [(1, 2), (2, 13), (3, 20)]
-        assert offset_zero_votes(a, b, 2) == offset_zero_votes(b, a, 2) == 2
+        assert offset_zero_votes([a, b], 2).tolist() == offset_zero_votes([b, a], 2).tolist() == [[0, 2], [2, 0]]
 
     @given(
         a=st.lists(st.tuples(st.sampled_from([0, 1, 2, 2**21 - 1]), st.sampled_from([0, 1, 2, 3, 5, 2**32 - 1])), max_size=30),
@@ -591,5 +591,21 @@ class TestQualityHelpers:
     def test_offset_zero_votes_matches_brute_force(self, a, b, tol):
         # Repeated keys and anchor frames: every (a, b) pair counts once.
         expect = sum(1 for ka, ta in a for kb, tb in b if ka == kb and abs(ta - tb) <= tol)
-        assert offset_zero_votes(np.array(a, dtype=np.int64), np.array(b, dtype=np.int64), tol) == expect
+        assert offset_zero_votes([np.array(a, dtype=np.int64), np.array(b, dtype=np.int64)], tol)[0, 1] == expect
+
+    @given(
+        members=st.lists(
+            st.lists(st.tuples(st.sampled_from([0, 1, 2, 2**21 - 1]), st.sampled_from([0, 1, 2, 3, 5, 2**32 - 1])), max_size=20),
+            max_size=4,
+        ),
+        tol=st.integers(0, 3),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_vote_matrix_matches_brute_force(self, members, tol):
+        got = offset_zero_votes([np.array(m, dtype=np.int64).reshape(-1, 2) for m in members], tol)
+        expect = [
+            [0 if i == j else sum(1 for ka, ta in a for kb, tb in b if ka == kb and abs(ta - tb) <= tol) for j, b in enumerate(members)]
+            for i, a in enumerate(members)
+        ]
+        assert got.tolist() == expect
 

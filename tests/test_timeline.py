@@ -22,8 +22,10 @@ from ugcaudio import (
     peak_candidates,
     segment_quality,
     spectrogram,
+    thin_peaks,
 )
-from ugcaudio.timeline import QUALITY_OFFSET_TOL_FRAMES, ClipCut, Segment
+from ugcaudio import timeline
+from ugcaudio.timeline import QUALITY_BATCH_PEAKS, QUALITY_OFFSET_TOL_FRAMES, ClipCut, Segment
 
 from _helpers import (
     add_noise,
@@ -164,10 +166,10 @@ class TestSegmentQuality:
         clips = {cid: AudioClip(id=cid, samples=master.samples.copy(), rate=master.rate) for cid in "ab"}
         seg = Segment(0.0, 4.0, [ClipCut(cid, 0.0, 4.0) for cid in clips])
         candidates = candidates_of(clips, FpConfig())
-        want = segment_quality(seg, candidates, FpConfig())
-        assert want.pair_votes[("a", "b")] > 0
+        want = segment_quality([seg], candidates, FpConfig())
+        assert want[0].pair_votes[("a", "b")] > 0
         for threshold in (1, 9):
-            assert segment_quality(seg, candidates, FpConfig(match_threshold=threshold)) == want
+            assert segment_quality([seg], candidates, FpConfig(match_threshold=threshold)) == want
 
     def test_thins_at_multiplied_density(self):
         master = burst_clip("m", duration=4.0, seed=13)
@@ -178,10 +180,10 @@ class TestSegmentQuality:
         votes = {}
         for density in (20.0, 50.0):
             thinned = replace(cfg, peak_density=density)
-            a, b = (cut_landmarks(candidates[cut.clip_id], cut, thinned) for cut in seg.members)
-            votes[density] = offset_zero_votes(a, b, QUALITY_OFFSET_TOL_FRAMES)
+            hashed = cut_landmarks(candidates, seg.members, thinned)
+            votes[density] = offset_zero_votes(hashed, QUALITY_OFFSET_TOL_FRAMES)[0, 1]
         assert votes[50.0] > votes[20.0]
-        assert segment_quality(seg, candidates, cfg).pair_votes[("a", "b")] == votes[50.0]
+        assert segment_quality([seg], candidates, cfg)[0].pair_votes[("a", "b")] == votes[50.0]
 
     def test_copies_outrank_noise(self):
         master = burst_clip("m", duration=6.0, seed=10)
@@ -194,7 +196,7 @@ class TestSegmentQuality:
             members=[ClipCut("a", 0.0, 6.0), ClipCut("b", 0.0, 6.0), ClipCut("c", 0.0, 6.0)],
         )
         cfg = FpConfig()
-        q = segment_quality(seg, candidates_of({"a": a, "b": b, "c": c}, cfg), cfg)
+        [q] = segment_quality([seg], candidates_of({"a": a, "b": b, "c": c}, cfg), cfg)
         ranked = [cid for cid, _ in q.ranking]
         assert ranked.index("c") == 2  # unrelated content scores lowest
         assert q.pair_votes[("a", "b")] == q.pair_votes[("b", "a")]
@@ -206,7 +208,7 @@ class TestSegmentQuality:
             t_start=0.0, t_end=0.01, members=[ClipCut("a", 0.0, 0.01)]
         )
         cfg = FpConfig()
-        q = segment_quality(seg, candidates_of({"a": clip}, cfg), cfg)
+        [q] = segment_quality([seg], candidates_of({"a": clip}, cfg), cfg)
         assert q.ranking == [("a", 0)]
 
     def test_whole_clip_cuts_match_fingerprinting_each_cut(self):
@@ -220,20 +222,66 @@ class TestSegmentQuality:
                 for k, (cid, snr) in enumerate((("a", 30.0), ("b", 15.0), ("c", 5.0)))
             }
             seg = Segment(0.0, 5.0, [ClipCut(cid, 0.0, clip.duration) for cid, clip in clips.items()])
-            q = segment_quality(seg, candidates_of(clips, cfg), cfg)
+            [q] = segment_quality([seg], candidates_of(clips, cfg), cfg)
             # The old path: every cut fingerprinted as a clip of its own.
             hashed = {
                 cut.clip_id: hash_landmarks(fingerprint_clip(cut_audio(clips[cut.clip_id], cut), dense))
                 for cut in seg.members
             }
             want = {
-                (x, y): offset_zero_votes(hashed[x], hashed[y], QUALITY_OFFSET_TOL_FRAMES)
+                (x, y): offset_zero_votes([hashed[x], hashed[y]], QUALITY_OFFSET_TOL_FRAMES)[0, 1]
                 for x in clips
                 for y in clips
                 if x != y
             }
             assert q.pair_votes == want
             assert min(want.values()) > 0
+
+    def test_list_equals_each_segment_alone(self, monkeypatch):
+        master = burst_clip("m", duration=12.0, seed=14)
+        clips = {
+            cid: add_noise(AudioClip(id=cid, samples=master.samples.copy(), rate=master.rate), snr, k)
+            for k, (cid, snr) in enumerate((("a", 30.0), ("b", 15.0), ("c", 5.0)))
+        }
+        cfg = FpConfig()
+        candidates = candidates_of(clips, cfg)
+        whole = Segment(0.0, 12.0, [ClipCut(cid, 0.0, 12.0) for cid in "cab"])
+        segments = [
+            whole,
+            # Back-to-back cuts of each clip.
+            Segment(0.0, 5.0, [ClipCut(cid, 0.0, 5.0) for cid in "abc"]),
+            Segment(5.0, 12.0, [ClipCut(cid, 5.0, 12.0) for cid in "abc"]),
+            Segment(3.0, 3.01, [ClipCut("a", 3.0, 3.01), ClipCut("b", 3.0, 3.01)]),  # no whole window
+            Segment(2.0, 9.0, [ClipCut("b", 2.0, 9.0)]),  # one member
+            whole,
+        ]
+        alone = [segment_quality([seg], candidates, cfg)[0] for seg in segments]
+        # Each cut paired on its own, so no other cut can share its pass.
+        dense = replace(cfg, peak_density=cfg.peak_density * cfg.density_multiplier)
+        for seg, q in zip(segments, alone):
+            hashed = {cut.clip_id: cut_landmarks(candidates, [cut], dense)[0] for cut in seg.members}
+            assert q.pair_votes == {
+                (x, y): offset_zero_votes([hashed[x], hashed[y]], QUALITY_OFFSET_TOL_FRAMES)[0, 1]
+                for x in hashed
+                for y in hashed
+                if x != y
+            }
+        batches = []
+        batched = timeline.cut_landmarks
+
+        def recording(candidates, cuts, cfg):
+            batches.append(len(cuts))
+            return batched(candidates, cuts, cfg)
+
+        monkeypatch.setattr(timeline, "cut_landmarks", recording)
+        assert segment_quality(segments, candidates, cfg) == alone
+        # 60 peaks/s over 6 cuts of 12 s and more: above the cap, so it splits.
+        assert 60 * 12 * 6 > QUALITY_BATCH_PEAKS
+        assert len(batches) > 1 and sum(batches) == 15
+        assert alone[3].ranking == [("a", 0), ("b", 0)] and alone[3].pair_votes == {("a", "b"): 0, ("b", "a"): 0}
+        assert alone[4].ranking == [("b", 0)] and alone[4].pair_votes == {}
+        assert min(alone[0].pair_votes.values()) > 0
+        assert segment_quality([], candidates, cfg) == []
 
 
 def _inside_cut_oracle(clip, cut, cfg):
@@ -262,7 +310,31 @@ class TestCutLandmarks:
         assert (len(clip.samples) - cfg.window) % cfg.hop != 0  # a partial frame at the end
         end = len(clip.samples) if end is None else end
         cut = ClipCut("a", start / clip.rate, end / clip.rate)
-        got = cut_landmarks(peak_candidates(spectrogram(clip, cfg), cfg), cut, cfg)
+        [got] = cut_landmarks({"a": peak_candidates(spectrogram(clip, cfg), cfg)}, [cut], cfg)
         want = _inside_cut_oracle(clip, cut, cfg)
         assert len(want) > 0
         assert got.tolist() == want.tolist()
+
+    @pytest.mark.parametrize(
+        "cfg", [FpConfig(peak_density=60.0), FpConfig(peak_density=60.0, fanout=8, dt_max=9)]
+    )
+    def test_batch_equals_each_cut_alone(self, cfg):
+        clips = {"a": burst_clip("a", duration=6.0, seed=22), "b": melody_clip("b", duration=4.0, seed=23)}
+        candidates = candidates_of(clips, cfg)
+        cuts = [
+            ClipCut("a", 0.0, 6.0),  # the longest cut, so the next one starts closest to it
+            ClipCut("b", 0.0, 4.0),
+            ClipCut("b", 0.5, 0.51),  # no whole window
+            ClipCut("a", 1.0, 2.5),  # back-to-back cuts of one clip
+            ClipCut("a", 2.5, 4.0),
+            ClipCut("a", 5.0, 5.2),  # fewer frames than dt_max
+        ]
+        got = cut_landmarks(candidates, cuts, cfg)
+        assert len(got) == len(cuts) and len(got[2]) == 0
+        for cut, hashed in zip(cuts, got):
+            i0, i1 = int(round(cut.local_start * cfg.rate)), int(round(cut.local_end * cfg.rate))
+            f0, f1 = -(-i0 // cfg.hop), (i1 - cfg.window) // cfg.hop + 1
+            peaks = thin_peaks(candidates[cut.clip_id], f0, f1, cfg)
+            peaks[:, 0] -= f0
+            assert hashed.tolist() == hash_landmarks(pair_landmarks(peaks, cfg)).tolist()
+        assert cut_landmarks(candidates, [], cfg) == []
