@@ -174,7 +174,8 @@ def decode_wav(data: bytes, clip_id: str = "") -> AudioClip:
                 raise DecodeError("data chunk before fmt chunk", pos)
             if body + chunk_size > len(data):
                 raise DecodeError("truncated data chunk", body)
-            return _decode_data(memoryview(data)[body : body + chunk_size], fmt, fmt_body, clip_id)
+            raw = memoryview(data)[body : body + chunk_size]
+            return _decode_data(raw, body, fmt, fmt_body, clip_id)
         pos = body + chunk_size + (chunk_size & 1)
 
     if fmt is None:
@@ -182,8 +183,11 @@ def decode_wav(data: bytes, clip_id: str = "") -> AudioClip:
     raise DecodeError("no data chunk found", pos)
 
 
-def _decode_data(raw: memoryview, fmt, fmt_offset: int, clip_id: str) -> AudioClip:
-    """The data chunk's samples as a mono float64 clip in [-1, 1].
+def _decode_data(
+    raw: memoryview, raw_offset: int, fmt, fmt_offset: int, clip_id: str
+) -> AudioClip:
+    """The data chunk's samples, whose body starts at byte `raw_offset`, as
+    a mono float64 clip in [-1, 1].
 
     A fault in the fmt chunk, whose body starts at byte `fmt_offset`, is
     located at its field: format tag at +0, channel count at +2, rate at +4,
@@ -192,7 +196,10 @@ def _decode_data(raw: memoryview, fmt, fmt_offset: int, clip_id: str) -> AudioCl
     PCM-16 is converted and scaled in one pass: multiplying by 2**-15 is
     exact, so it gives the bits of astype(float64) / 32768. Its values, and
     a stereo pair's mean, lie in [-1, 32767/32768] and are never -0.0, so
-    it is not clipped. Float-32 input is widened and clipped in place.
+    it is not clipped. Float-32 input is widened and clipped in place, so
+    +-inf becomes +-1 like any other over-range sample; a NaN sample is
+    refused at its byte offset, the body's start plus 4 times its index
+    among the interleaved samples.
     """
     audio_format, channels, rate, _, block_align, bits = fmt
     if channels not in (1, 2):
@@ -204,6 +211,9 @@ def _decode_data(raw: memoryview, fmt, fmt_offset: int, clip_id: str) -> AudioCl
         samples = np.multiply(codes, 2.0**-15, dtype=np.float64)
     elif audio_format == _WAVE_FORMAT_IEEE_FLOAT and bits == 32:
         samples = np.frombuffer(raw[: len(raw) - len(raw) % 4], dtype="<f4")
+        nan = np.flatnonzero(np.isnan(samples))
+        if len(nan):
+            raise DecodeError("NaN sample in float data", raw_offset + 4 * int(nan[0]))
         samples = samples.astype(np.float64)
     else:
         field = 14 if audio_format in (_WAVE_FORMAT_PCM, _WAVE_FORMAT_IEEE_FLOAT) else 0

@@ -364,70 +364,6 @@ class CvResult:
     degraded: bool = False
 
 
-@dataclass
-class _OuterFold:
-    """Standardized matrices for one left-out song, shared across params."""
-
-    inner: list[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]
-    full_x: np.ndarray
-    full_y: np.ndarray
-    test_x: np.ndarray
-    test_y: np.ndarray
-    test_kinds: list[str]
-
-
-def _prepare_folds(
-    data: Sequence[Sample],
-    subset: FeatureSubset,
-    seed: int,
-    inner_folds: int,
-) -> list[_OuterFold]:
-    songs = sorted({s.query_song_id for s in data})
-    out: list[_OuterFold] = []
-    for song in songs:
-        test = [s for s in data if s.query_song_id == song]
-        rest = [s for s in data if s.query_song_id != song]
-        try:
-            bal = balance(rest, seed)
-        except ValueError as exc:
-            raise ValueError(f"leaving out song {song!r}: {exc}") from exc
-        if len(bal) < inner_folds:
-            raise ValueError(
-                f"leaving out song {song!r} leaves {len(bal)} balanced samples, "
-                f"fewer than {inner_folds} folds"
-            )
-        bal_x = feature_matrix([s.entry for s in bal], subset)
-        bal_y = labels_of(bal)
-
-        perm = np.random.default_rng(seed).permutation(len(bal))
-        inner = []
-        for chunk in np.array_split(perm, inner_folds):
-            val_mask = np.zeros(len(bal), dtype=bool)
-            val_mask[chunk] = True
-            std = fit_standardizer(bal_x[~val_mask])
-            inner.append(
-                (
-                    std.apply(bal_x[~val_mask]),
-                    bal_y[~val_mask],
-                    std.apply(bal_x[val_mask]),
-                    bal_y[val_mask],
-                )
-            )
-
-        std = fit_standardizer(bal_x)
-        out.append(
-            _OuterFold(
-                inner=inner,
-                full_x=std.apply(bal_x),
-                full_y=bal_y,
-                test_x=std.apply(feature_matrix([s.entry for s in test], subset)),
-                test_y=labels_of(test),
-                test_kinds=[s.kind for s in test],
-            )
-        )
-    return out
-
-
 def double_cv(
     data: Sequence[Sample],
     family: str,
@@ -438,7 +374,7 @@ def double_cv(
 ) -> list[CvResult]:
     """Leave-one-song-out outside, seeded k-fold inside, per grid value.
 
-    Each left-out song contributes: 10 inner train/validation errors per
+    Each left-out song contributes: inner_folds train/validation errors per
     parameter (folds of the remaining songs' balanced samples), plus test
     predictions from the model retrained on all of those balanced samples.
     Train and validation errors are means over every (song, fold) pair;
@@ -449,7 +385,7 @@ def double_cv(
     outer; only those get a result. When none fits, ValueError names the
     smallest training size.
     """
-    songs = {s.query_song_id for s in data}
+    songs = sorted({s.query_song_id for s in data})
     if len(songs) < 2:
         raise ValueError(f"double CV needs at least 2 songs, got {len(songs)}")
     if len(data) < 20:
@@ -457,47 +393,65 @@ def double_cv(
     if not grid:
         raise ValueError("empty parameter grid")
 
-    folds = _prepare_folds(data, subset, seed, inner_folds)
+    # All folds are built before any fit: fitting each song's folds as built measured slower.
+    inner = []  # (train x, train y, validation x, validation y), song by song
+    outer = []  # (train x, train y, test x), one per song
+    tested: list[Sample] = []  # the test rows of every song, in fold order
+    for song in songs:
+        test = [s for s in data if s.query_song_id == song]
+        try:
+            bal = balance([s for s in data if s.query_song_id != song], seed)
+        except ValueError as exc:
+            raise ValueError(f"leaving out song {song!r}: {exc}") from exc
+        if len(bal) < inner_folds:
+            raise ValueError(
+                f"leaving out song {song!r} leaves {len(bal)} balanced samples, "
+                f"fewer than {inner_folds} folds"
+            )
+        bal_x = feature_matrix([s.entry for s in bal], subset)
+        bal_y = labels_of(bal)
+        perm = np.random.default_rng(seed).permutation(len(bal))
+        for chunk in np.array_split(perm, inner_folds):
+            val = np.zeros(len(bal), dtype=bool)
+            val[chunk] = True
+            std = fit_standardizer(bal_x[~val])
+            inner.append((std.apply(bal_x[~val]), bal_y[~val], std.apply(bal_x[val]), bal_y[val]))
+        std = fit_standardizer(bal_x)
+        test_x = std.apply(feature_matrix([s.entry for s in test], subset))
+        outer.append((std.apply(bal_x), bal_y, test_x))
+        tested.extend(test)
+
     if family == FAMILY_KNN:
         # Each inner training set is a part of its outer fold's.
-        smallest = min(len(tr_y) for fold in folds for _, tr_y, _, _ in fold.inner)
+        smallest = min(len(tr_y) for _, tr_y, _, _ in inner)
         grid = [k for k in grid if int(k) <= smallest]
         if not grid:
             raise ValueError(
                 f"no k in the grid fits the smallest training set, {smallest} samples"
             )
-    m = len(grid)
-    train_sum = np.zeros(m)
-    val_sum = np.zeros(m)
-    n_inner = 0
-    correct = np.zeros(m, dtype=np.int64)
-    total = 0
-    wrong_fps = np.zeros(m, dtype=np.int64)
-    for fold in folds:
-        for tr_x, tr_y, va_x, va_y in fold.inner:
-            tr_pred, va_pred = _grid_predict(family, grid, tr_x, tr_y, (tr_x, va_x))
-            train_sum += (tr_pred != tr_y).mean(axis=1)
-            val_sum += (va_pred != va_y).mean(axis=1)
-            n_inner += 1
-        (test_pred,) = _grid_predict(
-            family, grid, fold.full_x, fold.full_y, (fold.test_x,)
-        )
-        correct += (test_pred == fold.test_y).sum(axis=1)
-        total += len(fold.test_y)
-        wrong = np.array([k == KIND_WRONG for k in fold.test_kinds], dtype=bool)
-        if wrong.any():
-            wrong_fps += (test_pred[:, wrong] == 1).sum(axis=1)
+    train_sum = np.zeros(len(grid))
+    val_sum = np.zeros(len(grid))
+    for tr_x, tr_y, va_x, va_y in inner:
+        tr_pred, va_pred = _grid_predict(family, grid, tr_x, tr_y, (tr_x, va_x))
+        train_sum += (tr_pred != tr_y).mean(axis=1)
+        val_sum += (va_pred != va_y).mean(axis=1)
+    test_pred = np.concatenate(
+        [_grid_predict(family, grid, x, y, (test_x,))[0] for x, y, test_x in outer], axis=1
+    )
+    correct = (test_pred == labels_of(tested)).sum(axis=1)
+    wrong = np.array([s.kind == KIND_WRONG for s in tested], dtype=bool)
+    wrong_fps = (test_pred[:, wrong] == 1).sum(axis=1)
     return [
         CvResult(
             family=family,
-            param=float(grid[j]),
+            param=float(param),
             subset=subset,
-            train_error=float(train_sum[j] / n_inner),
-            val_error=float(val_sum[j] / n_inner),
-            test_accuracy=float(correct[j] / total),
+            train_error=float(train_sum[j] / len(inner)),
+            val_error=float(val_sum[j] / len(inner)),
+            test_accuracy=float(correct[j] / len(data)),
             wrong_fps=int(wrong_fps[j]),
         )
-        for j in range(m)
+        for j, param in enumerate(grid)
     ]
 
 

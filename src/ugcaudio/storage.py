@@ -30,7 +30,7 @@ from typing import Any
 
 import numpy as np
 
-from .fingerprint import LANDMARK_KEYS, FingerprintIndex, parse_config
+from .fingerprint import _KEY_LIMIT, LANDMARK_KEYS, FingerprintIndex, parse_config
 from .match_classifier import (
     FAMILY_KNN,
     FAMILY_LOGREG,
@@ -141,6 +141,8 @@ def index_from_bytes(data: bytes) -> FingerprintIndex:
             raise StorageError(
                 f"clip table out of id order: clip {len(clip_ids)} {cid!r} follows {clip_ids[-1]!r}"
             )
+        if n_landmarks == 0:
+            raise StorageError(f"clip {cid!r} declares 0 landmarks; an indexed clip has some")
         clip_ids.append(cid)
         index.landmark_counts[cid] = n_landmarks
         index.durations[cid] = duration
@@ -162,6 +164,9 @@ def index_from_bytes(data: bytes) -> FingerprintIndex:
         raise StorageError(
             f"postings out of (key, ordinal, t1) order: posting {bad[0] + 1} sorts before posting {bad[0]}"
         )
+    if complete and block[-1, 0] >= _KEY_LIMIT:  # sorted, so the last key is the largest
+        first = int(np.searchsorted(block[:, 0], _KEY_LIMIT))
+        raise StorageError(f"posting {first} has key {block[first, 0]}, not below 2**21")
     r.pos += row * complete
     if complete < n_postings:
         r.take_bytes(row)  # raises, naming the offset of the incomplete posting
@@ -192,12 +197,6 @@ def _floats(values) -> str:
     return ",".join(repr(float(v)) for v in np.asarray(values, dtype=np.float64).ravel())
 
 
-def _parse_floats(text: str) -> np.ndarray:
-    if text == "":
-        return np.zeros(0)
-    return np.array([float(v) for v in text.split(",")], dtype=np.float64)
-
-
 def model_to_text(flt: MatchFilter, meta: dict[str, Any] | None = None) -> str:
     """Fixed field order so identical models serialize identically."""
     meta = meta or {}
@@ -225,6 +224,13 @@ def model_to_text(flt: MatchFilter, meta: dict[str, Any] | None = None) -> str:
 
 
 def model_from_text(text: str) -> tuple[MatchFilter, dict[str, Any]]:
+    """Parse a model file, refusing any value that no fitted filter has.
+
+    Every value must be a number; mean, weights, bias and train_x finite;
+    std finite and positive; train_y 0 or 1; a logistic c finite and
+    positive; a k-NN k an odd integer in [1, training rows]. A StorageError
+    names the field at fault.
+    """
     fields: dict[str, str] = {}
     for i, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
@@ -241,6 +247,25 @@ def model_from_text(text: str) -> tuple[MatchFilter, dict[str, Any]]:
             raise StorageError(f"model file missing field {key!r}")
         return fields[key]
 
+    def floats(key: str, text: str, check=np.isfinite, wanted: str = "finite") -> np.ndarray:
+        """Comma-separated numbers of field `key`, each passing `check`."""
+        try:
+            values = np.array([float(v) for v in text.split(",")] if text else [])
+        except ValueError:
+            raise StorageError(f"model file field {key!r}: {text!r} is not numbers") from None
+        if not check(values).all():
+            raise StorageError(f"model file field {key!r}: values must be {wanted}, got {text!r}")
+        return values
+
+    def positive(v: np.ndarray) -> np.ndarray:
+        return np.isfinite(v) & (v > 0)
+
+    def number(key: str, check=np.isfinite, wanted: str = "finite") -> float:
+        value = floats(key, need(key), check, wanted)
+        if len(value) != 1:
+            raise StorageError(f"model file field {key!r}: expected one number, got {need(key)!r}")
+        return float(value[0])
+
     if need("version") != str(MODEL_VERSION):
         raise StorageError(
             f"unsupported version {fields['version']} (expected {MODEL_VERSION})"
@@ -249,36 +274,50 @@ def model_from_text(text: str) -> tuple[MatchFilter, dict[str, Any]]:
     subset = parse_subset(need("subset"))
     if need("features") != ",".join(subset.fields):
         raise StorageError("model file features do not match its subset")
-    std = Standardizer(mean=_parse_floats(need("mean")), std=_parse_floats(need("std")))
+    std = Standardizer(
+        mean=floats("mean", need("mean")),
+        std=floats("std", need("std"), positive, "finite and positive"),
+    )
     dim = len(subset.fields)
     if len(std.mean) != dim or len(std.std) != dim:
         raise StorageError("standardizer dimension does not match the feature subset")
 
-    param = float(need("param"))
     if family == FAMILY_LOGREG:
-        weights = _parse_floats(need("weights"))
+        weights = floats("weights", need("weights"))
         if len(weights) != dim:
             raise StorageError("weight dimension does not match the feature subset")
-        model = LogRegModel(weights=weights, bias=float(need("bias")), c=param)
+        c = number("param", positive, "finite and positive")
+        model = LogRegModel(weights=weights, bias=number("bias"), c=c)
     elif family == FAMILY_KNN:
-        rows = need("train_x").split(";")
-        train_x = np.array([_parse_floats(row) for row in rows], dtype=np.float64)
-        if train_x.ndim != 2 or train_x.shape[1] != dim:
+        rows = [floats("train_x", row) for row in need("train_x").split(";")]
+        if any(len(row) != dim for row in rows):
             raise StorageError("training matrix does not match the feature subset")
-        train_y = _parse_floats(need("train_y"))
+        train_x = np.array(rows, dtype=np.float64).reshape(len(rows), dim)
+        train_y = floats("train_y", need("train_y"), lambda v: (v == 0) | (v == 1), "0 or 1")
         if len(train_y) != len(train_x):
             raise StorageError("training labels do not match the training matrix")
-        model = KnnModel(k=int(param), train_x=train_x, train_y=train_y)
+        k = number("param")
+        if not (k.is_integer() and k % 2 == 1 and 1 <= k <= len(train_x)):
+            raise StorageError(
+                f"model file field 'param': k must be an odd integer "
+                f"in [1, {len(train_x)}], got {k!r}"
+            )
+        model = KnnModel(k=int(k), train_x=train_x, train_y=train_y)
     else:
         raise StorageError(f"unknown model family {family!r}")
 
     meta: dict[str, Any] = {}
     for key in ("accuracy", "val_error"):
         if key in fields:
-            meta[key] = float(fields[key])
+            meta[key] = number(key)
     for key in ("wrong_fps", "degraded"):
         if key in fields:
-            meta[key] = int(fields[key])
+            try:
+                meta[key] = int(fields[key])
+            except ValueError:
+                raise StorageError(
+                    f"model file field {key!r}: {fields[key]!r} is not an integer"
+                ) from None
     flt = MatchFilter(subset=subset, standardizer=std, model=model)
     return flt, meta
 

@@ -44,7 +44,6 @@ from ugcaudio.cli import main as cli_main
 from ugcaudio.match_classifier import (
     KIND_WRONG,
     Sample,
-    _prepare_folds,
 )
 from ugcaudio.pipeline import run_pipeline
 from ugcaudio.storage import (
@@ -243,9 +242,6 @@ def test_criterion_06_model_selection_clean_and_accurate(cv_samples):
     assert len(samples) >= 500, f"only {len(samples)} samples"
     assert len(songs) >= 8, f"only {len(songs)} songs"
     assert n_wrong > 0, "corpus produced no wrong matches"
-
-    folds = _prepare_folds(samples, S1, seed=0, inner_folds=10)
-    assert len(folds) == len(songs)  # leave-one-song-out count
 
     results = []
     for family in ("logreg", "knn"):

@@ -89,6 +89,34 @@ class TestWavCodec:
         assert np.allclose(clip.samples, np.clip(x.astype(np.float64), -1.0, 1.0), atol=1e-7)
         assert clip.samples[:3].tolist() == [1.0, -1.0, 1.0]
 
+    @staticmethod
+    def float32_wav(samples: np.ndarray, channels: int, rate: int = 11025) -> bytes:
+        """A float-32 WAV with a 6-byte LIST chunk before its data chunk."""
+        body = samples.astype("<f4").tobytes()
+        header = b"RIFF" + struct.pack("<I", 50 + len(body)) + b"WAVE"
+        fmt = b"fmt " + struct.pack("<IHHIIHH", 16, 3, channels, rate, rate * 4 * channels, 4 * channels, 32)
+        extra = b"LIST" + struct.pack("<I", 6) + b"INFO\0\0"
+        return header + fmt + extra + b"data" + struct.pack("<I", len(body)) + body
+
+    def test_float32_infinities_clip_like_over_range_samples(self):
+        x = np.array([np.inf, -np.inf, 0.25, 3.0], dtype="<f4")
+        assert decode_wav(self.float32_wav(x, 1)).samples.tolist() == [1.0, -1.0, 0.25, 1.0]
+
+    @pytest.mark.parametrize("channels, index", [(1, 0), (1, 37), (2, 1), (2, 40), (2, 63)])
+    def test_float32_nan_refused_at_its_offset(self, channels, index, tmp_path):
+        x = np.linspace(-0.5, 0.5, 64)
+        x[index] = np.nan
+        wav = self.float32_wav(x, channels)
+        with pytest.raises(DecodeError) as exc:
+            decode_wav(wav)
+        body = 12 + 24 + 14 + 8  # RIFF header, fmt chunk, LIST chunk, data chunk header
+        assert (exc.value.message, exc.value.offset) == ("NaN sample in float data", body + 4 * index)
+        path = tmp_path / "nan.wav"
+        path.write_bytes(wav)
+        with pytest.raises(DecodeError) as exc:
+            read_clip(path, PROCESS_RATE)
+        assert str(exc.value) == f"{path}: NaN sample in float data (byte offset {body + 4 * index})"
+
     def test_bad_magic_reports_offset_zero(self):
         with pytest.raises(DecodeError) as exc:
             decode_wav(b"JUNK" + bytes(40))

@@ -1,6 +1,8 @@
 import glob
 import json
+import re
 import shlex
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -9,8 +11,9 @@ import numpy as np
 import pytest
 from jsonschema import Draft202012Validator
 
-from ugcaudio import AudioClip, PROCESS_RATE, encode_wav, load_index, load_model, read_clip
+from ugcaudio import AudioClip, FingerprintIndex, FpConfig, PROCESS_RATE, encode_wav, load_index, load_model, read_clip
 from ugcaudio.cli import main, matches_from_doc
+from ugcaudio.storage import index_to_bytes
 from ugcaudio.timeline import ClipCut, cut_audio
 
 SCHEMA_DIR = Path(__file__).resolve().parent.parent / "docs"
@@ -322,6 +325,27 @@ class TestMatch:
     def test_usage_error_exits_2(self):
         assert main(["match"]) == 2
 
+    @pytest.mark.parametrize("fault", ["key", "no landmarks"])
+    def test_refused_index_file_exits_3_naming_the_fault(self, indexed, tmp_path, capsys, fault):
+        index = FingerprintIndex(FpConfig())
+        index.add_hashed("a", [(7, 0)], duration=1.0)
+        index.add_hashed("b", [(9, 2)], duration=1.0)
+        blob = bytearray(index_to_bytes(index))
+        if fault == "key":
+            blob[-12:-8] = (2**21 + 5).to_bytes(4, "little")  # key of the last posting, b's
+            message = "posting 1 has key 2097157, not below 2**21"
+        else:
+            pos = blob.index(b"\x01\x00b") + 3 + 8
+            blob[pos:pos + 4] = bytes(4)  # b's landmark count
+            del blob[-12:]  # b's posting, the last
+            blob[-20:-12] = (1).to_bytes(8, "little")  # posting count
+            message = "clip 'b' declares 0 landmarks"
+        bad = tmp_path / "bad.idx"
+        bad.write_bytes(bytes(blob))
+        capsys.readouterr()
+        assert main(["match", indexed[1][0], "--index", str(bad)]) == 3
+        assert message in capsys.readouterr().err
+
 
 GOOD_ENTRY = {"clip": "b", "offset_frames": 3, "offset_seconds": 0.07, "ml": 9, "tml": 12, "lq": 300, "li": 280}
 
@@ -421,6 +445,21 @@ class TestClassify:
         total = sum(len(q["entries"]) for q in matches["queries"])
         assert len(doc["predictions"]) == total
         assert all(p["predicted_class"] in (0, 1) for p in doc["predictions"])
+
+    def test_bad_model_value_exits_3_naming_the_field(
+        self, trained_model, matches_file, small_corpus, tmp_path, capsys
+    ):
+        model_path, _ = trained_model
+        bad = tmp_path / "model.txt"
+        text = model_path.read_text(encoding="utf-8")
+        bad.write_text(re.sub(r"^param = .*$", "param = 4.0", text, flags=re.M), encoding="utf-8")
+        capsys.readouterr()
+        argv = ["classify", "--model", str(bad), "--matches", str(matches_file)]
+        assert main([*argv, "--out", str(tmp_path / "p.json")]) == 3
+        assert "model file field 'param': k must be an odd integer" in capsys.readouterr().err
+        argv = ["pipeline", "--in", str(small_corpus), "--model", str(bad)]
+        assert main([*argv, "--out", str(tmp_path / "r.json")]) == 3
+        assert "model file field 'param': k must be an odd integer" in capsys.readouterr().err
 
 
 class TestPipeline:
@@ -535,6 +574,22 @@ class TestPipeline:
         capsys.readouterr()
         assert main(["index", str(bad), "--out", str(tmp_path / "o.idx")]) == 3
         assert f"{bad}: unsupported codec (format 1, 8-bit) (byte offset 34)" in capsys.readouterr().err
+
+    def test_nan_float_sample_exits_3_at_its_offset(self, tmp_path, capsys):
+        rate = 11025
+        x = np.sin(np.arange(5 * rate) * 0.05).astype("<f4")
+        x[12345] = np.nan
+        body = x.tobytes()
+        fmt = struct.pack("<IHHIIHH", 16, 3, 1, rate, rate * 4, 4, 32)
+        bad = tmp_path / "nan.wav"
+        bad.write_bytes(
+            b"RIFF" + struct.pack("<I", 36 + len(body)) + b"WAVE" + b"fmt " + fmt
+            + b"data" + struct.pack("<I", len(body)) + body
+        )
+        capsys.readouterr()
+        assert main(["index", str(bad), "--out", str(tmp_path / "o.idx")]) == 3
+        err = capsys.readouterr().err
+        assert f"{bad}: NaN sample in float data (byte offset {44 + 4 * 12345})" in err
 
     def test_no_corpus_dir_exits_2(self, capsys):
         assert main(["pipeline"]) == 2

@@ -33,6 +33,7 @@ from ugcaudio import (
     train_logreg,
     train_logreg_grid,
 )
+from ugcaudio import match_classifier
 from ugcaudio.match_classifier import (
     KIND_REPETITION,
     KIND_TRUE,
@@ -42,8 +43,8 @@ from ugcaudio.match_classifier import (
     S3,
     S4,
     _knn_grid_predict,
-    _prepare_folds,
     feature_matrix,
+    labels_of,
 )
 
 SECONDS_PER_FRAME = 256 / 11025
@@ -482,13 +483,109 @@ def songs_dataset(per_song=None, songs=("A", "B", "C", "D")):
     return data
 
 
+def mixed_dataset():
+    """Overlapping classes over five songs; only song C has wrong matches."""
+    rng = np.random.default_rng(5)
+    data = []
+    for song in ("A", "B", "C", "D", "E"):
+        for i in range(int(rng.integers(6, 10))):
+            kind = KIND_TRUE if i % 3 else KIND_REPETITION
+            ml = int(rng.integers(20, 70) if kind == KIND_TRUE else rng.integers(5, 35))
+            data.append(
+                Sample(
+                    entry(
+                        f"{song}_c{i:02d}",
+                        f"{song}_c{i + 1:02d}",
+                        ml=ml,
+                        tml=ml + int(rng.integers(0, 40)),
+                        lq=int(rng.integers(100, 900)),
+                        li=int(rng.integers(100, 900)),
+                    ),
+                    kind,
+                    song,
+                )
+            )
+    for i in range(3):
+        wrong = entry("C_c00", f"Z_c{i:02d}", ml=45 + i, tml=60, lq=300, li=700)
+        data.append(Sample(wrong, KIND_WRONG, "C"))
+    return data
+
+
+def reference_double_cv(data, family, grid, subset, seed, inner_folds):
+    """double_cv written out per grid value, per song and per inner fold."""
+    songs = sorted({s.query_song_id for s in data})
+    results = []
+    for param in grid:
+        train, value = (train_logreg, float(param)) if family == "logreg" else (train_knn, int(param))
+        train_err = val_err = 0.0
+        n_inner = correct = wrong_fps = 0
+        try:
+            for song in songs:
+                test = [s for s in data if s.query_song_id == song]
+                bal = balance([s for s in data if s.query_song_id != song], seed)
+                x = feature_matrix([s.entry for s in bal], subset)
+                y = labels_of(bal)
+                perm = np.random.default_rng(seed).permutation(len(bal))
+                for chunk in np.array_split(perm, inner_folds):
+                    val = np.isin(np.arange(len(bal)), chunk)
+                    std = fit_standardizer(x[~val])
+                    model = train(std.apply(x[~val]), y[~val], value)
+                    train_err += np.mean(model.predict(std.apply(x[~val])) != y[~val])
+                    val_err += np.mean(model.predict(std.apply(x[val])) != y[val])
+                    n_inner += 1
+                std = fit_standardizer(x)
+                model = train(std.apply(x), y, value)
+                pred = model.predict(std.apply(feature_matrix([s.entry for s in test], subset)))
+                correct += int(np.sum(pred == labels_of(test)))
+                wrong_fps += sum(int(p == 1 and s.kind == KIND_WRONG) for p, s in zip(pred, test))
+        except ValueError as exc:  # a k larger than some training set gets no result
+            assert "exceeds training size" in str(exc)
+            continue
+        results.append(
+            CvResult(
+                family=family,
+                param=float(param),
+                subset=subset,
+                train_error=float(train_err / n_inner),
+                val_error=float(val_err / n_inner),
+                test_accuracy=correct / len(data),
+                wrong_fps=wrong_fps,
+            )
+        )
+    return results
+
+
 class TestDoubleCv:
-    def test_outer_fold_per_song(self):
+    def test_outer_fold_per_song(self, monkeypatch):
         data = songs_dataset()
-        folds = _prepare_folds(data, S1, seed=0, inner_folds=5)
-        assert len(folds) == 4
-        assert all(len(f.inner) == 5 for f in folds)
-        assert sum(len(f.test_y) for f in folds) == len(data)
+        calls = []
+        grid_predict = match_classifier._grid_predict
+
+        def recording(family, grid, tr_x, tr_y, targets):
+            calls.append([len(t) for t in targets])
+            return grid_predict(family, grid, tr_x, tr_y, targets)
+
+        monkeypatch.setattr(match_classifier, "_grid_predict", recording)
+        double_cv(data, "knn", [1], S1, seed=0, inner_folds=5)
+        outer = [c for c in calls if len(c) == 1]  # (test x,)
+        inner = [c for c in calls if len(c) == 2]  # (train x, validation x)
+        assert len(outer) == 4
+        assert len(inner) == 4 * 5
+        assert sum(n for (n,) in outer) == len(data)
+
+    @pytest.mark.parametrize(
+        "family, grid, subset",
+        [("logreg", LOGREG_C_GRID[::3], S4), ("knn", KNN_K_GRID, S3)],
+    )
+    def test_matches_per_model_reference(self, family, grid, subset):
+        data = mixed_dataset()
+        results = double_cv(data, family, grid, subset, seed=3, inner_folds=4)
+        reference = reference_double_cv(data, family, grid, subset, seed=3, inner_folds=4)
+        assert results == reference
+        if family == "knn":
+            assert 0 < len(results) < len(grid)  # the grid was cut
+        assert any(r.wrong_fps > 0 for r in results)
+        assert any(0.0 < r.val_error for r in results)
 
     def test_perfectly_separable_data(self):
         data = songs_dataset()

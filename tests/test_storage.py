@@ -198,6 +198,17 @@ class TestIndexFormat:
         with pytest.raises(StorageError, match="declares 2 landmarks"):
             index_from_bytes(bytes(blob))
 
+    def test_clip_declaring_no_landmarks_rejected(self):
+        blob = bytearray(index_to_bytes(toy_index()))
+        # drop 'alpha' (declared first) and its one posting, the last by key
+        pos = blob.index(b"alpha") + len(b"alpha") + 8
+        blob[pos:pos + 4] = (0).to_bytes(4, "little")
+        count = len(blob) - 4 * 12 - 8
+        blob[count:count + 8] = (3).to_bytes(8, "little")
+        del blob[-12:]
+        with pytest.raises(StorageError, match="clip 'alpha' declares 0 landmarks"):
+            index_from_bytes(bytes(blob))
+
     def test_clip_table_out_of_id_order_rejected(self):
         index = FingerprintIndex(FpConfig())
         index.add_hashed("x1", [(5, 0)], duration=1.0)
@@ -221,6 +232,12 @@ class TestIndexFormat:
         blob = bytearray(index_to_bytes(toy_index()))
         blob[-8:-4] = (9).to_bytes(4, "little")  # ordinal field of last posting
         with pytest.raises(StorageError, match="ordinal"):
+            index_from_bytes(bytes(blob))
+
+    def test_key_beyond_the_key_space_rejected(self):
+        blob = bytearray(index_to_bytes(toy_index()))
+        blob[-12:-8] = (2**21 + 5).to_bytes(4, "little")  # key field of last posting
+        with pytest.raises(StorageError, match=re.escape("posting 3 has key 2097157, not below 2**21")):
             index_from_bytes(bytes(blob))
 
     def test_empty_index_round_trips(self):
@@ -328,6 +345,34 @@ class TestModelFormat:
     def test_malformed_line_rejected(self):
         with pytest.raises(StorageError, match="key = value"):
             model_from_text("version=1\n")
+
+    @pytest.mark.parametrize(
+        "family, field, value, message",
+        [
+            ("logreg", "mean", "10.0,x,300.0", "'10.0,x,300.0' is not numbers"),
+            ("logreg", "mean", "10.0,nan,300.0", "values must be finite"),
+            ("logreg", "std", "0.0,1.0,55.25", "values must be finite and positive"),
+            ("logreg", "std", "2.0,-1.0,inf", "values must be finite and positive"),
+            ("logreg", "weights", "0.1,inf,1e-07", "values must be finite"),
+            ("logreg", "bias", "nan", "values must be finite"),
+            ("logreg", "param", "0.0", "values must be finite and positive"),
+            ("logreg", "param", "inf", "values must be finite and positive"),
+            ("knn", "train_x", "1.0,2.0,3.0,nan", "values must be finite"),
+            ("knn", "train_y", "0,1,1,0,2,0", "values must be 0 or 1"),
+            ("knn", "param", "4.0", "k must be an odd integer in [1, 6], got 4.0"),
+            ("knn", "param", "7.0", "k must be an odd integer in [1, 6], got 7.0"),
+            ("knn", "param", "2.5", "k must be an odd integer in [1, 6], got 2.5"),
+            ("knn", "param", "three", "'three' is not numbers"),
+        ],
+    )
+    def test_value_no_fitted_filter_has_refused(self, family, field, value, message):
+        text = model_to_text(logreg_filter() if family == "logreg" else knn_filter())
+        if field == "train_x":  # the first row only
+            text = re.sub(r"^train_x = [^;]*", f"train_x = {value}", text, flags=re.M)
+        else:
+            text = re.sub(rf"^{field} = .*$", f"{field} = {value}", text, flags=re.M)
+        with pytest.raises(StorageError, match=re.escape(f"model file field {field!r}: {message}")):
+            model_from_text(text)
 
     def test_knn_label_length_checked(self):
         flt = knn_filter()
