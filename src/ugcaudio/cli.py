@@ -247,6 +247,11 @@ def cmd_train(args) -> int:
     truth = GroundTruth.from_json(
         Path(_require(args.manifest, "manifest file")).read_text(encoding="utf-8")
     )
+    # autolabel would label a clip the manifest lacks by its id prefix instead.
+    entries = (entry for ml in lists for entry in ml.entries)
+    missing = next((cid for e in entries for cid in (e.query_id, e.clip_id) if cid not in truth.clips), None)
+    if missing is not None:
+        raise ValueError(f"manifest has no clip {missing!r}, which the matches file names")
     seed = seed_override(args.seed)
     samples = autolabel(lists, truth)
 

@@ -238,17 +238,11 @@ def thin_peaks(candidates: np.ndarray, f0: int, f1: int, cfg: FpConfig) -> np.nd
     """
     if f1 <= f0:
         return np.empty((0, 2), dtype=np.int64)
-    frames = candidates[:, 0]
-    kept = candidates[(frames >= f0) & (frames < f1)][: peak_budget(f0, f1, cfg)].astype(np.int64)
-    return kept[np.lexsort((kept[:, 1], kept[:, 0]))]
-
-
-def peak_budget(f0: int, f1: int, cfg: FpConfig) -> int:
-    """How many peaks thin_peaks keeps at most in frames [f0, f1): 0 if none."""
-    if f1 <= f0:
-        return 0
     duration = ((f1 - f0 - 1) * cfg.hop + cfg.window) / cfg.rate
-    return max(1, int(round(cfg.peak_density * duration)))
+    budget = max(1, int(round(cfg.peak_density * duration)))
+    frames = candidates[:, 0]
+    kept = candidates[(frames >= f0) & (frames < f1)][:budget].astype(np.int64)
+    return kept[np.lexsort((kept[:, 1], kept[:, 0]))]
 
 
 def extract_peaks(spec: np.ndarray, cfg: FpConfig) -> np.ndarray:

@@ -155,7 +155,7 @@ def index_from_bytes(data: bytes) -> FingerprintIndex:
     bad = np.flatnonzero(block[:, 1] >= len(clip_ids))
     if len(bad):
         raise StorageError(
-            f"posting references clip ordinal {block[bad[0], 1]} of {len(clip_ids)}"
+            f"posting {bad[0]} references clip ordinal {block[bad[0], 1]} of {len(clip_ids)}"
         )
     # (key, ordinal) fits one int64 code; t1 breaks its ties.
     step = np.diff((block[:, 0].astype(np.int64) << 32) | block[:, 1])

@@ -7,14 +7,15 @@ cut of every clip fully active across it, and members of a segment are ranked
 by how many near-zero-offset landmark votes their cut shares with the others.
 A cut's landmarks come from its clip's peak candidates (one STFT per clip):
 the frames whose window lies inside the cut, thinned at the quality density
-(density_multiplier x peak_density). Quality scoring runs over batches of
-consecutive segments of up to QUALITY_BATCH_PEAKS peaks: one pair/hash pass
-per batch of cuts, then one vote pass per segment.
+(density_multiplier x peak_density). cut_landmarks yields one (key, t1)
+array per cut from passes of at most QUALITY_BATCH_PEAKS (4,096) thinned
+peaks, split at any cut; votes are then counted once per segment.
 """
 
 from __future__ import annotations
 
 from collections import deque
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -26,7 +27,6 @@ from .fingerprint import (
     hash_landmarks,
     offset_zero_votes,
     pair_landmarks,
-    peak_budget,
     thin_peaks,
 )
 
@@ -39,8 +39,8 @@ _BOUNDARY_EPS = 1e-9
 # +/- offset_merge frames, and noise moves peaks by a frame, hence the slack.
 QUALITY_OFFSET_TOL_FRAMES = 2
 
-# Quality scoring pairs and votes the cuts of consecutive segments together
-# until their peak budgets would pass this many; it bounds the batch's arrays.
+# Quality scoring pairs and hashes consecutive cuts in one pass until their
+# thinned peaks would pass this many; it bounds the pass's arrays.
 QUALITY_BATCH_PEAKS = 4096
 
 
@@ -218,30 +218,45 @@ def _cut_frames(cut: ClipCut, cfg: FpConfig) -> tuple[int, int]:
 
 
 def cut_landmarks(
-    candidates: dict[str, np.ndarray], cuts: list[ClipCut], cfg: FpConfig
-) -> list[np.ndarray]:
-    """Hashed landmarks of each cut, anchors counted from the cut's first frame.
+    candidates: dict[str, np.ndarray], cuts: Iterable[ClipCut], cfg: FpConfig
+) -> Iterator[np.ndarray]:
+    """Hashed landmarks of each cut, in cut order, anchors from the cut's first frame.
 
     A cut uses its clip's peak candidates in the frames whose whole window
     lies inside the cut's samples, thinned to cfg.peak_density per second.
-    All cuts are paired and hashed in one pass: cut i's frames move up by
-    i strides, a stride more than the longest cut plus dt_max frames, so no
-    forward scan reaches another cut's peaks. Each result equals
-    hash_landmarks(pair_landmarks(peaks, cfg)) of that cut's peaks alone.
+    Consecutive cuts are paired and hashed in one pass until the next cut's
+    thinned peaks would take it past QUALITY_BATCH_PEAKS; a cut over that
+    alone is a pass of its own. Passes run lazily, as results are asked for.
+    Each result equals hash_landmarks(pair_landmarks(peaks, cfg)) of that
+    cut's peaks alone.
     """
-    if not cuts:
-        return []
-    frames = [_cut_frames(cut, cfg) for cut in cuts]
-    stride = max(0, max(f1 - f0 for f0, f1 in frames)) + cfg.dt_max + 1
-    peaks = []
-    for i, (cut, (f0, f1)) in enumerate(zip(cuts, frames)):
-        p = thin_peaks(candidates[cut.clip_id], f0, f1, cfg)
-        p[:, 0] += i * stride - f0
-        peaks.append(p)
-    hashed = hash_landmarks(pair_landmarks(np.concatenate(peaks), cfg))
+    batch: list[np.ndarray] = []
+    n_peaks = 0
+    for cut in cuts:
+        f0, f1 = _cut_frames(cut, cfg)
+        peaks = thin_peaks(candidates[cut.clip_id], f0, f1, cfg)
+        peaks[:, 0] -= f0
+        if batch and n_peaks + len(peaks) > QUALITY_BATCH_PEAKS:
+            yield from _pair_pass(batch, cfg)
+            batch, n_peaks = [], 0
+        batch.append(peaks)
+        n_peaks += len(peaks)
+    if batch:
+        yield from _pair_pass(batch, cfg)
+
+
+def _pair_pass(batch: list[np.ndarray], cfg: FpConfig) -> list[np.ndarray]:
+    """Hashed landmarks of each cut's rebased peaks, paired in one pass.
+
+    Cut i's frames move up by i strides, a stride more than the pass's last
+    peak frame plus dt_max, so no forward scan reaches another cut's peaks.
+    """
+    stride = max((int(p[-1, 0]) for p in batch if len(p)), default=0) + cfg.dt_max + 1
+    shifted = np.concatenate([p + [i * stride, 0] for i, p in enumerate(batch)])
+    hashed = hash_landmarks(pair_landmarks(shifted, cfg))
     owner = hashed[:, 1] // stride  # rows come grouped by cut, in cut order
     hashed[:, 1] -= owner * stride
-    return np.split(hashed, np.searchsorted(owner, np.arange(1, len(cuts))))
+    return np.split(hashed, np.searchsorted(owner, np.arange(1, len(batch))))
 
 
 def segment_quality(
@@ -258,42 +273,19 @@ def segment_quality(
     and ignored). A member's score sums its votes against all others. Cuts
     that hold no whole window score zero.
 
-    Consecutive segments are scored in batches whose cuts' peak budgets
-    (see peak_budget) sum to at most QUALITY_BATCH_PEAKS, or one segment
-    that alone exceeds it: cut_landmarks pairs a batch's cuts in one pass
-    and offset_zero_votes counts each segment's votes in one. A segment's
+    One cut_landmarks generator reads every segment's cuts in turn, and
+    offset_zero_votes counts each segment's votes in one call. A segment's
     ranking does not depend on the others in its list.
     """
     dense = replace(cfg, peak_density=cfg.peak_density * cfg.density_multiplier)
-    rankings: list[QualityRanking] = []
-    batch: list[list[ClipCut]] = []
-    batch_peaks = 0
-    for seg in segments:
-        by_id = {cut.clip_id: cut for cut in seg.members}  # one cut per clip, ranked in id order
-        cuts = [by_id[cid] for cid in sorted(by_id)]
-        peaks = sum(peak_budget(*_cut_frames(cut, dense), dense) for cut in cuts)
-        if batch and batch_peaks + peaks > QUALITY_BATCH_PEAKS:
-            rankings.extend(_rank_batch(batch, candidates, dense))
-            batch, batch_peaks = [], 0
-        batch.append(cuts)
-        batch_peaks += peaks
-    rankings.extend(_rank_batch(batch, candidates, dense))
-    return rankings
-
-
-def _rank_batch(
-    batch: list[list[ClipCut]], candidates: dict[str, np.ndarray], dense: FpConfig
-) -> list[QualityRanking]:
-    """QualityRanking of each segment's cuts (one per clip, in id order)."""
-    hashed = iter(cut_landmarks(candidates, [cut for cuts in batch for cut in cuts], dense))
+    # One cut per clip, ranked in id order.
+    members = [sorted({cut.clip_id: cut for cut in seg.members}.items()) for seg in segments]
+    hashed = cut_landmarks(candidates, (cut for cuts in members for _, cut in cuts), dense)
     rankings = []
-    for cuts in batch:
-        votes = offset_zero_votes([next(hashed) for _ in cuts], QUALITY_OFFSET_TOL_FRAMES).tolist()
-        ids = [cut.clip_id for cut in cuts]
-        pair_votes: dict[tuple[str, str], int] = {}
-        for i, a in enumerate(ids):
-            for j in range(i + 1, len(ids)):
-                pair_votes[(a, ids[j])] = pair_votes[(ids[j], a)] = votes[i][j]
+    for cuts in members:
+        ids = [cid for cid, _ in cuts]
+        votes = offset_zero_votes([next(hashed) for _ in ids], QUALITY_OFFSET_TOL_FRAMES).tolist()
+        pair_votes = {(a, b): votes[i][j] for i, a in enumerate(ids) for j, b in enumerate(ids) if i != j}
         scores = {a: sum(row) for a, row in zip(ids, votes)}
         ranking = sorted(scores.items(), key=lambda kv: (-kv[1], kv[0]))
         rankings.append(QualityRanking(ranking=ranking, pair_votes=pair_votes))

@@ -325,7 +325,7 @@ class TestMatch:
     def test_usage_error_exits_2(self):
         assert main(["match"]) == 2
 
-    @pytest.mark.parametrize("fault", ["key", "no landmarks"])
+    @pytest.mark.parametrize("fault", ["key", "ordinal", "no landmarks"])
     def test_refused_index_file_exits_3_naming_the_fault(self, indexed, tmp_path, capsys, fault):
         index = FingerprintIndex(FpConfig())
         index.add_hashed("a", [(7, 0)], duration=1.0)
@@ -334,6 +334,9 @@ class TestMatch:
         if fault == "key":
             blob[-12:-8] = (2**21 + 5).to_bytes(4, "little")  # key of the last posting, b's
             message = "posting 1 has key 2097157, not below 2**21"
+        elif fault == "ordinal":
+            blob[-8:-4] = (9).to_bytes(4, "little")  # clip ordinal of the last posting
+            message = "posting 1 references clip ordinal 9 of 2"
         else:
             pos = blob.index(b"\x01\x00b") + 3 + 8
             blob[pos:pos + 4] = bytes(4)  # b's landmark count
@@ -429,6 +432,20 @@ class TestTrain:
             ]
         )
         assert rc == 2
+
+    def test_clip_missing_from_manifest_exits_3(self, train_corpus, matches_file, tmp_path, capsys):
+        doc = json.loads(matches_file.read_text())
+        # The first entry's matched clip: its query is listed, so the matched side is what is missing.
+        dropped = next(q["entries"][0]["clip"] for q in doc["queries"] if q["entries"])
+        manifest = json.loads((train_corpus / "manifest.json").read_text())
+        del manifest["clips"][dropped]
+        partial = tmp_path / "manifest.json"
+        partial.write_text(json.dumps(manifest))
+        out = tmp_path / "m.txt"
+        capsys.readouterr()
+        assert main(["train", "--matches", str(matches_file), "--manifest", str(partial), "--out", str(out)]) == 3
+        assert capsys.readouterr().err == f"error: manifest has no clip {dropped!r}, which the matches file names\n"
+        assert not out.exists()
 
 
 class TestClassify:

@@ -243,9 +243,16 @@ class TestSegmentQuality:
             cid: add_noise(AudioClip(id=cid, samples=master.samples.copy(), rate=master.rate), snr, k)
             for k, (cid, snr) in enumerate((("a", 30.0), ("b", 15.0), ("c", 5.0)))
         }
+        long_master = burst_clip("n", duration=30.0, seed=15)
+        clips.update(
+            (cid, add_noise(AudioClip(id=cid, samples=long_master.samples.copy(), rate=long_master.rate), snr, k))
+            for k, (cid, snr) in enumerate((("d", 25.0), ("e", 12.0), ("f", 6.0)), start=3)
+        )
         cfg = FpConfig()
         candidates = candidates_of(clips, cfg)
         whole = Segment(0.0, 12.0, [ClipCut(cid, 0.0, 12.0) for cid in "cab"])
+        # Three 30 s cuts at 60 peaks/s: over the cap within one segment.
+        long = Segment(0.0, 30.0, [ClipCut(cid, 0.0, 30.0) for cid in "fde"])
         segments = [
             whole,
             # Back-to-back cuts of each clip.
@@ -254,30 +261,40 @@ class TestSegmentQuality:
             Segment(3.0, 3.01, [ClipCut("a", 3.0, 3.01), ClipCut("b", 3.0, 3.01)]),  # no whole window
             Segment(2.0, 9.0, [ClipCut("b", 2.0, 9.0)]),  # one member
             whole,
+            long,
         ]
         alone = [segment_quality([seg], candidates, cfg)[0] for seg in segments]
         # Each cut paired on its own, so no other cut can share its pass.
         dense = replace(cfg, peak_density=cfg.peak_density * cfg.density_multiplier)
         for seg, q in zip(segments, alone):
-            hashed = {cut.clip_id: cut_landmarks(candidates, [cut], dense)[0] for cut in seg.members}
-            assert q.pair_votes == {
+            hashed = {cut.clip_id: next(cut_landmarks(candidates, [cut], dense)) for cut in seg.members}
+            want = {
                 (x, y): offset_zero_votes([hashed[x], hashed[y]], QUALITY_OFFSET_TOL_FRAMES)[0, 1]
                 for x in hashed
                 for y in hashed
                 if x != y
             }
-        batches = []
-        batched = timeline.cut_landmarks
+            assert q.pair_votes == want
+            scores = {x: sum(v for (a, _), v in want.items() if a == x) for x in hashed}
+            assert q.ranking == sorted(scores.items(), key=lambda kv: (-kv[1], kv[0]))
+        thinned = [
+            len(thin_peaks(candidates[cut.clip_id], *timeline._cut_frames(cut, dense), dense)) for cut in long.members
+        ]
+        assert sum(thinned) > QUALITY_BATCH_PEAKS and max(thinned) <= QUALITY_BATCH_PEAKS
+        passes = []
+        paired = timeline._pair_pass
 
-        def recording(candidates, cuts, cfg):
-            batches.append(len(cuts))
-            return batched(candidates, cuts, cfg)
+        def recording(batch, cfg):
+            passes.append((len(batch), sum(len(p) for p in batch)))
+            return paired(batch, cfg)
 
-        monkeypatch.setattr(timeline, "cut_landmarks", recording)
+        monkeypatch.setattr(timeline, "_pair_pass", recording)
         assert segment_quality(segments, candidates, cfg) == alone
         # 60 peaks/s over 6 cuts of 12 s and more: above the cap, so it splits.
         assert 60 * 12 * 6 > QUALITY_BATCH_PEAKS
-        assert len(batches) > 1 and sum(batches) == 15
+        assert len(passes) > 1 and sum(n for n, _ in passes) == 18
+        # Every pass stays under the cap unless it holds a single cut.
+        assert all(n == 1 or peaks <= QUALITY_BATCH_PEAKS for n, peaks in passes)
         assert alone[3].ranking == [("a", 0), ("b", 0)] and alone[3].pair_votes == {("a", "b"): 0, ("b", "a"): 0}
         assert alone[4].ranking == [("b", 0)] and alone[4].pair_votes == {}
         assert min(alone[0].pair_votes.values()) > 0
@@ -329,7 +346,7 @@ class TestCutLandmarks:
             ClipCut("a", 2.5, 4.0),
             ClipCut("a", 5.0, 5.2),  # fewer frames than dt_max
         ]
-        got = cut_landmarks(candidates, cuts, cfg)
+        got = list(cut_landmarks(candidates, cuts, cfg))
         assert len(got) == len(cuts) and len(got[2]) == 0
         for cut, hashed in zip(cuts, got):
             i0, i1 = int(round(cut.local_start * cfg.rate)), int(round(cut.local_end * cfg.rate))
@@ -337,4 +354,4 @@ class TestCutLandmarks:
             peaks = thin_peaks(candidates[cut.clip_id], f0, f1, cfg)
             peaks[:, 0] -= f0
             assert hashed.tolist() == hash_landmarks(pair_landmarks(peaks, cfg)).tolist()
-        assert cut_landmarks(candidates, [], cfg) == []
+        assert list(cut_landmarks(candidates, [], cfg)) == []
