@@ -26,7 +26,6 @@ from .fingerprint import (
     FpConfig,
     MatchEntry,
     MatchingList,
-    clip_fingerprint,
     load_config,
     query,
 )
@@ -40,7 +39,7 @@ from .match_classifier import (
     select_model,
     SUBSETS,
 )
-from .pipeline import load_corpus, run_pipeline
+from .pipeline import fingerprint_clips, load_corpus, run_pipeline
 from .storage import (
     StorageError,
     dump_json,
@@ -102,14 +101,12 @@ def cmd_synth(args) -> int:
 def cmd_index(args) -> int:
     cfg = _config_from(args)
     index = FingerprintIndex(cfg)
-    for name in args.files:
-        path = Path(_require(name, "audio file"))
-        clip = read_clip(path, cfg.rate)
-        hashed, _ = clip_fingerprint(clip, cfg)
+    clips = (read_clip(Path(_require(name, "audio file")), cfg.rate) for name in args.files)
+    for clip_id, duration, hashed, _ in fingerprint_clips(clips, cfg):
         if len(hashed) == 0:
-            print(f"warning: {clip.id}: no landmarks, skipped", file=sys.stderr)
+            print(f"warning: {clip_id}: no landmarks, skipped", file=sys.stderr)
             continue
-        index.add_hashed(clip.id, hashed, clip.duration)
+        index.add_hashed(clip_id, hashed, duration)
     save_index(index, args.out)
     print(f"indexed {len(index.clip_ids)} clips to {args.out}")
     return 0
@@ -168,12 +165,8 @@ def matches_from_doc(doc: dict) -> list[MatchingList]:
 def cmd_match(args) -> int:
     cfg = _config_from(args)
     index = load_index(_require(args.index, "index file"))
-    lists = []
-    for name in args.files:
-        path = Path(_require(name, "audio file"))
-        clip = read_clip(path, cfg.rate)
-        hashed, _ = clip_fingerprint(clip, cfg)
-        lists.append(query(index, clip.id, hashed, cfg))
+    clips = (read_clip(Path(_require(name, "audio file")), cfg.rate) for name in args.files)
+    lists = [query(index, clip_id, hashed, cfg) for clip_id, _, hashed, _ in fingerprint_clips(clips, cfg)]
     doc = matches_to_doc(lists)
     if args.out:
         save_json(doc, args.out)

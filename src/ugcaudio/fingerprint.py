@@ -31,9 +31,12 @@ _DF_BIAS = 63
 _DT_MAX = 63
 _KEY_LIMIT = 1 << 21  # every key is below this
 
-# Frames per block: per FFT call in spectrogram, and per holed-maximum
-# pass in peak_candidates.
+# Frames per peak-picking block. A block is picked with a 3-frame halo on
+# either side, so the picker's buffers, and the streamed STFT in
+# clip_fingerprint that fills them, are block-sized whatever the clip's length.
 _FRAME_BLOCK = 256
+# Frames per FFT call: bounds the windowed and complex temporaries.
+_STFT_ROWS = 32
 
 
 # The parameters that shape stored postings, in FpConfig's field order. An
@@ -175,29 +178,71 @@ class MatchingList:
     entries: list[MatchEntry] = field(default_factory=list)
 
 
-def spectrogram(clip: AudioClip, cfg: FpConfig) -> np.ndarray:
-    """Log-magnitude STFT, frames x bins, floored at cfg.log_floor.
+def _frame_windows(clip: AudioClip, cfg: FpConfig) -> np.ndarray:
+    """Each frame's cfg.window samples, frames x window, as a view of the clip.
 
-    Frames advance by cfg.hop; a Hann window is applied; no padding, so
-    frame count = floor((N - window) / hop) + 1.
+    Frames advance by cfg.hop, with no padding.
     """
     if clip.rate != cfg.rate:
         raise ValueError(f"clip rate {clip.rate} != configured rate {cfg.rate}")
     n = len(clip.samples)
     if n < cfg.window:
         raise ValueError(f"clip has {n} samples, shorter than one {cfg.window}-sample window")
-    frames = (n - cfg.window) // cfg.hop + 1
-    strided = np.lib.stride_tricks.sliding_window_view(clip.samples, cfg.window)
-    strided = strided[:: cfg.hop][:frames]
+    return np.lib.stride_tricks.sliding_window_view(clip.samples, cfg.window)[:: cfg.hop]
+
+
+def _stft_rows(windows: np.ndarray, out: np.ndarray, cfg: FpConfig) -> None:
+    """Write the spectrogram rows of the frames in `windows` into `out`.
+
+    The FFT runs over _STFT_ROWS frames at a time; each frame's FFT, log and
+    floor are independent of the others, so the values do not depend on
+    which frames are computed together.
+    """
     hann = np.hanning(cfg.window)
-    mag = np.empty((frames, cfg.window // 2 + 1))
-    # Blocks of frames bound the windowed and complex temporaries; each
-    # frame's FFT is independent, so the values do not depend on the block.
-    for i in range(0, frames, _FRAME_BLOCK):
-        mag[i : i + _FRAME_BLOCK] = np.abs(np.fft.rfft(strided[i : i + _FRAME_BLOCK] * hann, axis=1))
     with np.errstate(divide="ignore"):
-        np.log(mag, out=mag)
-    return np.maximum(mag, cfg.log_floor, out=mag)
+        for i in range(0, len(out), _STFT_ROWS):
+            rows = out[i : i + _STFT_ROWS]
+            np.abs(np.fft.rfft(windows[i : i + _STFT_ROWS] * hann, axis=1), out=rows)
+            np.log(rows, out=rows)
+            np.maximum(rows, cfg.log_floor, out=rows)
+
+
+def spectrogram(clip: AudioClip, cfg: FpConfig) -> np.ndarray:
+    """Log-magnitude STFT, frames x bins, floored at cfg.log_floor.
+
+    Frames advance by cfg.hop; a Hann window is applied; no padding, so
+    frame count = floor((N - window) / hop) + 1.
+    """
+    windows = _frame_windows(clip, cfg)
+    spec = np.empty((len(windows), cfg.window // 2 + 1))
+    _stft_rows(windows, spec, cfg)
+    return spec
+
+
+def _stft_blocks(windows: np.ndarray, cfg: FpConfig):
+    """(f0, rows) per peak-picking block of the frames' spectrogram, streamed.
+
+    `rows` holds frames [max(f0 - 3, 0), min(f0 + _FRAME_BLOCK + 3, frames)):
+    the block and its halo, in one buffer reused from block to block. The
+    halo frames shared with the previous block are moved to the front, not
+    computed again.
+    """
+    n_frames = len(windows)
+    buf = np.empty((min(_FRAME_BLOCK, n_frames) + 6, cfg.window // 2 + 1))
+    lo = done = 0  # buf[: done - lo] holds frames [lo, done)
+    for f0 in range(0, n_frames, _FRAME_BLOCK):
+        new_lo, hi = max(f0 - 3, 0), min(f0 + _FRAME_BLOCK + 3, n_frames)
+        kept = done - new_lo
+        buf[:kept] = buf[new_lo - lo : done - lo]
+        _stft_rows(windows[done:hi], buf[kept : hi - new_lo], cfg)
+        lo, done = new_lo, hi
+        yield f0, buf[: hi - lo]
+
+
+def _spec_blocks(spec: np.ndarray):
+    """(f0, rows) per peak-picking block of a whole spectrogram, as views."""
+    for f0 in range(0, len(spec), _FRAME_BLOCK):
+        yield f0, spec[max(f0 - 3, 0) : f0 + _FRAME_BLOCK + 3]
 
 
 def peak_candidates(spec: np.ndarray, cfg: FpConfig) -> np.ndarray:
@@ -205,28 +250,40 @@ def peak_candidates(spec: np.ndarray, cfg: FpConfig) -> np.ndarray:
 
     Every cell above all its neighbors that clears log_floor + 1, as an
     N x 2 int32 array of (frame, bin) rows in thinning order: magnitude
-    descending, then frame, then bin. The mask is built over blocks of
-    _FRAME_BLOCK frames, each with its 3-frame halo, so the temporaries are
-    block-sized; every cell sees the same neighbors, so the result does not
-    depend on the block.
+    descending, then frame, then bin.
     """
     if spec.size == 0:
         raise ValueError("empty spectrogram")
-    n_frames, n_bins = spec.shape
+    return _pick_candidates(_spec_blocks(spec), spec.shape, cfg)
+
+
+def _pick_candidates(blocks, shape: tuple[int, int], cfg: FpConfig) -> np.ndarray:
+    """peak_candidates over (f0, rows) blocks, as _spec_blocks and _stft_blocks give them.
+
+    Each block of _FRAME_BLOCK frames is picked against its 3-frame halo, in
+    block-sized buffers; every cell sees the same neighbors, so the result
+    does not depend on the block. The magnitudes that order the candidates
+    are gathered block by block.
+    """
+    n_frames, n_bins = shape
     block = min(_FRAME_BLOCK, n_frames)
     padded = np.full((block + 6, n_bins + 6), -np.inf)
     scratch = np.empty((block + 6, n_bins))
-    found_frames, found_bins = [], []
-    for f0 in range(0, n_frames, block):
+    found_frames, found_bins, found_mags = [], [], []
+    for f0, rows in blocks:
+        m = min(block, n_frames - f0)
+        halo = min(f0, 3)  # halo frames in rows before the block
+        values = rows[halo : halo + m]
         # Above the neighborhood max and the floor: above the larger of them.
-        bar = _holed_max(spec, f0, padded, scratch)
+        bar = _holed_max(rows, 3 - halo, m, padded, scratch)
         np.maximum(bar, cfg.log_floor + 1.0, out=bar)
-        frames_idx, bins_idx = np.nonzero(spec[f0 : f0 + block] > bar)  # sorted by (frame, bin)
+        frames_idx, bins_idx = np.nonzero(values > bar)  # sorted by (frame, bin)
         found_frames.append(frames_idx + f0)
         found_bins.append(bins_idx)
+        found_mags.append(values[frames_idx, bins_idx])
     frames_idx, bins_idx = np.concatenate(found_frames), np.concatenate(found_bins)
     # Already in (frame, bin) order, so a stable sort keeps it among equals.
-    order = np.argsort(-spec[frames_idx, bins_idx], kind="stable")
+    order = np.argsort(-np.concatenate(found_mags), kind="stable")
     return np.stack([frames_idx[order], bins_idx[order]], axis=1).astype(np.int32)
 
 
@@ -254,26 +311,26 @@ def extract_peaks(spec: np.ndarray, cfg: FpConfig) -> np.ndarray:
 
 
 def _holed_max(
-    spec: np.ndarray, f0: int, padded: np.ndarray, scratch: np.ndarray
+    rows: np.ndarray, top: int, m: int, padded: np.ndarray, scratch: np.ndarray
 ) -> np.ndarray:
     """Max over each cell's 7 x 7 neighborhood, the cell itself excluded.
 
-    Covers the frames [f0, f0 + m), m = len(padded) - 6 or fewer at the end
-    of spec. Equal there to scipy.ndimage.maximum_filter of the whole spec
+    Covers m block frames, held in `rows` with as much of their 3-frame halo
+    as the spectrogram has; `rows` goes into `padded` from row `top`, 3 less
+    the halo frames before the block, and the missing halo rows become -inf.
+    Equal there to scipy.ndimage.maximum_filter of the whole spectrogram
     with a holed 7 x 7 footprint and cval=-inf: the neighborhood splits into
     the same frame at bins +/-1..3 and frames +/-1..3 at bins within +/-3,
-    each a max of shifted slices. `padded` holds the block and its 3-frame
-    halo between 3 columns of -inf on each side, which this never writes;
-    the result is a view of `scratch`.
+    each a max of shifted slices. `padded` has 3 columns of -inf on each
+    side, which this never writes; the result is a view of `scratch`.
     """
-    n_frames, n_bins = spec.shape
-    m = min(len(padded) - 6, n_frames - f0)
-    lo, hi = max(f0 - 3, 0), min(f0 + m + 3, n_frames)
+    n_bins = rows.shape[1]
+    bottom = top + len(rows)
     padded = padded[: m + 6]
     inner = padded[:, 3 : n_bins + 3]  # full +/-3 bins, per padded frame
-    inner[: lo - f0 + 3] = -np.inf  # halo rows beyond the spectrogram
-    inner[lo - f0 + 3 : hi - f0 + 3] = spec[lo:hi]
-    inner[hi - f0 + 3 :] = -np.inf
+    inner[:top] = -np.inf  # halo rows beyond the spectrogram
+    inner[top:bottom] = rows
+    inner[bottom:] = -np.inf
     sides = scratch[: m + 6]
     np.maximum(padded[:, 0:n_bins], padded[:, 1 : n_bins + 1], out=sides)
     for shift in (2, 4, 5, 6):
@@ -357,13 +414,16 @@ def clip_fingerprint(clip: AudioClip, cfg: FpConfig) -> tuple[np.ndarray, np.nda
     """A clip's hashed landmarks and its peak candidates, from one STFT.
 
     The landmarks are those of hash_landmarks(fingerprint_clip(clip, cfg)).
-    A clip shorter than one window has neither.
+    A clip shorter than one window has neither. The candidates are those of
+    peak_candidates(spectrogram(clip, cfg), cfg), but the spectrogram is
+    streamed block by block into the picker and never held whole.
     """
     if len(clip.samples) < cfg.window:
         return np.empty((0, 2), dtype=np.int64), np.empty((0, 2), dtype=np.int32)
-    spec = spectrogram(clip, cfg)
-    candidates = peak_candidates(spec, cfg)
-    peaks = thin_peaks(candidates, 0, spec.shape[0], cfg)
+    windows = _frame_windows(clip, cfg)
+    n_frames = len(windows)
+    candidates = _pick_candidates(_stft_blocks(windows, cfg), (n_frames, cfg.window // 2 + 1), cfg)
+    peaks = thin_peaks(candidates, 0, n_frames, cfg)
     return hash_landmarks(pair_landmarks(peaks, cfg)), candidates
 
 

@@ -12,6 +12,7 @@ import pytest
 from jsonschema import Draft202012Validator
 
 from ugcaudio import AudioClip, FingerprintIndex, FpConfig, PROCESS_RATE, encode_wav, load_index, load_model, read_clip
+from ugcaudio import pipeline
 from ugcaudio.cli import main, matches_from_doc
 from ugcaudio.storage import index_to_bytes
 from ugcaudio.timeline import ClipCut, cut_audio
@@ -189,6 +190,14 @@ class TestIndex:
         assert "no landmarks" in capsys.readouterr().err
         assert load_index(str(out)).clip_ids == []
 
+    @pytest.mark.parametrize("workers", [1, 4])
+    def test_index_bytes_do_not_depend_on_workers(self, indexed, tmp_path, monkeypatch, workers):
+        idx, wavs = indexed
+        monkeypatch.setattr(pipeline, "_WORKERS", workers)
+        out = tmp_path / "other.idx"
+        assert main(["index", *wavs, "--out", str(out)]) == 0
+        assert out.read_bytes() == idx.read_bytes()
+
     def test_missing_file_exits_2(self, tmp_path):
         assert main(["index", str(tmp_path / "ghost.wav"), "--out", str(tmp_path / "o.idx")]) == 2
 
@@ -324,6 +333,14 @@ class TestMatch:
 
     def test_usage_error_exits_2(self):
         assert main(["match"]) == 2
+
+    @pytest.mark.parametrize("workers", [1, 4])
+    def test_matches_do_not_depend_on_workers(self, indexed, matches_file, tmp_path, monkeypatch, workers):
+        idx, wavs = indexed
+        monkeypatch.setattr(pipeline, "_WORKERS", workers)
+        out = tmp_path / "other.json"
+        assert main(["match", *wavs, "--index", str(idx), "--out", str(out)]) == 0
+        assert out.read_bytes() == matches_file.read_bytes()
 
     @pytest.mark.parametrize("fault", ["key", "ordinal", "no landmarks"])
     def test_refused_index_file_exits_3_naming_the_fault(self, indexed, tmp_path, capsys, fault):
@@ -555,7 +572,7 @@ class TestPipeline:
     def test_missing_corpus_dir_exits_2(self, tmp_path):
         assert main(["pipeline", "--in", str(tmp_path / "ghost")]) == 2
 
-    def test_truncated_wav_exits_3_naming_the_file(self, small_corpus, tmp_path, capsys):
+    def test_truncated_wav_exits_3_naming_the_file(self, small_corpus, indexed, tmp_path, capsys):
         corpus = tmp_path / "corpus"
         corpus.mkdir()
         wavs = sorted(small_corpus.glob("*.wav"))[:3]
@@ -573,6 +590,11 @@ class TestPipeline:
         assert main(["index", *paths, "--out", str(tmp_path / "o.idx")]) == 3
         err = capsys.readouterr().err
         assert f"{bad}: truncated data chunk (byte offset 44)" in err
+
+        assert main(["match", *paths, "--index", str(indexed[0]), "--out", str(tmp_path / "m.json")]) == 3
+        err = capsys.readouterr().err
+        assert f"{bad}: truncated data chunk (byte offset 44)" in err
+        assert not (tmp_path / "m.json").exists()
 
     def test_zero_sample_rate_exits_3_naming_the_file(self, small_corpus, tmp_path, capsys):
         bad = tmp_path / "zero.wav"

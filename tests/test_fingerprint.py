@@ -1,5 +1,6 @@
 import math
 import re
+import tracemalloc
 from collections import Counter
 from dataclasses import fields, replace
 
@@ -14,6 +15,7 @@ from ugcaudio import (
     AudioClip,
     FingerprintIndex,
     FpConfig,
+    clip_fingerprint,
     extract_peaks,
     fingerprint_clip,
     hash_landmarks,
@@ -144,7 +146,7 @@ class TestSpectrogram:
 
     def test_blocks_match_one_batch_stft(self):
         cfg = FpConfig()
-        clip = burst_clip("s", duration=8.0, seed=4)  # 343 frames, two FFT blocks
+        clip = burst_clip("s", duration=8.0, seed=4)  # 343 frames, 11 FFT calls of _STFT_ROWS frames
         strided = np.lib.stride_tricks.sliding_window_view(clip.samples, cfg.window)[:: cfg.hop]
         with np.errstate(divide="ignore"):
             whole = np.log(np.abs(np.fft.rfft(strided * np.hanning(cfg.window), axis=1)))
@@ -303,6 +305,72 @@ class TestBlockedPeaks:
         assert {(BLOCK - 1, 5), (BLOCK, 20), (BLOCK + 1, 35)} <= set(got)
         assert (BLOCK - 1, 50) not in got and (BLOCK, 52) not in got
         assert (BLOCK - 3, 10) not in got and (BLOCK, 12) in got
+
+
+def piecewise_clip(n_frames, kinds, extra, seed, cfg):
+    """A clip of n_frames frames (plus `extra` samples) in equal pieces.
+
+    A "silent" piece floors every bin; a "periodic" one repeats a 128-sample
+    pattern, which divides the hop, so its frames are identical and tie in
+    time; a "noise" piece draws from a few levels.
+    """
+    n = (n_frames - 1) * cfg.hop + cfg.window + extra
+    rng = np.random.default_rng(seed)
+    x = np.zeros(n)
+    for idx, kind in zip(np.array_split(np.arange(n), len(kinds)), kinds):
+        if kind == "periodic":
+            x[idx] = np.resize(rng.choice([-0.5, 0.0, 0.5], size=cfg.hop // 2), len(idx))
+        elif kind == "noise":
+            x[idx] = rng.choice([-0.5, 0.0, 0.25, 0.5], size=len(idx))
+    return AudioClip(id="piecewise", samples=x, rate=cfg.rate)
+
+
+class TestStreamedFingerprint:
+    """clip_fingerprint streams the STFT into the picker; the result is the whole-spectrogram one."""
+
+    @given(
+        n_frames=st.sampled_from([1, 3, *range(BLOCK - 1, BLOCK + 7), *range(2 * BLOCK - 1, 2 * BLOCK + 7)]),
+        kinds=st.lists(st.sampled_from(["silent", "periodic", "noise"]), min_size=1, max_size=5),
+        extra=st.integers(0, 255),
+        seed=st.integers(0, 2**16),
+    )
+    @example(n_frames=BLOCK + 3, kinds=["noise", "periodic", "silent", "noise"], extra=0, seed=0)
+    @settings(max_examples=80, deadline=None)
+    def test_equals_picking_the_whole_spectrogram(self, n_frames, kinds, extra, seed):
+        cfg = FpConfig()
+        clip = piecewise_clip(n_frames, kinds, extra, seed, cfg)
+        hashed, candidates = clip_fingerprint(clip, cfg)
+        want = peak_candidates(spectrogram(clip, cfg), cfg)
+        assert candidates.dtype == want.dtype and np.array_equal(candidates, want)
+        assert np.array_equal(hashed, hash_landmarks(fingerprint_clip(clip, cfg)))
+
+    @pytest.mark.parametrize("n_frames", [1, 3, BLOCK + 2, 2 * BLOCK + 6])
+    def test_silent_clip_has_no_candidate(self, n_frames):
+        cfg = FpConfig()
+        hashed, candidates = clip_fingerprint(piecewise_clip(n_frames, ["silent"], 0, 0, cfg), cfg)
+        assert candidates.shape == (0, 2) and hashed.shape == (0, 2)
+
+    def test_shorter_than_one_window_gives_two_empty_arrays(self):
+        cfg = FpConfig()
+        clip = AudioClip(id="tiny", samples=np.ones(cfg.window - 1), rate=cfg.rate)
+        hashed, candidates = clip_fingerprint(clip, cfg)
+        assert hashed.shape == (0, 2) and hashed.dtype == np.int64
+        assert candidates.shape == (0, 2) and candidates.dtype == np.int32
+
+    def test_holds_less_than_one_whole_spectrogram(self):
+        cfg = FpConfig()
+        clip = burst_clip("long", duration=40.0, seed=3)
+        frames = (len(clip.samples) - cfg.window) // cfg.hop + 1
+        whole = frames * (cfg.window // 2 + 1) * 8  # 3.5 MB of float64
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            clip_fingerprint(clip, cfg)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak < whole
 
 
 def _brute_force_pairs(peaks, cfg):

@@ -1,3 +1,4 @@
+import sys
 import weakref
 
 import numpy as np
@@ -9,14 +10,18 @@ from ugcaudio import (
     DecodeError,
     FpConfig,
     SynthSpec,
+    clip_fingerprint,
     encode_wav,
     run_pipeline,
     synth_corpus,
 )
-from ugcaudio.pipeline import load_corpus
+from ugcaudio import pipeline
+from ugcaudio.pipeline import fingerprint_clips, load_corpus
+
+from _helpers import burst_clip
 
 
-def test_run_pipeline_holds_one_clip_at_a_time():
+def small_corpus():
     clips, _ = synth_corpus(
         SynthSpec(
             n_events=2,
@@ -28,6 +33,15 @@ def test_run_pipeline_holds_one_clip_at_a_time():
             seed=5,
         )
     )
+    return clips
+
+
+def alive_when_each_clip_is_made(clips):
+    """Run the pipeline on a stream of copies of `clips`.
+
+    Returns the result and, for each clip, the ids of the clips yielded
+    before it that were still alive when it was made.
+    """
     yielded: list[weakref.ref] = []
     alive_at_next: list[list[str]] = []
 
@@ -39,14 +53,98 @@ def test_run_pipeline_holds_one_clip_at_a_time():
             yield fresh
             del fresh
 
-    streamed = run_pipeline(stream(), FpConfig())
-    # Before each clip is made, every clip yielded before it is gone.
-    assert alive_at_next == [[] for _ in clips]
+    result = run_pipeline(stream(), FpConfig())
     assert len(yielded) == len(clips)
+    return result, alive_at_next
 
+
+def test_run_pipeline_holds_one_clip_at_a_time(monkeypatch):
+    clips = small_corpus()
     listed = run_pipeline(clips, FpConfig())
+
+    # Before each clip is made, at most one clip per other worker is still
+    # alive, in flight.
+    streamed, alive = alive_when_each_clip_is_made(clips)
+    assert max(map(len, alive)) <= pipeline._WORKERS - 1
     assert streamed.report == listed.report
     assert streamed.durations == {c.id: c.duration for c in clips}
+
+    # With one worker, every clip yielded before it is gone.
+    monkeypatch.setattr(pipeline, "_WORKERS", 1)
+    streamed, alive = alive_when_each_clip_is_made(clips)
+    assert alive == [[] for _ in clips]
+    assert streamed.report == listed.report
+
+
+def test_workers_follow_the_cpus_the_process_may_use(monkeypatch):
+    monkeypatch.setattr(pipeline.os, "sched_getaffinity", lambda pid: {3}, raising=False)
+    assert pipeline._available_cpus() == 1
+    monkeypatch.delattr(pipeline.os, "sched_getaffinity")
+    monkeypatch.setattr(pipeline.os, "cpu_count", lambda: None)
+    assert pipeline._available_cpus() == 1
+
+
+def run_summary(result):
+    votes = [q.pair_votes for ev in result.events for q in ev.qualities]
+    return result.report, result.durations, votes
+
+
+@pytest.mark.parametrize("workers", [1, 4])
+def test_run_is_the_same_on_any_number_of_workers(monkeypatch, workers):
+    clips = small_corpus()
+    default = run_summary(run_pipeline(clips, FpConfig()))
+    monkeypatch.setattr(pipeline, "_WORKERS", workers)
+    # Short thread switches, so that in-flight clips interleave often.
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        assert run_summary(run_pipeline(clips, FpConfig())) == default
+    finally:
+        sys.setswitchinterval(interval)
+
+
+class TestFingerprintClips:
+    @pytest.mark.parametrize("workers", [1, 2, 4])
+    def test_yields_in_input_order(self, monkeypatch, workers):
+        monkeypatch.setattr(pipeline, "_WORKERS", workers)
+        cfg = FpConfig()
+        clips = [burst_clip(f"c{i}", duration=2.0 + (5 - i), seed=i) for i in range(6)]
+        got = list(fingerprint_clips(iter(clips), cfg))
+        assert [(cid, d) for cid, d, _, _ in got] == [(c.id, c.duration) for c in clips]
+        for (_, _, hashed, candidates), clip in zip(got, clips):
+            want_hashed, want_candidates = clip_fingerprint(clip, cfg)
+            assert np.array_equal(hashed, want_hashed)
+            assert np.array_equal(candidates, want_candidates)
+
+    @pytest.mark.parametrize("workers", [1, 2, 4])
+    def test_earlier_worker_error_wins_over_a_later_decode_error(self, monkeypatch, workers):
+        monkeypatch.setattr(pipeline, "_WORKERS", workers)
+
+        def clips():
+            yield burst_clip("good", duration=2.0)
+            yield burst_clip("wrong_rate", duration=2.0, rate=22050)  # the worker raises
+            raise DecodeError("third.wav: file too short", 0)
+
+        yielded = []
+        with pytest.raises(ValueError, match="clip rate 22050"):
+            for clip_id, *_ in fingerprint_clips(clips(), FpConfig()):
+                yielded.append(clip_id)
+        assert yielded == ["good"]
+
+    @pytest.mark.parametrize("workers", [1, 2, 4])
+    def test_decode_error_surfaces_after_the_clips_before_it(self, monkeypatch, workers):
+        monkeypatch.setattr(pipeline, "_WORKERS", workers)
+
+        def clips():
+            yield burst_clip("a", duration=2.0, seed=1)
+            yield burst_clip("b", duration=2.0, seed=2)
+            raise DecodeError("c.wav: file too short", 0)
+
+        yielded = []
+        with pytest.raises(DecodeError, match="c.wav: file too short"):
+            for clip_id, *_ in fingerprint_clips(clips(), FpConfig()):
+                yielded.append(clip_id)
+        assert yielded == ["a", "b"]
 
 
 def test_load_corpus_decodes_each_file_when_asked(tmp_path):
