@@ -123,9 +123,18 @@ class GroundTruth:
 
     @classmethod
     def from_json(cls, text: str) -> "GroundTruth":
+        """Read to_json's form; a ValueError names the clip and field at fault."""
         doc = json.loads(text)
+        clips = doc.get("clips") if isinstance(doc, dict) else None
+        if not isinstance(clips, dict):
+            raise ValueError("manifest: expected an object whose 'clips' is an object")
         truth = cls()
-        for cid, t in doc["clips"].items():
+        for cid, t in clips.items():
+            if not isinstance(t, dict):
+                raise ValueError(f"manifest clip {cid!r}: not an object")
+            for key in ("event_id", "start", "duration", "snr_db"):
+                if key not in t:
+                    raise ValueError(f"manifest clip {cid!r}: missing field {key!r}")
             truth.clips[cid] = ClipTruth(
                 event_id=t["event_id"],
                 start=t["start"],

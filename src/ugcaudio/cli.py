@@ -133,30 +133,58 @@ def matches_to_doc(lists: list[MatchingList]) -> dict:
     }
 
 
-def matches_from_doc(doc: dict) -> list[MatchingList]:
-    """Matching lists from a matches document, refusing impossible counts.
+# Each field of a matches-file entry: the JSON types it takes, and their name.
+_ENTRY_FIELDS = {
+    "clip": ((str,), "a string"),
+    "offset_frames": ((int,), "an integer"),
+    "offset_seconds": ((int, float), "a number"),
+    "ml": ((int,), "an integer"),
+    "tml": ((int,), "an integer"),
+    "lq": ((int,), "an integer"),
+    "li": ((int,), "an integer"),
+}
 
-    No count may be negative and ml may not exceed tml; a ValueError names
-    the query and the entry's index in its list.
+
+def matches_from_doc(doc) -> list[MatchingList]:
+    """Matching lists from a matches document, refusing malformed entries and impossible counts.
+
+    The document is {"queries": [{"query": id, "entries": [...]}, ...]}, as
+    matches_to_doc writes it. Every entry field must be present and of its
+    type (a count 7.9 or true is not read as 7 or 1), no count may be
+    negative and ml may not exceed tml; a ValueError names the query, the
+    entry's index in its list and the field.
     """
+    queries = doc.get("queries") if isinstance(doc, dict) else None
+    if not isinstance(queries, list):
+        raise ValueError("matches file: expected an object whose 'queries' is a list")
     lists = []
-    for q in doc["queries"]:
+    for n, q in enumerate(queries):
+        if not (isinstance(q, dict) and isinstance(q.get("query"), str) and isinstance(q.get("entries"), list)):
+            raise ValueError(f"matches file: query {n} needs a string 'query' and a list 'entries'")
         entries = []
         for i, e in enumerate(q["entries"]):
+            where = f"query {q['query']!r} entry {i}"
+            if not isinstance(e, dict):
+                raise ValueError(f"{where}: not an object")
+            for key, (kinds, wanted) in _ENTRY_FIELDS.items():
+                if key not in e:
+                    raise ValueError(f"{where}: missing field {key!r}")
+                if not isinstance(e[key], kinds) or isinstance(e[key], bool):
+                    raise ValueError(f"{where}: {key} must be {wanted}, got {e[key]!r}")
             entry = MatchEntry(
                 query_id=q["query"],
                 clip_id=e["clip"],
-                offset_frames=int(e["offset_frames"]),
+                offset_frames=e["offset_frames"],
                 offset_seconds=float(e["offset_seconds"]),
-                ml=int(e["ml"]),
-                tml=int(e["tml"]),
-                lq=int(e["lq"]),
-                li=int(e["li"]),
+                ml=e["ml"],
+                tml=e["tml"],
+                lq=e["lq"],
+                li=e["li"],
             )
             if min(entry.ml, entry.tml, entry.lq, entry.li) < 0:
-                raise ValueError(f"query {entry.query_id!r} entry {i}: negative landmark count")
+                raise ValueError(f"{where}: negative landmark count")
             if entry.ml > entry.tml:
-                raise ValueError(f"query {entry.query_id!r} entry {i}: ml {entry.ml} exceeds tml {entry.tml}")
+                raise ValueError(f"{where}: ml {entry.ml} exceeds tml {entry.tml}")
             entries.append(entry)
         lists.append(MatchingList(query_id=q["query"], entries=entries))
     return lists

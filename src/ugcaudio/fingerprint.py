@@ -9,6 +9,10 @@ carried as int arrays, one row per item:
     pair_landmarks  N x 4  (t1, f1, f2, dt), t1 the anchor frame
     hash_landmarks  N x 2  (key, t1)
 
+Candidates are picked in blocks of frames, each written with its halo into
+one padded buffer: from the STFT as it is computed (clip_fingerprint), or
+from a whole spectrogram (peak_candidates).
+
 The index is one key-sorted (key, clip ordinal, t1) posting array, built
 once from the clips' (key, t1) arrays and frozen from then on. Querying votes
 anchor-frame differences per candidate clip and reports every merged offset
@@ -31,9 +35,9 @@ _DF_BIAS = 63
 _DT_MAX = 63
 _KEY_LIMIT = 1 << 21  # every key is below this
 
-# Frames per peak-picking block. A block is picked with a 3-frame halo on
-# either side, so the picker's buffers, and the streamed STFT in
-# clip_fingerprint that fills them, are block-sized whatever the clip's length.
+# Frames per peak-picking block. A block is written with a 3-frame halo on
+# either side into the picker's padded buffer, so that buffer and its two
+# scratch buffers are block-sized whatever the clip's length.
 _FRAME_BLOCK = 256
 # Frames per FFT call: bounds the windowed and complex temporaries.
 _STFT_ROWS = 32
@@ -219,32 +223,6 @@ def spectrogram(clip: AudioClip, cfg: FpConfig) -> np.ndarray:
     return spec
 
 
-def _stft_blocks(windows: np.ndarray, cfg: FpConfig):
-    """(f0, rows) per peak-picking block of the frames' spectrogram, streamed.
-
-    `rows` holds frames [max(f0 - 3, 0), min(f0 + _FRAME_BLOCK + 3, frames)):
-    the block and its halo, in one buffer reused from block to block. The
-    halo frames shared with the previous block are moved to the front, not
-    computed again.
-    """
-    n_frames = len(windows)
-    buf = np.empty((min(_FRAME_BLOCK, n_frames) + 6, cfg.window // 2 + 1))
-    lo = done = 0  # buf[: done - lo] holds frames [lo, done)
-    for f0 in range(0, n_frames, _FRAME_BLOCK):
-        new_lo, hi = max(f0 - 3, 0), min(f0 + _FRAME_BLOCK + 3, n_frames)
-        kept = done - new_lo
-        buf[:kept] = buf[new_lo - lo : done - lo]
-        _stft_rows(windows[done:hi], buf[kept : hi - new_lo], cfg)
-        lo, done = new_lo, hi
-        yield f0, buf[: hi - lo]
-
-
-def _spec_blocks(spec: np.ndarray):
-    """(f0, rows) per peak-picking block of a whole spectrogram, as views."""
-    for f0 in range(0, len(spec), _FRAME_BLOCK):
-        yield f0, spec[max(f0 - 3, 0) : f0 + _FRAME_BLOCK + 3]
-
-
 def peak_candidates(spec: np.ndarray, cfg: FpConfig) -> np.ndarray:
     """Strict local maxima over a +/-3 frame, +/-3 bin neighborhood.
 
@@ -254,28 +232,36 @@ def peak_candidates(spec: np.ndarray, cfg: FpConfig) -> np.ndarray:
     """
     if spec.size == 0:
         raise ValueError("empty spectrogram")
-    return _pick_candidates(_spec_blocks(spec), spec.shape, cfg)
+    return _pick_candidates(lambda lo, hi, out: np.copyto(out, spec[lo:hi]), spec.shape, cfg)
 
 
-def _pick_candidates(blocks, shape: tuple[int, int], cfg: FpConfig) -> np.ndarray:
-    """peak_candidates over (f0, rows) blocks, as _spec_blocks and _stft_blocks give them.
+def _pick_candidates(rows, shape: tuple[int, int], cfg: FpConfig) -> np.ndarray:
+    """peak_candidates of the spectrogram whose frames [lo, hi) rows(lo, hi, out) writes to out.
 
-    Each block of _FRAME_BLOCK frames is picked against its 3-frame halo, in
-    block-sized buffers; every cell sees the same neighbors, so the result
-    does not depend on the block. The magnitudes that order the candidates
-    are gathered block by block.
+    Each block of _FRAME_BLOCK frames is written, with its 3-frame halo, into
+    the inner columns of one -inf-padded buffer and picked there. Halo frames
+    are written again for each block that has them, and rows past the last
+    frame are reset to -inf, so every cell sees the same neighbors as in the
+    whole spectrogram and the result does not depend on the block. The
+    magnitudes that order the candidates are gathered block by block.
     """
     n_frames, n_bins = shape
     block = min(_FRAME_BLOCK, n_frames)
+    # The 3 columns either side stay -inf, as do the rows before frame 0,
+    # which only the first block has.
     padded = np.full((block + 6, n_bins + 6), -np.inf)
-    scratch = np.empty((block + 6, n_bins))
+    inner = padded[:, 3 : n_bins + 3]
+    sides, full = np.empty((2, block + 6, n_bins))
     found_frames, found_bins, found_mags = [], [], []
-    for f0, rows in blocks:
+    for f0 in range(0, n_frames, block):
         m = min(block, n_frames - f0)
-        halo = min(f0, 3)  # halo frames in rows before the block
-        values = rows[halo : halo + m]
+        lo, hi = max(f0 - 3, 0), min(f0 + m + 3, n_frames)
+        top = lo - f0 + 3  # padded row of frame lo
+        rows(lo, hi, inner[top : top + hi - lo])
+        inner[top + hi - lo : m + 6] = -np.inf  # rows past the last frame
+        values = inner[3 : m + 3]
         # Above the neighborhood max and the floor: above the larger of them.
-        bar = _holed_max(rows, 3 - halo, m, padded, scratch)
+        bar = _holed_max(padded[: m + 6], sides[: m + 6], full[: m + 6])
         np.maximum(bar, cfg.log_floor + 1.0, out=bar)
         frames_idx, bins_idx = np.nonzero(values > bar)  # sorted by (frame, bin)
         found_frames.append(frames_idx + f0)
@@ -310,35 +296,25 @@ def extract_peaks(spec: np.ndarray, cfg: FpConfig) -> np.ndarray:
     return thin_peaks(peak_candidates(spec, cfg), 0, spec.shape[0], cfg)
 
 
-def _holed_max(
-    rows: np.ndarray, top: int, m: int, padded: np.ndarray, scratch: np.ndarray
-) -> np.ndarray:
+def _holed_max(padded: np.ndarray, sides: np.ndarray, full: np.ndarray) -> np.ndarray:
     """Max over each cell's 7 x 7 neighborhood, the cell itself excluded.
 
-    Covers m block frames, held in `rows` with as much of their 3-frame halo
-    as the spectrogram has; `rows` goes into `padded` from row `top`, 3 less
-    the halo frames before the block, and the missing halo rows become -inf.
-    Equal there to scipy.ndimage.maximum_filter of the whole spectrogram
-    with a holed 7 x 7 footprint and cval=-inf: the neighborhood splits into
-    the same frame at bins +/-1..3 and frames +/-1..3 at bins within +/-3,
-    each a max of shifted slices. `padded` has 3 columns of -inf on each
-    side, which this never writes; the result is a view of `scratch`.
+    `padded` is a filled block: m frames with 3 halo rows and 3 columns of
+    -inf on each side; `sides` and `full` are scratch of its rows by the
+    inner columns. Equal there to scipy.ndimage.maximum_filter of the whole
+    spectrogram with a holed 7 x 7 footprint and cval=-inf: the neighborhood
+    splits into the same frame at bins +/-1..3 and frames +/-1..3 at bins
+    within +/-3, each a max of shifted slices. `padded` is only read; the
+    result, for the m block frames, is a view of `sides`.
     """
-    n_bins = rows.shape[1]
-    bottom = top + len(rows)
-    padded = padded[: m + 6]
-    inner = padded[:, 3 : n_bins + 3]  # full +/-3 bins, per padded frame
-    inner[:top] = -np.inf  # halo rows beyond the spectrogram
-    inner[top:bottom] = rows
-    inner[bottom:] = -np.inf
-    sides = scratch[: m + 6]
+    m, n_bins = len(padded) - 6, sides.shape[1]
     np.maximum(padded[:, 0:n_bins], padded[:, 1 : n_bins + 1], out=sides)
     for shift in (2, 4, 5, 6):
         np.maximum(sides, padded[:, shift : shift + n_bins], out=sides)
-    np.maximum(inner, sides, out=inner)
+    np.maximum(padded[:, 3 : n_bins + 3], sides, out=full)  # full +/-3 bins, per frame
     out = sides[3 : m + 3]
     for shift in (0, 1, 2, 4, 5, 6):
-        np.maximum(out, inner[shift : shift + m], out=out)
+        np.maximum(out, full[shift : shift + m], out=out)
     return out
 
 
@@ -415,14 +391,17 @@ def clip_fingerprint(clip: AudioClip, cfg: FpConfig) -> tuple[np.ndarray, np.nda
 
     The landmarks are those of hash_landmarks(fingerprint_clip(clip, cfg)).
     A clip shorter than one window has neither. The candidates are those of
-    peak_candidates(spectrogram(clip, cfg), cfg), but the spectrogram is
-    streamed block by block into the picker and never held whole.
+    peak_candidates(spectrogram(clip, cfg), cfg), but the STFT writes each
+    block's frames straight into the picker's buffer, and the spectrogram is
+    never held whole.
     """
     if len(clip.samples) < cfg.window:
         return np.empty((0, 2), dtype=np.int64), np.empty((0, 2), dtype=np.int32)
     windows = _frame_windows(clip, cfg)
     n_frames = len(windows)
-    candidates = _pick_candidates(_stft_blocks(windows, cfg), (n_frames, cfg.window // 2 + 1), cfg)
+    candidates = _pick_candidates(
+        lambda lo, hi, out: _stft_rows(windows[lo:hi], out, cfg), (n_frames, cfg.window // 2 + 1), cfg
+    )
     peaks = thin_peaks(candidates, 0, n_frames, cfg)
     return hash_landmarks(pair_landmarks(peaks, cfg)), candidates
 

@@ -133,7 +133,11 @@ def index_from_bytes(data: bytes) -> FingerprintIndex:
     clip_ids: list[str] = []
     for _ in range(n_clips):
         (id_len,) = r.take("<H")
-        cid = r.take_bytes(id_len).decode("utf-8")
+        at = r.pos
+        try:
+            cid = r.take_bytes(id_len).decode("utf-8")
+        except UnicodeDecodeError:
+            raise StorageError(f"clip table entry {len(clip_ids)}: id at offset {at} is not UTF-8") from None
         duration, n_landmarks = r.take("<dI")
         if cid in index.landmark_counts:
             raise StorageError(f"duplicate clip id {cid!r} in index file")

@@ -1,4 +1,5 @@
 import json
+import re
 import struct
 
 import numpy as np
@@ -283,6 +284,22 @@ class TestGroundTruthJson:
         _, truth = synth_corpus(SynthSpec(**TestSynthCorpus.SPEC))
         again = GroundTruth.from_json(truth.to_json())
         assert again.to_json() == truth.to_json()
+
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            ([], "manifest: expected an object whose 'clips' is an object"),
+            ({"clips": []}, "manifest: expected an object whose 'clips' is an object"),
+            ({"clips": {"x": 3}}, "manifest clip 'x': not an object"),
+            (
+                {"clips": {"x": {"start": 0.0, "duration": 9.0, "snr_db": 20.0}}},
+                "manifest clip 'x': missing field 'event_id'",
+            ),
+        ],
+    )
+    def test_malformed_refused_naming_clip_and_field(self, doc, message):
+        with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+            GroundTruth.from_json(json.dumps(doc))
 
     def test_matches_schema(self):
         import jsonschema

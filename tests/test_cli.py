@@ -342,7 +342,7 @@ class TestMatch:
         assert main(["match", *wavs, "--index", str(idx), "--out", str(out)]) == 0
         assert out.read_bytes() == matches_file.read_bytes()
 
-    @pytest.mark.parametrize("fault", ["key", "ordinal", "no landmarks"])
+    @pytest.mark.parametrize("fault", ["key", "ordinal", "no landmarks", "clip id"])
     def test_refused_index_file_exits_3_naming_the_fault(self, indexed, tmp_path, capsys, fault):
         index = FingerprintIndex(FpConfig())
         index.add_hashed("a", [(7, 0)], duration=1.0)
@@ -354,6 +354,10 @@ class TestMatch:
         elif fault == "ordinal":
             blob[-8:-4] = (9).to_bytes(4, "little")  # clip ordinal of the last posting
             message = "posting 1 references clip ordinal 9 of 2"
+        elif fault == "clip id":
+            pos = blob.index(b"\x01\x00b") + 2
+            blob[pos] = 0xFF  # b's one-byte id
+            message = f"clip table entry 1: id at offset {pos} is not UTF-8"
         else:
             pos = blob.index(b"\x01\x00b") + 3 + 8
             blob[pos:pos + 4] = bytes(4)  # b's landmark count
@@ -368,11 +372,29 @@ class TestMatch:
 
 
 GOOD_ENTRY = {"clip": "b", "offset_frames": 3, "offset_seconds": 0.07, "ml": 9, "tml": 12, "lq": 300, "li": 280}
+MISSING = object()  # drops the field from the entry
 
 
 def matches_doc(**counts):
     """One query 'a' whose second entry (index 1) takes the given counts."""
-    return {"queries": [{"query": "a", "entries": [GOOD_ENTRY, {**GOOD_ENTRY, "clip": "c", **counts}]}]}
+    second = {key: v for key, v in {**GOOD_ENTRY, "clip": "c", **counts}.items() if v is not MISSING}
+    return {"queries": [{"query": "a", "entries": [GOOD_ENTRY, second]}]}
+
+
+# Entry fields that are missing or of the wrong JSON type, and the refusal's text.
+MALFORMED_ENTRIES = [
+    ({"offset_frames": MISSING}, "missing field 'offset_frames'"),
+    ({"ml": 7.9}, "ml must be an integer, got 7.9"),
+    ({"ml": True}, "ml must be an integer, got True"),
+    ({"offset_frames": 2.5}, "offset_frames must be an integer, got 2.5"),
+    ({"clip": 4}, "clip must be a string, got 4"),
+]
+# Documents with no list of queries where one belongs, and the refusal's text.
+MALFORMED_DOCS = [
+    ([], "matches file: expected an object whose 'queries' is a list"),
+    ({"queries": {"a": []}}, "matches file: expected an object whose 'queries' is a list"),
+    ({"queries": [{"query": "a"}]}, "matches file: query 0 needs a string 'query' and a list 'entries'"),
+]
 
 
 class TestMatchesFromDoc:
@@ -386,21 +408,45 @@ class TestMatchesFromDoc:
             matches_from_doc(matches_doc(ml=13))
         assert matches_from_doc(matches_doc(ml=12))[0].entries[1].ml == 12
 
-    @pytest.mark.parametrize("command", ["train", "classify"])
-    @pytest.mark.parametrize(
-        "counts, message", [({"ml": 13}, "ml 13 exceeds tml 12"), ({"li": -1}, "negative landmark count")]
-    )
-    def test_bad_counts_exit_3(self, train_corpus, trained_model, tmp_path, capsys, command, counts, message):
+    @pytest.mark.parametrize("counts, message", MALFORMED_ENTRIES)
+    def test_malformed_entry_rejected(self, counts, message):
+        with pytest.raises(ValueError, match="^" + re.escape(f"query 'a' entry 1: {message}") + "$"):
+            matches_from_doc(matches_doc(**counts))
+
+    @pytest.mark.parametrize("doc, message", MALFORMED_DOCS)
+    def test_malformed_document_rejected(self, doc, message):
+        with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+            matches_from_doc(doc)
+
+    @staticmethod
+    def run_on(doc, command, train_corpus, trained_model, tmp_path, capsys) -> tuple[int, str]:
+        """`command` on a matches file holding `doc`: exit code and stderr."""
         bad = tmp_path / "bad.json"
-        bad.write_text(json.dumps(matches_doc(**counts)))
+        bad.write_text(json.dumps(doc))
         if command == "train":
             manifest = str(train_corpus / "manifest.json")
             argv = ["train", "--matches", str(bad), "--manifest", manifest, "--out", str(tmp_path / "m.txt")]
         else:
             argv = ["classify", "--model", str(trained_model[0]), "--matches", str(bad)]
         capsys.readouterr()
-        assert main(argv) == 3
-        assert f"error: query 'a' entry 1: {message}" in capsys.readouterr().err
+        return main(argv), capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["train", "classify"])
+    @pytest.mark.parametrize(
+        "counts, message",
+        [({"ml": 13}, "ml 13 exceeds tml 12"), ({"li": -1}, "negative landmark count"), *MALFORMED_ENTRIES],
+    )
+    def test_bad_counts_exit_3(self, train_corpus, trained_model, tmp_path, capsys, command, counts, message):
+        rc, err = self.run_on(matches_doc(**counts), command, train_corpus, trained_model, tmp_path, capsys)
+        assert rc == 3
+        assert err == f"error: query 'a' entry 1: {message}\n"
+
+    @pytest.mark.parametrize("command", ["train", "classify"])
+    @pytest.mark.parametrize("doc, message", MALFORMED_DOCS)
+    def test_bad_document_exits_3(self, train_corpus, trained_model, tmp_path, capsys, command, doc, message):
+        rc, err = self.run_on(doc, command, train_corpus, trained_model, tmp_path, capsys)
+        assert rc == 3
+        assert err == f"error: {message}\n"
 
 
 class TestTrain:
@@ -449,6 +495,21 @@ class TestTrain:
             ]
         )
         assert rc == 2
+
+    @pytest.mark.parametrize("fault", ["list", "no event_id"])
+    def test_malformed_manifest_exits_3(self, train_corpus, matches_file, tmp_path, capsys, fault):
+        manifest = json.loads((train_corpus / "manifest.json").read_text())
+        if fault == "list":
+            manifest, message = [], "manifest: expected an object whose 'clips' is an object"
+        else:
+            first = min(manifest["clips"])
+            del manifest["clips"][first]["event_id"]
+            message = f"manifest clip {first!r}: missing field 'event_id'"
+        bad = tmp_path / "manifest.json"
+        bad.write_text(json.dumps(manifest))
+        capsys.readouterr()
+        assert main(["train", "--matches", str(matches_file), "--manifest", str(bad), "--out", str(tmp_path / "m.txt")]) == 3
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_clip_missing_from_manifest_exits_3(self, train_corpus, matches_file, tmp_path, capsys):
         doc = json.loads(matches_file.read_text())

@@ -286,10 +286,17 @@ class TestBlockedPeaks:
         got = [tuple(p) for p in peak_candidates(spec, cfg).tolist()]
         assert got == self.oracle_candidates(spec, cfg)
 
-    @pytest.mark.parametrize("n_frames", [BLOCK + 2, BLOCK + 4, 2 * BLOCK + 3])
-    def test_peaks_planted_at_block_edges(self, n_frames):
+    # (frames, frames loud from the start). With a loud start, the rows past
+    # the end of the short last block must not keep an earlier block's frames.
+    @pytest.mark.parametrize(
+        "n_frames, loud",
+        [pytest.param(n, 0, id=str(n)) for n in (BLOCK + 2, BLOCK + 4, 2 * BLOCK + 3)]
+        + [pytest.param(BLOCK + 2, BLOCK - 4, id=f"{BLOCK + 2}-loud-start")],
+    )
+    def test_peaks_planted_at_block_edges(self, n_frames, loud):
         cfg = FpConfig()
         spec = np.full((n_frames, 60), cfg.log_floor)
+        spec[:loud] = 1.0  # level everywhere, so no candidate of its own
         # Strict peaks on the frames either side of the boundary, and a pair
         # tied across it, which neither may win.
         for frame, b, level in [
@@ -335,13 +342,17 @@ class TestStreamedFingerprint:
         seed=st.integers(0, 2**16),
     )
     @example(n_frames=BLOCK + 3, kinds=["noise", "periodic", "silent", "noise"], extra=0, seed=0)
+    # A short last block ending on noise, after a block that began with noise.
+    @example(n_frames=BLOCK + 2, kinds=["noise", "silent", "silent", "noise"], extra=0, seed=0)
     @settings(max_examples=80, deadline=None)
     def test_equals_picking_the_whole_spectrogram(self, n_frames, kinds, extra, seed):
         cfg = FpConfig()
         clip = piecewise_clip(n_frames, kinds, extra, seed, cfg)
         hashed, candidates = clip_fingerprint(clip, cfg)
-        want = peak_candidates(spectrogram(clip, cfg), cfg)
+        spec = spectrogram(clip, cfg)
+        want = peak_candidates(spec, cfg)
         assert candidates.dtype == want.dtype and np.array_equal(candidates, want)
+        assert [tuple(p) for p in candidates.tolist()] == TestBlockedPeaks.oracle_candidates(spec, cfg)
         assert np.array_equal(hashed, hash_landmarks(fingerprint_clip(clip, cfg)))
 
     @pytest.mark.parametrize("n_frames", [1, 3, BLOCK + 2, 2 * BLOCK + 6])

@@ -209,6 +209,12 @@ class TestIndexFormat:
         with pytest.raises(StorageError, match="clip 'alpha' declares 0 landmarks"):
             index_from_bytes(bytes(blob))
 
+    def test_clip_id_not_utf8_rejected(self):
+        blob = index_to_bytes(toy_index())
+        at = blob.index(b"beta")  # the second entry; 'alpha' sorts first
+        with pytest.raises(StorageError, match=f"^clip table entry 1: id at offset {at} is not UTF-8$"):
+            index_from_bytes(blob[:at] + b"\xffeta" + blob[at + 4 :])
+
     def test_clip_table_out_of_id_order_rejected(self):
         index = FingerprintIndex(FpConfig())
         index.add_hashed("x1", [(5, 0)], duration=1.0)
