@@ -123,7 +123,12 @@ class GroundTruth:
 
     @classmethod
     def from_json(cls, text: str) -> "GroundTruth":
-        """Read to_json's form; a ValueError names the clip and field at fault."""
+        """Read to_json's form; a ValueError names the clip and field at fault.
+
+        Each clip's fields hold what docs/manifest.schema.json states: a
+        string event_id and finite numbers start >= 0, duration > 0 and
+        snr_db.
+        """
         doc = json.loads(text)
         clips = doc.get("clips") if isinstance(doc, dict) else None
         if not isinstance(clips, dict):
@@ -135,6 +140,16 @@ class GroundTruth:
             for key in ("event_id", "start", "duration", "snr_db"):
                 if key not in t:
                     raise ValueError(f"manifest clip {cid!r}: missing field {key!r}")
+            if not isinstance(t["event_id"], str):
+                raise ValueError(f"manifest clip {cid!r}: event_id must be a string, got {t['event_id']!r}")
+            for key in ("start", "duration", "snr_db"):
+                value = t[key]
+                if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+                    raise ValueError(f"manifest clip {cid!r}: {key} must be a finite number, got {value!r}")
+            if t["start"] < 0:
+                raise ValueError(f"manifest clip {cid!r}: start must be at least 0, got {t['start']!r}")
+            if t["duration"] <= 0:
+                raise ValueError(f"manifest clip {cid!r}: duration must be above 0, got {t['duration']!r}")
             truth.clips[cid] = ClipTruth(
                 event_id=t["event_id"],
                 start=t["start"],

@@ -8,6 +8,7 @@ or incompatible stored file, failed precondition).
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from pathlib import Path
@@ -150,9 +151,10 @@ def matches_from_doc(doc) -> list[MatchingList]:
 
     The document is {"queries": [{"query": id, "entries": [...]}, ...]}, as
     matches_to_doc writes it. Every entry field must be present and of its
-    type (a count 7.9 or true is not read as 7 or 1), no count may be
-    negative and ml may not exceed tml; a ValueError names the query, the
-    entry's index in its list and the field.
+    type (a count 7.9 or true is not read as 7 or 1), offset_seconds must be
+    finite, clip may not be the query itself, no count may be negative and ml
+    may not exceed tml; a ValueError names the query, the entry's index in
+    its list and the field.
     """
     queries = doc.get("queries") if isinstance(doc, dict) else None
     if not isinstance(queries, list):
@@ -171,6 +173,10 @@ def matches_from_doc(doc) -> list[MatchingList]:
                     raise ValueError(f"{where}: missing field {key!r}")
                 if not isinstance(e[key], kinds) or isinstance(e[key], bool):
                     raise ValueError(f"{where}: {key} must be {wanted}, got {e[key]!r}")
+            if not math.isfinite(e["offset_seconds"]):  # JSON NaN and Infinity parse to floats
+                raise ValueError(f"{where}: offset_seconds must be finite, got {e['offset_seconds']!r}")
+            if e["clip"] == q["query"]:
+                raise ValueError(f"{where}: clip must differ from the query, got {e['clip']!r}")
             entry = MatchEntry(
                 query_id=q["query"],
                 clip_id=e["clip"],

@@ -41,6 +41,10 @@ _KEY_LIMIT = 1 << 21  # every key is below this
 _FRAME_BLOCK = 256
 # Frames per FFT call: bounds the windowed and complex temporaries.
 _STFT_ROWS = 32
+# Peaks each pairing sweep tests per anchor, below 128 since the running
+# count is int8. Of 8, 16 and 32, 16 paired organise clips fastest; 32
+# doubles the block temporaries of a quality batch.
+_PAIR_BLOCK = 16
 
 
 # The parameters that shape stored postings, in FpConfig's field order. An
@@ -242,8 +246,9 @@ def _pick_candidates(rows, shape: tuple[int, int], cfg: FpConfig) -> np.ndarray:
     the inner columns of one -inf-padded buffer and picked there. Halo frames
     are written again for each block that has them, and rows past the last
     frame are reset to -inf, so every cell sees the same neighbors as in the
-    whole spectrogram and the result does not depend on the block. The
-    magnitudes that order the candidates are gathered block by block.
+    whole spectrogram and the result does not depend on the block. A block's
+    candidates come from one flat scan of its mask, (frame, bin) recovered by
+    divmod, and the magnitudes that order them are gathered block by block.
     """
     n_frames, n_bins = shape
     block = min(_FRAME_BLOCK, n_frames)
@@ -263,7 +268,8 @@ def _pick_candidates(rows, shape: tuple[int, int], cfg: FpConfig) -> np.ndarray:
         # Above the neighborhood max and the floor: above the larger of them.
         bar = _holed_max(padded[: m + 6], sides[: m + 6], full[: m + 6])
         np.maximum(bar, cfg.log_floor + 1.0, out=bar)
-        frames_idx, bins_idx = np.nonzero(values > bar)  # sorted by (frame, bin)
+        # The mask is C-ordered, so its flat indices come sorted by (frame, bin).
+        frames_idx, bins_idx = np.divmod(np.flatnonzero(values > bar), n_bins)
         found_frames.append(frames_idx + f0)
         found_bins.append(bins_idx)
         found_mags.append(values[frames_idx, bins_idx])
@@ -326,30 +332,46 @@ def pair_landmarks(peaks: np.ndarray, cfg: FpConfig) -> np.ndarray:
     peak rows are ordered, so scanning forward takes partners nearest in time
     first. Returns an N x 4 int array of (t1, f1, f2, dt) rows, grouped by
     anchor in peak order and by partner in peak order within an anchor.
+
+    The scans run in blocked sweeps. Each anchor's scan covers the peaks
+    dt_min to dt_max frames after it, a range of rows found once by
+    searchsorted. Each sweep tests the next _PAIR_BLOCK peaks of every anchor
+    still scanning, as one anchors x _PAIR_BLOCK block, and a running count
+    along each row keeps the admissible partners the anchor still needs. An
+    anchor stops once it has cfg.fanout partners or its range is used up.
     """
     peaks = np.asarray(peaks, dtype=np.int64).reshape(-1, 2)
     frames, bins = peaks[:, 0], peaks[:, 1]
-    n = len(peaks)
-    taken = np.zeros(n, dtype=np.int64)
+    # Anchor i scans peaks [start[i], end[i]): dt_min <= dt <= dt_max.
+    start = np.searchsorted(frames, frames + cfg.dt_min, "left")
+    end = np.searchsorted(frames, frames + cfg.dt_max, "right")
+    # A partner's bin lies in [low, high]: the bin window, within the key.
+    low, high = bins + cfg.df_min, np.minimum(bins + cfg.df_max, _F1_MAX)
+    # Row j: the bins of peaks j .. j + _PAIR_BLOCK - 1, padded past the last
+    # peak, which no scan reaches.
+    runs = np.lib.stride_tricks.sliding_window_view(
+        np.concatenate([bins, np.zeros(_PAIR_BLOCK, bins.dtype)]), _PAIR_BLOCK
+    )
     firsts = [np.empty(0, dtype=np.int64)]
     seconds = [np.empty(0, dtype=np.int64)]
-    # Column sweep: step k visits partner i + k of every anchor i still
-    # scanning, which is the k-th step of the per-anchor forward scan.
-    active = np.flatnonzero(bins <= _F1_MAX)
-    k = 1
+    columns = np.arange(_PAIR_BLOCK)
+    active = np.flatnonzero((bins <= _F1_MAX) & (start < end))
+    wanted = np.full(len(active), cfg.fanout)  # partners each active anchor still takes
+    done = 0  # peaks each active anchor has scanned
     while len(active):
-        active = active[active + k < n]
-        partner = active + k
-        dt = frames[partner] - frames[active]
-        in_reach = dt <= cfg.dt_max  # the scan stops at the first peak past dt_max
-        active, partner, dt = active[in_reach], partner[in_reach], dt[in_reach]
-        df = bins[partner] - bins[active]
-        ok = (dt >= cfg.dt_min) & (bins[partner] <= _F1_MAX) & (df >= cfg.df_min) & (df <= cfg.df_max)
-        firsts.append(active[ok])
-        seconds.append(partner[ok])
-        taken[active[ok]] += 1
-        active = active[taken[active] < cfg.fanout]
-        k += 1
+        pos = start[active] + done
+        block = runs[pos]
+        ok = (block >= low[active, None]) & (block <= high[active, None])
+        ok &= columns < (end[active] - pos)[:, None]
+        taken = np.cumsum(ok, axis=1, dtype=np.int8)
+        ok &= taken <= wanted[:, None]
+        row, col = np.divmod(np.flatnonzero(ok), _PAIR_BLOCK)
+        firsts.append(active[row])
+        seconds.append(pos[row] + col)
+        wanted -= np.minimum(taken[:, -1], wanted)
+        done += _PAIR_BLOCK
+        scanning = (wanted > 0) & (pos + _PAIR_BLOCK < end[active])
+        active, wanted = active[scanning], wanted[scanning]
     first = np.concatenate(firsts)
     order = np.argsort(first, kind="stable")
     first, second = first[order], np.concatenate(seconds)[order]
@@ -512,6 +534,9 @@ def query(
     # Every posting under each query key, as (query row, posting row). Keys
     # are searched as u32, the postings' own type; a key outside the key
     # range becomes _KEY_LIMIT, which no posting holds, rather than wrapping.
+    # The query rows are searched in key order, which the votes do not
+    # depend on and which keeps the searches' reads of the keys local.
+    hashed = hashed[np.argsort(hashed[:, 0])]
     keys = hashed[:, 0]
     keys = np.where((keys >= 0) & (keys < _KEY_LIMIT), keys, _KEY_LIMIT).astype(np.uint32)
     lo = np.searchsorted(index._keys, keys, "left")

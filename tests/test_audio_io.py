@@ -279,6 +279,9 @@ class TestSynthCorpus:
             assert np.max(np.abs(clip.samples)) <= 0.9900001
 
 
+GOOD_TRUTH = {"event_id": "e", "start": 0, "duration": 9.0, "snr_db": 20.0}
+
+
 class TestGroundTruthJson:
     def test_round_trip(self):
         _, truth = synth_corpus(SynthSpec(**TestSynthCorpus.SPEC))
@@ -295,11 +298,33 @@ class TestGroundTruthJson:
                 {"clips": {"x": {"start": 0.0, "duration": 9.0, "snr_db": 20.0}}},
                 "manifest clip 'x': missing field 'event_id'",
             ),
+            (
+                {"clips": {"x": {"event_id": 7, "start": "soon", "duration": -1, "snr_db": None}}},
+                "manifest clip 'x': event_id must be a string, got 7",
+            ),
+            *(
+                ({"clips": {"x": {**GOOD_TRUTH, **fault}}}, f"manifest clip 'x': {message}")
+                for fault, message in [
+                    ({"start": "soon"}, "start must be a finite number, got 'soon'"),
+                    ({"snr_db": None}, "snr_db must be a finite number, got None"),
+                    ({"duration": True}, "duration must be a finite number, got True"),
+                    ({"snr_db": float("nan")}, "snr_db must be a finite number, got nan"),
+                    ({"start": float("inf")}, "start must be a finite number, got inf"),
+                    ({"start": -0.5}, "start must be at least 0, got -0.5"),
+                    ({"duration": -1}, "duration must be above 0, got -1"),
+                    ({"duration": 0}, "duration must be above 0, got 0"),
+                ]
+            ),
         ],
     )
     def test_malformed_refused_naming_clip_and_field(self, doc, message):
         with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
             GroundTruth.from_json(json.dumps(doc))
+
+    def test_schema_values_load(self):
+        doc = {"clips": {"x": GOOD_TRUTH, "y": {**GOOD_TRUTH, "start": 2.5, "duration": 1, "snr_db": -3}}}
+        truth = GroundTruth.from_json(json.dumps(doc))
+        assert truth.clips["y"].start == 2.5 and truth.clips["x"].event_id == "e"
 
     def test_matches_schema(self):
         import jsonschema

@@ -388,6 +388,10 @@ MALFORMED_ENTRIES = [
     ({"ml": True}, "ml must be an integer, got True"),
     ({"offset_frames": 2.5}, "offset_frames must be an integer, got 2.5"),
     ({"clip": 4}, "clip must be a string, got 4"),
+    ({"offset_seconds": float("nan")}, "offset_seconds must be finite, got nan"),
+    ({"offset_seconds": float("inf")}, "offset_seconds must be finite, got inf"),
+    ({"offset_seconds": -float("inf")}, "offset_seconds must be finite, got -inf"),
+    ({"clip": "a"}, "clip must differ from the query, got 'a'"),
 ]
 # Documents with no list of queries where one belongs, and the refusal's text.
 MALFORMED_DOCS = [
@@ -496,15 +500,21 @@ class TestTrain:
         )
         assert rc == 2
 
-    @pytest.mark.parametrize("fault", ["list", "no event_id"])
+    @pytest.mark.parametrize("fault", ["list", "no event_id", "integer event_id", "negative duration"])
     def test_malformed_manifest_exits_3(self, train_corpus, matches_file, tmp_path, capsys, fault):
         manifest = json.loads((train_corpus / "manifest.json").read_text())
+        first = min(manifest["clips"])
         if fault == "list":
             manifest, message = [], "manifest: expected an object whose 'clips' is an object"
-        else:
-            first = min(manifest["clips"])
+        elif fault == "no event_id":
             del manifest["clips"][first]["event_id"]
             message = f"manifest clip {first!r}: missing field 'event_id'"
+        elif fault == "integer event_id":
+            manifest["clips"][first]["event_id"] = 7
+            message = f"manifest clip {first!r}: event_id must be a string, got 7"
+        else:
+            manifest["clips"][first]["duration"] = -1
+            message = f"manifest clip {first!r}: duration must be above 0, got -1"
         bad = tmp_path / "manifest.json"
         bad.write_text(json.dumps(manifest))
         capsys.readouterr()

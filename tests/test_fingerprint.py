@@ -403,6 +403,11 @@ def _brute_force_pairs(peaks, cfg):
     return out
 
 
+def _window(lo, hi):
+    """An ordered (low, high) pair of bounds, drawn from [lo, hi]."""
+    return st.tuples(st.integers(lo, hi), st.integers(lo, hi)).map(sorted)
+
+
 class TestLandmarks:
     @given(
         st.lists(
@@ -416,6 +421,38 @@ class TestLandmarks:
     def test_pairing_matches_brute_force(self, spots):
         cfg = FpConfig()
         peaks = np.array(sorted(spots), dtype=np.int64).reshape(-1, 2)
+        got = [tuple(lm) for lm in pair_landmarks(peaks, cfg).tolist()]
+        assert got == _brute_force_pairs(peaks, cfg)
+
+    @given(
+        n_peaks=st.integers(0, 400),
+        n_frames=st.integers(1, 160),
+        seed=st.integers(0, 2**16),
+        fanout=st.integers(1, 6),
+        dt=_window(1, 63),
+        df=_window(-63, 63),
+    )
+    # Dense peaks and a narrow bin window: anchors scan far past 16 partners.
+    @example(n_peaks=400, n_frames=40, seed=0, fanout=6, dt=[1, 63], df=[-3, 3])
+    @example(n_peaks=400, n_frames=100, seed=1, fanout=2, dt=[5, 20], df=[10, 20])
+    @settings(max_examples=80, deadline=None)
+    def test_pairing_matches_brute_force_under_any_windows(self, n_peaks, n_frames, seed, fanout, dt, df):
+        """Up to 400 peaks, several to a frame, under any fan-out and dt/df windows."""
+        cfg = FpConfig(fanout=fanout, dt_min=dt[0], dt_max=dt[1], df_min=df[0], df_max=df[1])
+        n_bins = 270  # bins past 255 are neither anchors nor partners
+        cells = np.random.default_rng(seed).choice(n_frames * n_bins, min(n_peaks, n_frames * n_bins), replace=False)
+        peaks = np.stack(np.divmod(np.sort(cells), n_bins), axis=1)  # sorted by (frame, bin)
+        got = [tuple(lm) for lm in pair_landmarks(peaks, cfg).tolist()]
+        assert got == _brute_force_pairs(peaks, cfg)
+
+    @pytest.mark.parametrize("density", [20.0, 60.0])
+    def test_thinned_clip_peaks_match_brute_force(self, density):
+        """A 40 s clip's thinned peaks, at the matching and at the quality density."""
+        cfg = FpConfig(peak_density=density)
+        clip = burst_clip("long", duration=40.0, seed=3)
+        spec = spectrogram(clip, cfg)
+        peaks = thin_peaks(peak_candidates(spec, cfg), 0, len(spec), cfg)
+        assert len(peaks) >= 0.9 * density * 40
         got = [tuple(lm) for lm in pair_landmarks(peaks, cfg).tolist()]
         assert got == _brute_force_pairs(peaks, cfg)
 

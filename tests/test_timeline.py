@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -9,6 +10,7 @@ from ugcaudio import (
     FpConfig,
     MatchEdge,
     MatchGraph,
+    SynthSpec,
     assign_offsets,
     build_segments,
     consistency_report,
@@ -22,6 +24,7 @@ from ugcaudio import (
     peak_candidates,
     segment_quality,
     spectrogram,
+    synth_corpus,
     thin_peaks,
 )
 from ugcaudio import timeline
@@ -299,6 +302,34 @@ class TestSegmentQuality:
         assert alone[4].ranking == [("b", 0)] and alone[4].pair_votes == {}
         assert min(alone[0].pair_votes.values()) > 0
         assert segment_quality([], candidates, cfg) == []
+
+    def test_one_event_holds_under_2_8_mb(self):
+        # The organise shape: one 120 s event recorded by 6 clips of 20-40 s at 10-20 dB.
+        spec = SynthSpec(
+            n_events=1,
+            clips_per_event=6,
+            event_duration=120.0,
+            clip_duration_range=(20.0, 40.0),
+            min_overlap=10.0,
+            snr_range_db=(10.0, 20.0),
+            seed=0,
+        )
+        clips, truth = synth_corpus(spec)
+        cfg = FpConfig()
+        pm = pm_of({c.id: truth.clips[c.id].start for c in clips})
+        segments = build_segments(pm, {c.id: c.duration for c in clips})
+        candidates = candidates_of({c.id: c for c in clips}, cfg)
+        # 60 peaks/s over the event: several passes of QUALITY_BATCH_PEAKS.
+        assert sum(len(seg.members) * (seg.t_end - seg.t_start) for seg in segments) * 60 > 2 * QUALITY_BATCH_PEAKS
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            segment_quality(segments, candidates, cfg)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.8e6
 
 
 def _inside_cut_oracle(clip, cut, cfg):
