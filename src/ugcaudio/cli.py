@@ -154,7 +154,8 @@ def matches_from_doc(doc) -> list[MatchingList]:
     type (a count 7.9 or true is not read as 7 or 1), offset_seconds must be
     finite, clip may not be the query itself, no count may be negative and ml
     may not exceed tml; a ValueError names the query, the entry's index in
-    its list and the field.
+    its list and the field. ml may exceed lq: `query` writes such entries
+    when one query landmark meets postings at adjacent offsets of one clip.
     """
     queries = doc.get("queries") if isinstance(doc, dict) else None
     if not isinstance(queries, list):

@@ -11,12 +11,16 @@ whose segments all agree at offset zero (class 1).
 
 from __future__ import annotations
 
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, replace
+from functools import partial
 from typing import Iterable, Sequence
 
 import numpy as np
 from scipy.special import expit
 
+from . import parallel
 from .audio_io import GroundTruth
 from .event_graph import Cluster, MatchGraph, cluster_edges, split_repetitions
 from .fingerprint import MatchEntry, MatchingList
@@ -287,6 +291,12 @@ def _fit(family: str, x: np.ndarray, y: np.ndarray, param) -> LogRegModel | KnnM
     raise ValueError(f"unknown model family {family!r}")
 
 
+# Query rows per block of _knn_grid_predict: a block's distances fill at most
+# this many cells (195 query rows against 335 training rows), so the kernel's
+# memory does not grow with the number of queries.
+_KNN_BLOCK_CELLS = 1 << 16
+
+
 def _knn_grid_predict(
     tr_x: np.ndarray, tr_y: np.ndarray, xq: np.ndarray, ks: Sequence[int]
 ) -> np.ndarray:
@@ -295,7 +305,8 @@ def _knn_grid_predict(
     Neighbours are ranked as a stable argsort of the Euclidean distances
     would rank them: by distance, then by training index. Only the max(ks)
     nearest of each query are selected and sorted; the vote is their
-    prefix mean.
+    prefix mean. Queries go through in blocks of rows, each with at most
+    _KNN_BLOCK_CELLS distances, in buffers reused from block to block.
     """
     for k in ks:
         if k % 2 != 1 or k < 1:
@@ -303,33 +314,49 @@ def _knn_grid_predict(
         if k > len(tr_x):
             raise ValueError(f"k={k} exceeds training size {len(tr_x)}")
     k_max = max(ks)
-    # One feature column at a time: for the at most four features of a
-    # subset, the same squares summed in the same left-to-right order as
-    # np.linalg.norm(xq[:, None] - tr_x, axis=2), so bit-identical distances
-    # without the (len(xq), len(tr_x), d) temporary.
-    dist = np.zeros((len(xq), len(tr_x)))
-    diff = np.empty_like(dist)
-    for j in range(tr_x.shape[1]):
-        np.subtract.outer(xq[:, j], tr_x[:, j], out=diff)
-        diff *= diff
-        dist += diff
-    np.sqrt(dist, out=dist)
-
-    # Per row: every column strictly nearer than the k_max-th distance, then
-    # the lowest-index columns at exactly that distance until k_max are taken.
-    kth = np.partition(dist, k_max - 1, axis=1)[:, k_max - 1 : k_max]
-    nearer = dist < kth
-    at_kth = dist == kth
-    room = k_max - nearer.sum(axis=1, keepdims=True)
-    take = nearer | (at_kth & (np.cumsum(at_kth, axis=1, dtype=np.int32) <= room))
-    nearest = (np.flatnonzero(take) % len(tr_x)).reshape(len(xq), k_max)  # rising index
-    order = np.argsort(np.take_along_axis(dist, nearest, axis=1), axis=1, kind="stable")
-    nearest = np.take_along_axis(nearest, order, axis=1)
-
-    votes = np.cumsum(tr_y[nearest], axis=1)
+    k_arr = np.asarray(ks)
+    n = len(tr_x)
+    rows = max(1, _KNN_BLOCK_CELLS // n)
+    dist = np.empty((min(rows, len(xq)), n))
+    spare = np.empty_like(dist)  # squared differences, then the partition
+    take = np.empty(dist.shape, dtype=bool)
     preds = np.empty((len(ks), len(xq)), dtype=np.int64)
-    for j, k in enumerate(ks):
-        preds[j] = votes[:, k - 1] / k >= 0.5
+    for lo in range(0, len(xq), rows):
+        q = xq[lo : lo + rows]
+        d, s, t = dist[: len(q)], spare[: len(q)], take[: len(q)]
+        # One feature column at a time: for the at most four features of a
+        # subset, the same squares summed in the same left-to-right order as
+        # np.linalg.norm(q[:, None] - tr_x, axis=2), so bit-identical
+        # distances without the (len(q), n, d) temporary. The first square
+        # is written as is, since 0.0 + x == x.
+        np.subtract.outer(q[:, 0], tr_x[:, 0], out=d)
+        d *= d
+        for j in range(1, tr_x.shape[1]):
+            np.subtract.outer(q[:, j], tr_x[:, j], out=s)
+            s *= s
+            d += s
+        np.sqrt(d, out=d)
+
+        # Per row, every column at or below the k_max-th distance. A row with
+        # more than k_max of them ties at that distance: it takes the strictly
+        # nearer columns, then the lowest-index columns at exactly that
+        # distance until it has k_max.
+        s[...] = d
+        s.partition(k_max - 1, axis=1)
+        kth = s[:, k_max - 1 : k_max]
+        np.less_equal(d, kth, out=t)
+        tied = np.flatnonzero(t.sum(axis=1) > k_max)
+        if len(tied):
+            d_tied, kth_tied = d[tied], kth[tied]
+            nearer = d_tied < kth_tied
+            at_kth = d_tied == kth_tied
+            room = k_max - nearer.sum(axis=1, keepdims=True)
+            t[tied] = nearer | (at_kth & (np.cumsum(at_kth, axis=1, dtype=np.int32) <= room))
+        picked = np.flatnonzero(t)  # k_max cells a row, by rising index
+        nearest = (picked % n).reshape(len(q), k_max)
+        order = np.argsort(d.ravel()[picked].reshape(len(q), k_max), axis=1, kind="stable")
+        votes = np.cumsum(np.take_along_axis(tr_y[nearest], order, axis=1), axis=1)
+        preds[:, lo : lo + len(q)] = (votes[:, k_arr - 1] / k_arr >= 0.5).T
     return preds
 
 
@@ -350,6 +377,32 @@ def _grid_predict(
         ks = [int(k) for k in grid]
         return [_knn_grid_predict(tr_x, tr_y, t, ks) for t in targets]
     raise ValueError(f"unknown model family {family!r}")
+
+
+def _cv_workers(family: str) -> int:
+    """Threads double_cv predicts its folds on.
+
+    k-NN folds run on `parallel.WORKERS` threads: the kernel's numpy calls
+    release the interpreter lock. Logistic regression stays on one: its
+    Newton steps are small numpy calls under the lock, and its folds on two
+    threads measured no faster than one after another.
+    """
+    return parallel.WORKERS if family == FAMILY_KNN else 1
+
+
+def _inner_errors(
+    family: str, grid: Sequence, fold: tuple[np.ndarray, ...]
+) -> tuple[np.ndarray, np.ndarray]:
+    """One inner fold's train and validation error per grid value."""
+    tr_x, tr_y, va_x, va_y = fold
+    tr_pred, va_pred = _grid_predict(family, grid, tr_x, tr_y, (tr_x, va_x))
+    return (tr_pred != tr_y).mean(axis=1), (va_pred != va_y).mean(axis=1)
+
+
+def _outer_predictions(family: str, grid: Sequence, fold: tuple[np.ndarray, ...]) -> np.ndarray:
+    """One outer fold's test predictions, (len(grid), len(test x))."""
+    tr_x, tr_y, test_x = fold
+    return _grid_predict(family, grid, tr_x, tr_y, (test_x,))[0]
 
 
 @dataclass
@@ -380,6 +433,11 @@ def double_cv(
     Train and validation errors are means over every (song, fold) pair;
     accuracy and the wrong-match false-positive count pool the test
     predictions of all left-out songs.
+
+    Every fold is built before any is predicted. k-NN folds are then
+    predicted on `_cv_workers` threads, logistic-regression folds one after
+    another; the errors are summed in fold order either way, so the results
+    do not depend on the number of workers.
 
     A k-NN grid is cut to the k that fit every training set, inner and
     outer; only those get a result. When none fits, ValueError names the
@@ -431,13 +489,15 @@ def double_cv(
             )
     train_sum = np.zeros(len(grid))
     val_sum = np.zeros(len(grid))
-    for tr_x, tr_y, va_x, va_y in inner:
-        tr_pred, va_pred = _grid_predict(family, grid, tr_x, tr_y, (tr_x, va_x))
-        train_sum += (tr_pred != tr_y).mean(axis=1)
-        val_sum += (va_pred != va_y).mean(axis=1)
-    test_pred = np.concatenate(
-        [_grid_predict(family, grid, x, y, (test_x,))[0] for x, y, test_x in outer], axis=1
-    )
+    n_workers = _cv_workers(family)
+    with ThreadPoolExecutor(n_workers) if n_workers > 1 else nullcontext() as pool:
+        fold_map = map if pool is None else pool.map  # either way, results in fold order
+        errors = fold_map(partial(_inner_errors, family, grid), inner)
+        tests = fold_map(partial(_outer_predictions, family, grid), outer)
+        for tr_err, va_err in errors:
+            train_sum += tr_err
+            val_sum += va_err
+        test_pred = np.concatenate(list(tests), axis=1)
     correct = (test_pred == labels_of(tested)).sum(axis=1)
     wrong = np.array([s.kind == KIND_WRONG for s in tested], dtype=bool)
     wrong_fps = (test_pred[:, wrong] == 1).sum(axis=1)

@@ -13,7 +13,6 @@ thins at, and its `consistency_eps` flags timeline residuals in the report.
 
 from __future__ import annotations
 
-import os
 from collections import deque
 from collections.abc import Iterable, Iterator
 from concurrent.futures import ThreadPoolExecutor
@@ -22,6 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import parallel
 from .audio_io import AudioClip, read_clip
 from .event_graph import Cluster, MatchGraph, build_graph, connected_components
 from .fingerprint import (
@@ -44,21 +44,6 @@ from .timeline import (
 )
 
 
-def _available_cpus() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # not every platform has it
-        return os.cpu_count() or 1
-
-
-# Clips fingerprinted at once: one per CPU this process may run on, at most
-# 2. Each clip's fingerprint depends on that clip alone, and its STFT and
-# peak picking run in numpy calls that release the interpreter lock. Each
-# worker holds one more clip and its working set: on the perfbench organise
-# workload, peak RSS is 90 MB with 2 workers and 103 MB with 4.
-_WORKERS = min(2, _available_cpus())
-
-
 def _fingerprint_taken(box: list[AudioClip], cfg: FpConfig) -> tuple[np.ndarray, np.ndarray]:
     # The clip leaves its box here, so its samples are freed as soon as its
     # fingerprint is done, not when the executor drops the work item.
@@ -70,20 +55,21 @@ def fingerprint_clips(
 ) -> Iterator[tuple[str, float, np.ndarray, np.ndarray]]:
     """(id, duration, hashed landmarks, peak candidates) per clip, in input order.
 
-    `clip_fingerprint` runs on a pool of _WORKERS threads. The next clip is
-    taken from `clips` only while fewer than _WORKERS are in flight (taken
-    and not yet yielded), so at most that many clips' audio is held at a
-    time. Failures surface in input order too: an error raised by `clips`
-    for clip k is raised after clips 0..k-1 are yielded, and a worker's
-    error on an earlier clip wins over it.
+    `clip_fingerprint` runs on a pool of `parallel.WORKERS` threads. The next
+    clip is taken from `clips` only while fewer than that many are in flight
+    (taken and not yet yielded), so at most that many clips' audio is held
+    at a time. Failures surface in input order too: an error raised by
+    `clips` for clip k is raised after clips 0..k-1 are yielded, and a
+    worker's error on an earlier clip wins over it.
     """
-    with ThreadPoolExecutor(_WORKERS) as pool:
+    n_workers = parallel.WORKERS
+    with ThreadPoolExecutor(n_workers) as pool:
         in_flight: deque = deque()
         source = iter(clips)
         failure: Exception | None = None
         exhausted = False
         while True:
-            while not exhausted and len(in_flight) < _WORKERS:
+            while not exhausted and len(in_flight) < n_workers:
                 try:
                     clip = next(source)
                 except StopIteration:

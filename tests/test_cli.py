@@ -11,9 +11,9 @@ import numpy as np
 import pytest
 from jsonschema import Draft202012Validator
 
-from ugcaudio import AudioClip, FingerprintIndex, FpConfig, PROCESS_RATE, encode_wav, load_index, load_model, read_clip
-from ugcaudio import pipeline
-from ugcaudio.cli import main, matches_from_doc
+from ugcaudio import AudioClip, FingerprintIndex, FpConfig, PROCESS_RATE, encode_wav, load_index, load_model, query, read_clip
+from ugcaudio import parallel
+from ugcaudio.cli import main, matches_from_doc, matches_to_doc
 from ugcaudio.storage import index_to_bytes
 from ugcaudio.timeline import ClipCut, cut_audio
 
@@ -193,7 +193,7 @@ class TestIndex:
     @pytest.mark.parametrize("workers", [1, 4])
     def test_index_bytes_do_not_depend_on_workers(self, indexed, tmp_path, monkeypatch, workers):
         idx, wavs = indexed
-        monkeypatch.setattr(pipeline, "_WORKERS", workers)
+        monkeypatch.setattr(parallel, "WORKERS", workers)
         out = tmp_path / "other.idx"
         assert main(["index", *wavs, "--out", str(out)]) == 0
         assert out.read_bytes() == idx.read_bytes()
@@ -337,7 +337,7 @@ class TestMatch:
     @pytest.mark.parametrize("workers", [1, 4])
     def test_matches_do_not_depend_on_workers(self, indexed, matches_file, tmp_path, monkeypatch, workers):
         idx, wavs = indexed
-        monkeypatch.setattr(pipeline, "_WORKERS", workers)
+        monkeypatch.setattr(parallel, "WORKERS", workers)
         out = tmp_path / "other.json"
         assert main(["match", *wavs, "--index", str(idx), "--out", str(out)]) == 0
         assert out.read_bytes() == matches_file.read_bytes()
@@ -411,6 +411,17 @@ class TestMatchesFromDoc:
         with pytest.raises(ValueError, match="^query 'a' entry 1: ml 13 exceeds tml 12$"):
             matches_from_doc(matches_doc(ml=13))
         assert matches_from_doc(matches_doc(ml=12))[0].entries[1].ml == 12
+
+    def test_ml_above_lq_from_query_round_trips(self):
+        # One query landmark meets two postings of its key one frame apart;
+        # the merged offset bin counts both, so ml exceeds lq.
+        cfg = FpConfig(match_threshold=2)
+        index = FingerprintIndex(cfg)
+        index.add_hashed("a", [(1234, 10), (1234, 11)], duration=1.0)
+        found = query(index, "q", [(1234, 0)], cfg)
+        (e,) = found.entries
+        assert (e.clip_id, e.ml, e.tml, e.lq) == ("a", 2, 2, 1)
+        assert matches_from_doc(json.loads(json.dumps(matches_to_doc([found])))) == [found]
 
     @pytest.mark.parametrize("counts, message", MALFORMED_ENTRIES)
     def test_malformed_entry_rejected(self, counts, message):

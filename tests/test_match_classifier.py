@@ -1,4 +1,7 @@
 import math
+import threading
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -33,7 +36,7 @@ from ugcaudio import (
     train_logreg,
     train_logreg_grid,
 )
-from ugcaudio import match_classifier
+from ugcaudio import match_classifier, parallel
 from ugcaudio.match_classifier import (
     KIND_REPETITION,
     KIND_TRUE,
@@ -337,6 +340,12 @@ def knn_reference(tr_x, tr_y, xq, ks):
     return out
 
 
+def assert_grid_predict_matches_stable_argsort(problem):
+    tr_x, tr_y, xq, ks = problem
+    got = _knn_grid_predict(tr_x, tr_y, xq, ks)
+    assert np.array_equal(got, knn_reference(tr_x, tr_y, xq, ks))
+
+
 @st.composite
 def knn_problems(draw):
     """Tie-heavy k-NN inputs: repeated rows, often on an integer grid."""
@@ -430,9 +439,33 @@ class TestKnn:
     @example(TIED_CUT)
     @settings(deadline=None, max_examples=300)
     def test_grid_predict_matches_stable_argsort(self, problem):
-        tr_x, tr_y, xq, ks = problem
-        got = _knn_grid_predict(tr_x, tr_y, xq, ks)
-        assert np.array_equal(got, knn_reference(tr_x, tr_y, xq, ks))
+        assert_grid_predict_matches_stable_argsort(problem)
+
+    @given(knn_problems())
+    @example(TIED_CUT)
+    @settings(deadline=None, max_examples=300)
+    def test_grid_predict_matches_stable_argsort_in_small_blocks(self, problem):
+        # Blocks of 12 cells hold one to a few query rows, so rows, and the
+        # ties within them, fall on both sides of block edges, and the last
+        # block is most often a part one.
+        with mock.patch.object(match_classifier, "_KNN_BLOCK_CELLS", 12):
+            assert_grid_predict_matches_stable_argsort(problem)
+
+    def test_grid_predict_memory_does_not_grow_with_queries(self):
+        rng = np.random.default_rng(4)
+        tr_x = rng.normal(size=(300, 3))
+        tr_y = rng.integers(0, 2, size=300).astype(np.float64)
+        xq = rng.normal(size=(5000, 3))
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            _knn_grid_predict(tr_x, tr_y, xq, KNN_K_GRID)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        # 0.8 MB of it is the (20, 5000) result; one 5000 x 300 distance matrix takes 12 MB.
+        assert peak < 4e6
 
     def test_grid_validates_every_k(self):
         x = np.zeros((4, 2))
@@ -586,6 +619,29 @@ class TestDoubleCv:
             assert 0 < len(results) < len(grid)  # the grid was cut
         assert any(r.wrong_fps > 0 for r in results)
         assert any(0.0 < r.val_error for r in results)
+
+    @pytest.mark.parametrize(
+        "family, grid, subset",
+        [("logreg", LOGREG_C_GRID[::3], S4), ("knn", KNN_K_GRID, S3)],
+    )
+    def test_same_results_on_one_and_two_workers(self, monkeypatch, family, grid, subset):
+        data = mixed_dataset()
+        threads = set()
+        grid_predict = match_classifier._grid_predict
+
+        def recording(*args):
+            threads.add(threading.current_thread())
+            return grid_predict(*args)
+
+        monkeypatch.setattr(match_classifier, "_grid_predict", recording)
+        runs = {}
+        for workers in (1, 2):
+            monkeypatch.setattr(parallel, "WORKERS", workers)
+            threads.clear()
+            runs[workers] = double_cv(data, family, grid, subset, seed=3, inner_folds=4)
+            # k-NN folds go to the pool when it has two workers; logreg folds never do.
+            assert (threads == {threading.main_thread()}) == (workers == 1 or family == "logreg")
+        assert runs[1] == runs[2]
 
     def test_perfectly_separable_data(self):
         data = songs_dataset()
