@@ -21,6 +21,7 @@ bin whose vote count clears the matching threshold.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -34,6 +35,7 @@ _F1_MAX = 255
 _DF_BIAS = 63
 _DT_MAX = 63
 _KEY_LIMIT = 1 << 21  # every key is below this
+_FRAME_MAX = (1 << 32) - 1  # largest anchor frame; postings store t1 as u32
 
 # Frames per peak-picking block. A block is written with a 3-frame halo on
 # either side into the picker's padded buffer, so that buffer and its two
@@ -92,6 +94,8 @@ class FpConfig:
         for f in fields(self):
             if f.type == "float" and not np.isfinite(getattr(self, f.name)):
                 raise ValueError(f"{f.name} must be finite, got {getattr(self, f.name)!r}")
+        if self.rate <= 0:
+            raise ValueError(f"rate must be positive, got {self.rate}")
         if self.window <= 0 or self.window & (self.window - 1):
             raise ValueError(f"window must be a power of two, got {self.window}")
         if not (0 < self.hop <= self.window):
@@ -102,10 +106,14 @@ class FpConfig:
             raise ValueError("fanout must be >= 1")
         if self.peak_density <= 0:
             raise ValueError("peak_density must be positive")
-        if self.offset_merge < 0:
-            raise ValueError("offset_merge must be >= 0")
+        # Offsets lie within +/- _FRAME_MAX, and query's int64 vote codes
+        # have room for a window of that width, not more.
+        if not 0 <= self.offset_merge <= _FRAME_MAX:
+            raise ValueError(f"offset_merge must be in [0, {_FRAME_MAX}], got {self.offset_merge}")
         if self.density_multiplier <= 0:
             raise ValueError("density_multiplier must be positive")
+        if self.consistency_eps < 0:
+            raise ValueError(f"consistency_eps must be >= 0, got {self.consistency_eps}")
         # Every admissible pair must fit the landmark key.
         for delta, lo, hi in (("dt", 1, _DT_MAX), ("df", -_DF_BIAS, _DF_BIAS)):
             low, high = getattr(self, f"{delta}_min"), getattr(self, f"{delta}_max")
@@ -457,7 +465,7 @@ class FingerprintIndex:
         hashed = _as_hashed(hashed)
         if len(hashed) == 0:
             raise ValueError(f"clip {clip_id!r} has no landmarks")
-        if hashed.min() < 0 or hashed[:, 0].max() >= _KEY_LIMIT or hashed[:, 1].max() > 0xFFFFFFFF:
+        if hashed.min() < 0 or hashed[:, 0].max() >= _KEY_LIMIT or hashed[:, 1].max() > _FRAME_MAX:
             raise ValueError(f"clip {clip_id!r}: key or anchor frame out of range")
         self._pending[clip_id] = hashed
         self.landmark_counts[clip_id] = len(hashed)
@@ -495,16 +503,18 @@ def _merge_offset_bins(
     Repeatedly takes the strongest remaining offset (ties to the smaller
     offset) and absorbs its neighbors within +/- merge frames. STFT
     quantization jitters votes across adjacent bins, hence the merging.
+    Each window is found by bisecting the sorted offsets, so the cost does
+    not grow with `merge`.
     """
+    present = sorted(votes)
     remaining = dict(votes)
     bins: list[tuple[int, int]] = []
     for offset in sorted(votes, key=lambda o: (-votes[o], o)):
         if offset not in remaining:
             continue
-        total = 0
-        for o in range(offset - merge, offset + merge + 1):
-            total += remaining.pop(o, 0)
-        bins.append((offset, total))
+        lo = bisect_left(present, offset - merge)
+        hi = bisect_right(present, offset + merge)
+        bins.append((offset, sum(remaining.pop(o, 0) for o in present[lo:hi])))
     return bins
 
 

@@ -91,9 +91,11 @@ def fingerprint_clips(
 def load_corpus(directory: str, rate: int) -> Iterator[AudioClip]:
     """All WAV files in a directory, decoded and resampled, sorted by id.
 
-    Lazy: each file is decoded only when the next clip is asked for.
+    Lazy: each file is decoded only when the next clip is asked for. A
+    clip's id is its file's stem, so the files are sorted by stem: "a.wav"
+    comes before "a-b.wav".
     """
-    for path in sorted(Path(directory).glob("*.wav")):
+    for path in sorted(Path(directory).glob("*.wav"), key=lambda p: p.stem):
         yield read_clip(path, rate)
 
 

@@ -211,18 +211,25 @@ class TestIndex:
 
 
 class TestConfigFiles:
-    def run_index(self, small_corpus, tmp_path, text):
+    def run_with_config(self, small_corpus, tmp_path, text, command="index", index=None):
+        """Exit code of `command` on the small corpus with `text` as its config file."""
         cfg = tmp_path / "run.cfg"
-        cfg.write_text(text)
+        cfg.write_text(text + "\n")
         wav = str(next(iter(sorted(small_corpus.glob("*.wav")))))
-        return main(["index", wav, "--config", str(cfg), "--out", str(tmp_path / "o.idx")])
+        if command == "index":
+            argv = ["index", wav, "--out", str(tmp_path / "o.idx")]
+        elif command == "match":
+            argv = ["match", wav, "--index", str(index), "--out", str(tmp_path / "m.json")]
+        else:
+            argv = ["pipeline", "--in", str(small_corpus), "--out", str(tmp_path / "r.json")]
+        return main([*argv, "--config", str(cfg)])
 
     def test_invalid_value_exits_3_naming_the_key(self, small_corpus, tmp_path, capsys):
-        assert self.run_index(small_corpus, tmp_path, "window = 500\n") == 3
+        assert self.run_with_config(small_corpus, tmp_path, "window = 500") == 3
         assert "window must be a power of two, got 500" in capsys.readouterr().err
 
     def test_delta_outside_key_budget_exits_3_naming_the_key(self, small_corpus, tmp_path, capsys):
-        assert self.run_index(small_corpus, tmp_path, "dt_max = 100\n") == 3
+        assert self.run_with_config(small_corpus, tmp_path, "dt_max = 100") == 3
         assert "dt_max must be in [1, 63], got 100" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
@@ -234,24 +241,40 @@ class TestConfigFiles:
         ],
     )
     def test_non_finite_value_exits_3_naming_the_key(self, small_corpus, tmp_path, capsys, command, text):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text(text + "\n")
         key, value = text.split(" = ")
-        if command == "index":
-            wav = str(next(iter(sorted(small_corpus.glob("*.wav")))))
-            argv = ["index", wav, "--out", str(tmp_path / "o.idx")]
-        else:
-            argv = ["pipeline", "--in", str(small_corpus), "--out", str(tmp_path / "r.json")]
-        assert main([*argv, "--config", str(cfg)]) == 3
+        assert self.run_with_config(small_corpus, tmp_path, text, command) == 3
         assert f"error: {key} must be finite, got {value}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command, text, message",
+        [
+            ("pipeline", "rate = 0", "rate must be positive, got 0"),
+            ("index", "rate = -11025", "rate must be positive, got -11025"),
+            ("pipeline", "consistency_eps = -1", "consistency_eps must be >= 0, got -1.0"),
+            # Past the largest anchor frame: 2**63 - 1 wrapped query's int64
+            # pruning window, and 10**30 overflowed it.
+            ("match", "offset_merge = 4294967296", "offset_merge must be in [0, 4294967295], got 4294967296"),
+            (
+                "match",
+                "offset_merge = 9223372036854775807",
+                "offset_merge must be in [0, 4294967295], got 9223372036854775807",
+            ),
+            ("pipeline", f"offset_merge = {10**30}", f"offset_merge must be in [0, 4294967295], got {10**30}"),
+        ],
+    )
+    def test_value_a_run_cannot_honour_exits_3_naming_the_key(
+        self, small_corpus, indexed, tmp_path, capsys, command, text, message
+    ):
+        assert self.run_with_config(small_corpus, tmp_path, text, command, indexed[0]) == 3
+        assert f"error: {message}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("key", ["family", "subset", "seed", "input", "output"])
     def test_removed_key_exits_3(self, small_corpus, tmp_path, capsys, key):
-        assert self.run_index(small_corpus, tmp_path, f"{key} = x\n") == 3
+        assert self.run_with_config(small_corpus, tmp_path, f"{key} = x") == 3
         assert f"config line 1: unknown key {key!r}" in capsys.readouterr().err
 
     def test_repeated_key_exits_3_naming_both_lines(self, small_corpus, tmp_path, capsys):
-        assert self.run_index(small_corpus, tmp_path, "fanout = 3\n# denser\nfanout = 5\n") == 3
+        assert self.run_with_config(small_corpus, tmp_path, "fanout = 3\n# denser\nfanout = 5") == 3
         assert "config line 3: fanout already set on line 1" in capsys.readouterr().err
 
     def test_index_match_and_pipeline_ignore_env_seed(self, small_corpus, indexed, tmp_path, monkeypatch):

@@ -57,11 +57,20 @@ class TestConfig:
             {"peak_density": 0.0},
             {"offset_merge": -1},
             {"density_multiplier": 0.0},
+            {"rate": 0},
+            {"rate": -11025},
+            {"consistency_eps": -1.0},
+            {"offset_merge": 2**32},
+            {"offset_merge": 2**63 - 1},
+            {"offset_merge": 10**30},
         ],
     )
     def test_invalid_rejected(self, kw):
         with pytest.raises(ValueError):
             FpConfig(**kw)
+
+    def test_largest_offset_merge_and_zero_eps_accepted(self):
+        FpConfig(offset_merge=2**32 - 1, consistency_eps=0.0)
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("key", ["log_floor", "peak_density", "density_multiplier", "consistency_eps"])
@@ -526,6 +535,11 @@ class TestMergeBins:
 
     def test_merge_zero_keeps_bins(self):
         assert _merge_offset_bins({0: 3, 1: 2}, 0) == [(0, 3), (1, 2)]
+
+    def test_widest_merge_takes_every_offset_in_reach(self):
+        # The largest offset_merge a config allows; the window is bisected,
+        # not walked frame by frame.
+        assert _merge_offset_bins({0: 3, 2**32 - 1: 2, -5: 1}, 2**32 - 1) == [(0, 6)]
 
 
 class TestIndexAndQuery:

@@ -1,12 +1,14 @@
 import math
 import threading
 import tracemalloc
+import warnings
 from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.special import expit
 
 from ugcaudio import (
     Cluster,
@@ -274,6 +276,18 @@ class TestLogReg:
             got = np.append(gw, gb)
             rel = np.abs(got - fd) / np.maximum(np.abs(fd), 1e-8)
             assert rel.max() <= 1e-5
+
+    def test_expit_matches_scipy(self):
+        # Each is within 2 ulp of the exact sigmoid on this grid (checked
+        # against 200-bit arithmetic), so they differ by at most 4; numpy's
+        # SIMD exp and the C library's round apart for about 2% of inputs.
+        z = np.concatenate([np.linspace(-800.0, 800.0, 160_001), [0.0, 709.0, -709.0, 745.0, -745.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # an overflowing e^-z is expected, not warned
+            got = match_classifier._expit(z)
+        ulps = np.abs(got.view(np.int64) - expit(z).view(np.int64))
+        assert ulps.max() <= 4
+        assert match_classifier._expit(np.array([-800.0, 0.0, 800.0])).tolist() == [0.0, 0.5, 1.0]
 
     def test_separable_data_fits_perfectly(self):
         x = np.array([[v] for v in (-3.0, -2.5, -2.0, 2.0, 2.5, 3.0)])

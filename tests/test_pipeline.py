@@ -1,5 +1,8 @@
+import os
+import subprocess
 import sys
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +18,7 @@ from ugcaudio import (
     run_pipeline,
     synth_corpus,
 )
+import ugcaudio
 from ugcaudio import parallel
 from ugcaudio.pipeline import fingerprint_clips, load_corpus
 
@@ -148,11 +152,67 @@ class TestFingerprintClips:
 
 
 def test_load_corpus_decodes_each_file_when_asked(tmp_path):
-    for cid in ("b", "a", "c"):
+    for cid in ("b", "a-b", "a", "c"):
         clip = AudioClip(id=cid, samples=np.full(600, 0.25), rate=PROCESS_RATE)
         (tmp_path / f"{cid}.wav").write_bytes(encode_wav(clip))
     corpus = load_corpus(str(tmp_path), PROCESS_RATE)
+    # In id order: "a" < "a-b", although "a-b.wav" < "a.wav".
     assert next(corpus).id == "a"
-    (tmp_path / "b.wav").write_bytes(b"RIFF")  # spoilt after "a" was read
+    assert next(corpus).id == "a-b"
+    (tmp_path / "b.wav").write_bytes(b"RIFF")  # spoilt after "a" and "a-b" were read
     with pytest.raises(DecodeError, match="b.wav: file too short"):
         next(corpus)
+
+
+# A child interpreter in which every scipy module is unimportable.
+_WITHOUT_SCIPY = """
+import sys
+from importlib.abc import MetaPathFinder
+
+
+class RefuseScipy(MetaPathFinder):
+    def find_spec(self, name, path=None, target=None):
+        if name == "scipy" or name.startswith("scipy."):
+            raise ModuleNotFoundError(f"No module named {name!r}", name=name)
+        return None
+
+
+sys.meta_path.insert(0, RefuseScipy())
+
+import numpy as np
+
+from ugcaudio import FpConfig, SynthSpec, run_pipeline, synth_corpus, train_logreg
+
+rng = np.random.default_rng(0)
+x = rng.normal(size=(60, 3))
+y = (x @ [1.0, -2.0, 0.5] + rng.normal(size=60) > 0).astype(np.float64)
+model = train_logreg(x, y, c=4.0)
+assert np.all(np.isfinite(model.weights)), model
+assert (model.predict(x) == y).mean() > 0.8, model
+
+spec = SynthSpec(
+    n_events=2,
+    clips_per_event=3,
+    event_duration=30.0,
+    clip_duration_range=(8.0, 12.0),
+    min_overlap=4.0,
+    snr_range_db=(18.0, 25.0),
+    seed=5,
+)
+clips, _ = synth_corpus(spec)
+result = run_pipeline(clips, FpConfig())
+assert sorted(len(e.cluster.members) for e in result.events) == [3, 3], result.report
+print("ran without scipy")
+"""
+
+
+def test_runs_on_numpy_alone():
+    """numpy is the only runtime dependency: the library imports, fits a
+    logistic regression and runs the pipeline with scipy unimportable."""
+    src = str(Path(ugcaudio.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run(
+        [sys.executable, "-c", _WITHOUT_SCIPY], env=env, capture_output=True, text=True, timeout=300
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "ran without scipy"

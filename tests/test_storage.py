@@ -140,8 +140,9 @@ class TestIndexFormat:
             text.replace("window = 512", "window = 500"),
             text.replace("fanout = 3", "fanout = x"),
             text.replace("log_floor = -10.0", "log_floor = nan"),
+            text.replace("rate = 11025", "rate = 0"),
         ):
-            with pytest.raises(StorageError, match="index header: .*(window|fanout|log_floor)"):
+            with pytest.raises(StorageError, match="index header: .*(window|fanout|log_floor|rate)"):
                 index_from_bytes(with_header(blob, bad))
 
     def test_serialization_is_canonical(self):
