@@ -68,7 +68,6 @@ from .match_classifier import (
     confirm_cluster,
     default_grid,
     double_cv,
-    expand_from_repetitions,
     feature_matrix,
     fit_filter,
     fit_standardizer,

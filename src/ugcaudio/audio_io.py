@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -110,15 +110,7 @@ class GroundTruth:
         return self.clips[clip_id].event_id
 
     def to_json(self) -> str:
-        doc = {
-            cid: {
-                "event_id": t.event_id,
-                "start": t.start,
-                "duration": t.duration,
-                "snr_db": t.snr_db,
-            }
-            for cid, t in sorted(self.clips.items())
-        }
+        doc = {cid: asdict(t) for cid, t in sorted(self.clips.items())}
         return json.dumps({"clips": doc}, indent=2, sort_keys=True)
 
     @classmethod
@@ -134,28 +126,25 @@ class GroundTruth:
         if not isinstance(clips, dict):
             raise ValueError("manifest: expected an object whose 'clips' is an object")
         truth = cls()
+        spec = fields(ClipTruth)
         for cid, t in clips.items():
             if not isinstance(t, dict):
                 raise ValueError(f"manifest clip {cid!r}: not an object")
-            for key in ("event_id", "start", "duration", "snr_db"):
-                if key not in t:
-                    raise ValueError(f"manifest clip {cid!r}: missing field {key!r}")
-            if not isinstance(t["event_id"], str):
-                raise ValueError(f"manifest clip {cid!r}: event_id must be a string, got {t['event_id']!r}")
-            for key in ("start", "duration", "snr_db"):
-                value = t[key]
-                if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
-                    raise ValueError(f"manifest clip {cid!r}: {key} must be a finite number, got {value!r}")
+            for f in spec:
+                if f.name not in t:
+                    raise ValueError(f"manifest clip {cid!r}: missing field {f.name!r}")
+            for f in spec:
+                value = t[f.name]
+                if f.type == "str":  # event_id; annotations are strings in this module
+                    if not isinstance(value, str):
+                        raise ValueError(f"manifest clip {cid!r}: {f.name} must be a string, got {value!r}")
+                elif isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+                    raise ValueError(f"manifest clip {cid!r}: {f.name} must be a finite number, got {value!r}")
             if t["start"] < 0:
                 raise ValueError(f"manifest clip {cid!r}: start must be at least 0, got {t['start']!r}")
             if t["duration"] <= 0:
                 raise ValueError(f"manifest clip {cid!r}: duration must be above 0, got {t['duration']!r}")
-            truth.clips[cid] = ClipTruth(
-                event_id=t["event_id"],
-                start=t["start"],
-                duration=t["duration"],
-                snr_db=t["snr_db"],
-            )
+            truth.clips[cid] = ClipTruth(**{f.name: t[f.name] for f in spec})
         return truth
 
 
@@ -189,6 +178,8 @@ def decode_wav(data: bytes, clip_id: str = "") -> AudioClip:
         (chunk_size,) = struct.unpack_from("<I", data, pos + 4)
         body = pos + 8
         if chunk_id == b"fmt ":
+            if chunk_size < 16:
+                raise DecodeError(f"short fmt chunk ({chunk_size} bytes, need 16)", pos + 4)
             if body + 16 > len(data):
                 raise DecodeError("truncated fmt chunk", body)
             fmt = struct.unpack_from("<HHIIHH", data, body)
@@ -220,10 +211,11 @@ def _decode_data(
     PCM-16 is converted and scaled in one pass: multiplying by 2**-15 is
     exact, so it gives the bits of astype(float64) / 32768. Its values, and
     a stereo pair's mean, lie in [-1, 32767/32768] and are never -0.0, so
-    it is not clipped. Float-32 input is widened and clipped in place, so
-    +-inf becomes +-1 like any other over-range sample; a NaN sample is
-    refused at its byte offset, the body's start plus 4 times its index
-    among the interleaved samples.
+    it is not clipped. Float-32 input is widened and clipped in place
+    before any downmix, so +-inf becomes +-1 like any other over-range
+    sample and a stereo pair's mean is that of its clipped samples; a NaN
+    sample is refused at its byte offset, the body's start plus 4 times its
+    index among the interleaved samples.
     """
     audio_format, channels, rate, _, block_align, bits = fmt
     if channels not in (1, 2):
@@ -239,6 +231,7 @@ def _decode_data(
         if len(nan):
             raise DecodeError("NaN sample in float data", raw_offset + 4 * int(nan[0]))
         samples = samples.astype(np.float64)
+        np.clip(samples, -1.0, 1.0, out=samples)
     else:
         field = 14 if audio_format in (_WAVE_FORMAT_PCM, _WAVE_FORMAT_IEEE_FLOAT) else 0
         raise DecodeError(
@@ -247,8 +240,6 @@ def _decode_data(
     if channels == 2:
         samples = samples[: len(samples) - len(samples) % 2]
         samples = samples.reshape(-1, 2).mean(axis=1)
-    if audio_format == _WAVE_FORMAT_IEEE_FLOAT:
-        np.clip(samples, -1.0, 1.0, out=samples)
     return AudioClip(id=clip_id, samples=samples, rate=rate)
 
 

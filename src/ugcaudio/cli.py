@@ -11,6 +11,7 @@ import argparse
 import math
 import os
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 from .audio_io import (
@@ -77,6 +78,15 @@ def seed_override(default: int) -> int:
         raise ValueError(f"{ENV_SEED} must be an integer, got {raw!r}") from None
 
 
+def _write(doc, out: str | None, done: str) -> None:
+    """Write doc to the file out and print done, or doc to stdout when out is not given."""
+    if out:
+        save_json(doc, out)
+        print(done)
+    else:
+        print(dump_json(doc), end="")
+
+
 def cmd_synth(args) -> int:
     spec = SynthSpec(
         n_events=args.events,
@@ -113,37 +123,32 @@ def cmd_index(args) -> int:
     return 0
 
 
-def _entry_doc(e: MatchEntry) -> dict:
-    return {
-        "clip": e.clip_id,
-        "offset_frames": e.offset_frames,
-        "offset_seconds": e.offset_seconds,
-        "ml": e.ml,
-        "tml": e.tml,
-        "lq": e.lq,
-        "li": e.li,
-    }
+# Each field of a matches-file entry: its MatchEntry attribute, the JSON
+# types it takes, and their name.
+_ENTRY_FIELDS = {
+    "clip": ("clip_id", (str,), "a string"),
+    "offset_frames": ("offset_frames", (int,), "an integer"),
+    "offset_seconds": ("offset_seconds", (int, float), "a number"),
+    "ml": ("ml", (int,), "an integer"),
+    "tml": ("tml", (int,), "an integer"),
+    "lq": ("lq", (int,), "an integer"),
+    "li": ("li", (int,), "an integer"),
+}
 
 
 def matches_to_doc(lists: list[MatchingList]) -> dict:
     return {
         "queries": [
-            {"query": ml.query_id, "entries": [_entry_doc(e) for e in ml.entries]}
+            {
+                "query": ml.query_id,
+                "entries": [
+                    {key: getattr(e, attr) for key, (attr, _, _) in _ENTRY_FIELDS.items()}
+                    for e in ml.entries
+                ],
+            }
             for ml in lists
         ]
     }
-
-
-# Each field of a matches-file entry: the JSON types it takes, and their name.
-_ENTRY_FIELDS = {
-    "clip": ((str,), "a string"),
-    "offset_frames": ((int,), "an integer"),
-    "offset_seconds": ((int, float), "a number"),
-    "ml": ((int,), "an integer"),
-    "tml": ((int,), "an integer"),
-    "lq": ((int,), "an integer"),
-    "li": ((int,), "an integer"),
-}
 
 
 def matches_from_doc(doc) -> list[MatchingList]:
@@ -169,25 +174,18 @@ def matches_from_doc(doc) -> list[MatchingList]:
             where = f"query {q['query']!r} entry {i}"
             if not isinstance(e, dict):
                 raise ValueError(f"{where}: not an object")
-            for key, (kinds, wanted) in _ENTRY_FIELDS.items():
+            values = {"query_id": q["query"]}
+            for key, (attr, kinds, wanted) in _ENTRY_FIELDS.items():
                 if key not in e:
                     raise ValueError(f"{where}: missing field {key!r}")
                 if not isinstance(e[key], kinds) or isinstance(e[key], bool):
                     raise ValueError(f"{where}: {key} must be {wanted}, got {e[key]!r}")
+                values[attr] = e[key]
             if not math.isfinite(e["offset_seconds"]):  # JSON NaN and Infinity parse to floats
                 raise ValueError(f"{where}: offset_seconds must be finite, got {e['offset_seconds']!r}")
             if e["clip"] == q["query"]:
                 raise ValueError(f"{where}: clip must differ from the query, got {e['clip']!r}")
-            entry = MatchEntry(
-                query_id=q["query"],
-                clip_id=e["clip"],
-                offset_frames=e["offset_frames"],
-                offset_seconds=float(e["offset_seconds"]),
-                ml=e["ml"],
-                tml=e["tml"],
-                lq=e["lq"],
-                li=e["li"],
-            )
+            entry = MatchEntry(**values | {"offset_seconds": float(e["offset_seconds"])})
             if min(entry.ml, entry.tml, entry.lq, entry.li) < 0:
                 raise ValueError(f"{where}: negative landmark count")
             if entry.ml > entry.tml:
@@ -202,12 +200,7 @@ def cmd_match(args) -> int:
     index = load_index(_require(args.index, "index file"))
     clips = (read_clip(Path(_require(name, "audio file")), cfg.rate) for name in args.files)
     lists = [query(index, clip_id, hashed, cfg) for clip_id, _, hashed, _ in fingerprint_clips(clips, cfg)]
-    doc = matches_to_doc(lists)
-    if args.out:
-        save_json(doc, args.out)
-        print(f"wrote matches for {len(lists)} queries to {args.out}")
-    else:
-        print(dump_json(doc), end="")
+    _write(matches_to_doc(lists), args.out, f"wrote matches for {len(lists)} queries to {args.out}")
     return 0
 
 
@@ -228,11 +221,7 @@ def cmd_pipeline(args) -> int:
 
     result = run_pipeline(load_corpus(corpus_dir, cfg.rate), cfg, match_filter, meta)
 
-    if args.out:
-        save_json(result.report, args.out)
-        print(f"wrote report ({len(result.events)} events) to {args.out}")
-    else:
-        print(dump_json(result.report), end="")
+    _write(result.report, args.out, f"wrote report ({len(result.events)} events) to {args.out}")
 
     if args.emit_cuts:
         cuts_dir = Path(args.emit_cuts)
@@ -257,16 +246,7 @@ def cmd_pipeline(args) -> int:
 
 
 def _cv_result_doc(r: CvResult) -> dict:
-    return {
-        "family": r.family,
-        "param": r.param,
-        "subset": r.subset.name,
-        "train_error": r.train_error,
-        "val_error": r.val_error,
-        "test_accuracy": r.test_accuracy,
-        "wrong_fps": r.wrong_fps,
-        "degraded": r.degraded,
-    }
+    return asdict(r) | {"subset": r.subset.name}
 
 
 def cmd_train(args) -> int:
@@ -275,11 +255,6 @@ def cmd_train(args) -> int:
     truth = GroundTruth.from_json(
         Path(_require(args.manifest, "manifest file")).read_text(encoding="utf-8")
     )
-    # autolabel would label a clip the manifest lacks by its id prefix instead.
-    entries = (entry for ml in lists for entry in ml.entries)
-    missing = next((cid for e in entries for cid in (e.query_id, e.clip_id) if cid not in truth.clips), None)
-    if missing is not None:
-        raise ValueError(f"manifest has no clip {missing!r}, which the matches file names")
     seed = seed_override(args.seed)
     samples = autolabel(lists, truth)
 
@@ -300,7 +275,7 @@ def cmd_train(args) -> int:
             "accuracy": chosen.test_accuracy,
             "val_error": chosen.val_error,
             "wrong_fps": chosen.wrong_fps,
-            "degraded": int(chosen.degraded),
+            "degraded": chosen.degraded,
         },
     )
     if args.report:
@@ -333,12 +308,7 @@ def cmd_classify(args) -> int:
         }
         for e, cls in zip(entries, flt.predict(entries).tolist())
     ]
-    doc = {"predictions": rows}
-    if args.out:
-        save_json(doc, args.out)
-        print(f"wrote {len(rows)} predictions to {args.out}")
-    else:
-        print(dump_json(doc), end="")
+    _write({"predictions": rows}, args.out, f"wrote {len(rows)} predictions to {args.out}")
     return 0
 
 

@@ -4,9 +4,9 @@ A match entry's features are its own counts (ml, tml, lq, li); models are
 L2-regularised logistic regression, fitted exactly by Newton/IRLS, and
 k-nearest neighbors, both over z-scored features. Model selection runs a
 double cross-validation: leave-one-song-out outside, seeded 10-fold inside,
-with candidates that ever pass a wrong match discarded first. Extra training
-data comes for free from repetition entries (class 0) and from clusters
-whose segments all agree at offset zero (class 1).
+with candidates that ever pass a wrong match discarded first. `autolabel`
+emits every repetition entry as a class-0 sample; `confirm_cluster` yields
+class-1 samples from clusters whose segments all agree at offset zero.
 """
 
 from __future__ import annotations
@@ -66,13 +66,16 @@ class Sample:
 
 
 def song_of(clip_id: str, truth: GroundTruth | None) -> str:
-    """Grouping key for leave-one-song-out; id prefix when truth is absent."""
-    if truth is not None:
-        try:
-            return truth.event_of(clip_id)
-        except KeyError:
-            pass
-    return clip_id.rsplit("_c", 1)[0]
+    """Grouping key for leave-one-song-out: the clip's event in truth.
+
+    A clip that truth lacks is refused with a ValueError naming it. Without
+    truth, the key is the id's prefix before its last "_c".
+    """
+    if truth is None:
+        return clip_id.rsplit("_c", 1)[0]
+    if clip_id not in truth.clips:
+        raise ValueError(f"manifest has no clip {clip_id!r}")
+    return truth.event_of(clip_id)
 
 
 def _sample_from(entry: MatchEntry, kind: str, truth: GroundTruth | None) -> Sample:
@@ -87,8 +90,9 @@ def autolabel(
 
     Non-primary offsets of a clip are repetitions (class 0). Primaries are
     true matches (class 1), except that ground truth demotes any primary
-    joining two different events to a wrong match (class 0). Without truth
-    no wrong matches can be identified.
+    joining two different events to a wrong match (class 0), and a clip it
+    lacks is refused (see song_of). Without truth no wrong matches can be
+    identified.
     """
     samples: list[Sample] = []
     for ml in lists:
@@ -270,11 +274,16 @@ class KnnModel:
         return _knn_grid_predict(self.train_x, self.train_y, x, [self.k])[0]
 
 
-def train_knn(x: np.ndarray, y: np.ndarray, k: int) -> KnnModel:
+def _check_k(k: int, n: int) -> None:
+    """Refuse a k that is not odd and positive, or more than n training rows."""
     if k % 2 != 1 or k < 1:
         raise ValueError(f"k must be odd and positive, got {k}")
-    if k > len(x):
-        raise ValueError(f"k={k} exceeds training size {len(x)}")
+    if k > n:
+        raise ValueError(f"k={k} exceeds training size {n}")
+
+
+def train_knn(x: np.ndarray, y: np.ndarray, k: int) -> KnnModel:
+    _check_k(k, len(x))
     return KnnModel(
         k=k,
         train_x=np.asarray(x, dtype=np.float64),
@@ -324,10 +333,7 @@ def _knn_grid_predict(
     _KNN_BLOCK_CELLS distances, in buffers reused from block to block.
     """
     for k in ks:
-        if k % 2 != 1 or k < 1:
-            raise ValueError(f"k must be odd and positive, got {k}")
-        if k > len(tr_x):
-            raise ValueError(f"k={k} exceeds training size {len(tr_x)}")
+        _check_k(k, len(tr_x))
     k_max = max(ks)
     k_arr = np.asarray(ks)
     n = len(tr_x)
@@ -551,28 +557,6 @@ def select_model(results: Sequence[CvResult]) -> CvResult:
 
 def _dedup_key(s: Sample) -> tuple[str, str, int]:
     return (s.entry.query_id, s.entry.clip_id, s.entry.offset_frames)
-
-
-def expand_from_repetitions(
-    lists: Iterable[MatchingList],
-    truth: GroundTruth | None = None,
-    existing: Iterable[Sample] = (),
-) -> list[Sample]:
-    """Every repetition entry as a class-0 sample, minus ones already held.
-
-    Keyed by (query, clip, offset) so running the expansion twice adds
-    nothing the second time.
-    """
-    seen = {_dedup_key(s) for s in existing}
-    out: list[Sample] = []
-    for ml in lists:
-        _, repetitions = split_repetitions(ml)
-        for entry in repetitions:
-            sample = _sample_from(entry, KIND_REPETITION, truth)
-            if _dedup_key(sample) not in seen:
-                seen.add(_dedup_key(sample))
-                out.append(sample)
-    return out
 
 
 def confirm_cluster(

@@ -46,6 +46,8 @@ INDEX_VERSION = 2
 MODEL_VERSION = 1
 # One posting row is three of these: key, clip ordinal, anchor frame.
 _POSTING = np.dtype("<u4")
+# The metadata a model file may end with, in file order, and the type of each.
+_MODEL_META = (("accuracy", float), ("val_error", float), ("wrong_fps", int), ("degraded", int))
 
 
 class StorageError(Exception):
@@ -59,14 +61,7 @@ class _Reader:
         self.what = what
 
     def take(self, fmt: str):
-        size = struct.calcsize(fmt)
-        if self.pos + size > len(self.data):
-            raise StorageError(
-                f"truncated {self.what}: needed {size} bytes at offset {self.pos}"
-            )
-        out = struct.unpack_from(fmt, self.data, self.pos)
-        self.pos += size
-        return out
+        return struct.unpack(fmt, self.take_bytes(struct.calcsize(fmt)))
 
     def take_bytes(self, size: int) -> bytes:
         if self.pos + size > len(self.data):
@@ -220,10 +215,7 @@ def model_to_text(flt: MatchFilter, meta: dict[str, Any] | None = None) -> str:
         rows = ";".join(_floats(row) for row in flt.model.train_x)
         lines.append(f"train_x = {rows}")
         lines.append(f"train_y = {','.join(str(int(v)) for v in flt.model.train_y)}")
-    for key in ("accuracy", "val_error", "wrong_fps", "degraded"):
-        if key in meta:
-            value = meta[key]
-            lines.append(f"{key} = {repr(float(value)) if isinstance(value, float) else value}")
+    lines.extend(f"{key} = {kind(meta[key])!r}" for key, kind in _MODEL_META if key in meta)
     return "\n".join(lines) + "\n"
 
 
@@ -233,9 +225,11 @@ def model_from_text(text: str) -> tuple[MatchFilter, dict[str, Any]]:
     Every value must be a number; mean, weights, bias and train_x finite;
     std finite and positive; train_y 0 or 1; a logistic c finite and
     positive; a k-NN k an odd integer in [1, training rows]. A StorageError
-    names the field at fault.
+    names the field at fault, or the line of a key that the file's family
+    does not have (a logistic model's train_x, a misspelt metadata key).
     """
     fields: dict[str, str] = {}
+    line_of: dict[str, int] = {}
     for i, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue
@@ -245,10 +239,13 @@ def model_from_text(text: str) -> tuple[MatchFilter, dict[str, Any]]:
         if key in fields:
             raise StorageError(f"model file line {i}: duplicate key {key!r}")
         fields[key] = value
+        line_of[key] = i
+    read: set[str] = set()  # every key the file's family has, as it is read
 
     def need(key: str) -> str:
         if key not in fields:
             raise StorageError(f"model file missing field {key!r}")
+        read.add(key)
         return fields[key]
 
     def floats(key: str, text: str, check=np.isfinite, wanted: str = "finite") -> np.ndarray:
@@ -311,17 +308,16 @@ def model_from_text(text: str) -> tuple[MatchFilter, dict[str, Any]]:
         raise StorageError(f"unknown model family {family!r}")
 
     meta: dict[str, Any] = {}
-    for key in ("accuracy", "val_error"):
-        if key in fields:
-            meta[key] = number(key)
-    for key in ("wrong_fps", "degraded"):
-        if key in fields:
-            try:
-                meta[key] = int(fields[key])
-            except ValueError:
-                raise StorageError(
-                    f"model file field {key!r}: {fields[key]!r} is not an integer"
-                ) from None
+    for key, kind in _MODEL_META:
+        if key not in fields:
+            continue
+        try:
+            meta[key] = number(key) if kind is float else int(need(key))
+        except ValueError:  # int() only: number() raises StorageError
+            raise StorageError(f"model file field {key!r}: {fields[key]!r} is not an integer") from None
+    unknown = next((key for key in fields if key not in read), None)
+    if unknown is not None:
+        raise StorageError(f"model file line {line_of[unknown]}: a {family} model has no field {unknown!r}")
     flt = MatchFilter(subset=subset, standardizer=std, model=model)
     return flt, meta
 

@@ -103,6 +103,18 @@ class TestWavCodec:
         x = np.array([np.inf, -np.inf, 0.25, 3.0], dtype="<f4")
         assert decode_wav(self.float32_wav(x, 1)).samples.tolist() == [1.0, -1.0, 0.25, 1.0]
 
+    def test_float32_stereo_clips_each_sample_before_the_downmix(self):
+        x = np.array([np.inf, -np.inf, 3.0, -1.0, 0.5, 0.25], dtype="<f4")
+        assert decode_wav(self.float32_wav(x, 2)).samples.tolist() == [0.0, 0.0, 0.375]
+
+    def test_short_fmt_chunk_is_located_at_its_size(self):
+        good = encode_wav(burst_clip("t", duration=0.2, seed=2))
+        # A 14-byte fmt chunk: its body ends before bits per sample, and data follows.
+        bad = good[:16] + struct.pack("<I", 14) + good[20:34] + good[36:]
+        with pytest.raises(DecodeError) as exc:
+            decode_wav(bad)
+        assert (exc.value.message, exc.value.offset) == ("short fmt chunk (14 bytes, need 16)", 16)
+
     @pytest.mark.parametrize("channels, index", [(1, 0), (1, 37), (2, 1), (2, 40), (2, 63)])
     def test_float32_nan_refused_at_its_offset(self, channels, index, tmp_path):
         x = np.linspace(-0.5, 0.5, 64)

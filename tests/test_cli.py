@@ -500,6 +500,10 @@ class TestTrain:
         assert report["chosen"]["family"] == "knn"
         assert report["chosen"]["wrong_fps"] == meta["wrong_fps"]
 
+    def test_report_matches_schema(self, trained_model):
+        _, report_path = trained_model
+        load_schema("cv_report.schema.json").validate(json.loads(report_path.read_text()))
+
     def test_knn_grid_fits_a_small_corpus(self, tmp_path):
         # 25 balanced samples per inner training set: the k above 25 are left out.
         corpus = tmp_path / "corpus"
@@ -566,7 +570,7 @@ class TestTrain:
         out = tmp_path / "m.txt"
         capsys.readouterr()
         assert main(["train", "--matches", str(matches_file), "--manifest", str(partial), "--out", str(out)]) == 3
-        assert capsys.readouterr().err == f"error: manifest has no clip {dropped!r}, which the matches file names\n"
+        assert capsys.readouterr().err == f"error: manifest has no clip {dropped!r}\n"
         assert not out.exists()
 
 
@@ -599,6 +603,21 @@ class TestClassify:
         argv = ["pipeline", "--in", str(small_corpus), "--model", str(bad)]
         assert main([*argv, "--out", str(tmp_path / "r.json")]) == 3
         assert "model file field 'param': k must be an odd integer" in capsys.readouterr().err
+
+    def test_key_the_family_lacks_exits_3_naming_its_line(self, trained_model, matches_file, small_corpus, tmp_path, capsys):
+        model_path, _ = trained_model
+        bad = tmp_path / "model.txt"
+        text = model_path.read_text(encoding="utf-8")
+        bad.write_text(text + "weights = 1.0,2.0\n", encoding="utf-8")
+        line = len(text.splitlines()) + 1
+        message = f"error: model file line {line}: a knn model has no field 'weights'\n"
+        capsys.readouterr()
+        argv = ["classify", "--model", str(bad), "--matches", str(matches_file)]
+        assert main([*argv, "--out", str(tmp_path / "p.json")]) == 3
+        assert capsys.readouterr().err == message
+        argv = ["pipeline", "--in", str(small_corpus), "--model", str(bad)]
+        assert main([*argv, "--out", str(tmp_path / "r.json")]) == 3
+        assert capsys.readouterr().err == message
 
 
 class TestPipeline:

@@ -26,7 +26,6 @@ from ugcaudio import (
     balance,
     confirm_cluster,
     double_cv,
-    expand_from_repetitions,
     fit_filter,
     fit_standardizer,
     logreg_gradient,
@@ -116,8 +115,8 @@ class TestSongOf:
 
     def test_fallback_strips_clip_suffix(self):
         assert song_of("songB_c13", None) == "songB"
-        truth = GroundTruth()
-        assert song_of("songB_c13", truth) == "songB"
+        with pytest.raises(ValueError, match="manifest has no clip 'songB_c13'"):
+            song_of("songB_c13", GroundTruth())
 
     def test_no_suffix_uses_whole_id(self):
         assert song_of("oddname", None) == "oddname"
@@ -754,34 +753,6 @@ class TestSelectModel:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             select_model([])
-
-
-class TestExpansion:
-    def lists_with_repeats(self):
-        return [
-            MatchingList(
-                query_id="songA_c00",
-                entries=[
-                    entry(clip="songA_c01", offset_frames=0, ml=30, tml=50),
-                    entry(clip="songA_c01", offset_frames=120, ml=11, tml=50),
-                    entry(clip="songA_c01", offset_frames=240, ml=9, tml=50),
-                ],
-            )
-        ]
-
-    def test_single_offset_lists_add_nothing(self):
-        lists = [MatchingList(query_id="q", entries=[entry(clip="c", ml=9)])]
-        assert expand_from_repetitions(lists) == []
-
-    def test_three_offsets_give_two_samples(self):
-        out = expand_from_repetitions(self.lists_with_repeats())
-        assert [s.entry.offset_frames for s in out] == [120, 240]
-        assert all(s.cls == 0 and s.kind == KIND_REPETITION for s in out)
-
-    def test_idempotent_via_existing(self):
-        lists = self.lists_with_repeats()
-        first = expand_from_repetitions(lists)
-        assert expand_from_repetitions(lists, existing=first) == []
 
 
 def quality(votes: dict[tuple[str, str], int], ids: list[str]):

@@ -381,6 +381,17 @@ class TestModelFormat:
         with pytest.raises(StorageError, match=re.escape(f"model file field {field!r}: {message}")):
             model_from_text(text)
 
+    @pytest.mark.parametrize(
+        "family, line",
+        [("logreg", "train_x = 1,2"), ("logreg", "acuracy = 0.5"), ("knn", "bias = 0.5"), ("knn", "note = x")],
+    )
+    def test_key_the_family_lacks_refused_naming_its_line(self, family, line):
+        text = model_to_text(logreg_filter() if family == "logreg" else knn_filter(), {"accuracy": 0.5})
+        at = len(text.splitlines()) + 1
+        key = line.split(" = ")[0]
+        with pytest.raises(StorageError, match=re.escape(f"model file line {at}: a {family} model has no field {key!r}")):
+            model_from_text(text + line + "\n")
+
     def test_knn_label_length_checked(self):
         flt = knn_filter()
         text = model_to_text(flt)
