@@ -92,6 +92,13 @@ class SynthSpec:
             raise ValueError("repeat_fraction must be in [0, 0.5)")
 
 
+def refuse_unknown_keys(doc: dict, known, where: str) -> None:
+    """Refuse the first key of a JSON object that known lacks, naming it and where."""
+    for key in doc:
+        if key not in known:
+            raise ValueError(f"{where}: unknown key {key!r}")
+
+
 @dataclass
 class ClipTruth:
     event_id: str
@@ -119,17 +126,19 @@ class GroundTruth:
 
         Each clip's fields hold what docs/manifest.schema.json states: a
         string event_id and finite numbers start >= 0, duration > 0 and
-        snr_db.
+        snr_db. A key the schema lacks is refused, at the top or in a clip.
         """
         doc = json.loads(text)
         clips = doc.get("clips") if isinstance(doc, dict) else None
         if not isinstance(clips, dict):
             raise ValueError("manifest: expected an object whose 'clips' is an object")
+        refuse_unknown_keys(doc, ("clips",), "manifest")
         truth = cls()
         spec = fields(ClipTruth)
         for cid, t in clips.items():
             if not isinstance(t, dict):
                 raise ValueError(f"manifest clip {cid!r}: not an object")
+            refuse_unknown_keys(t, [f.name for f in spec], f"manifest clip {cid!r}")
             for f in spec:
                 if f.name not in t:
                     raise ValueError(f"manifest clip {cid!r}: missing field {f.name!r}")

@@ -21,6 +21,7 @@ from .audio_io import (
     SynthSpec,
     encode_wav,
     read_clip,
+    refuse_unknown_keys,
     synth_corpus,
 )
 from .fingerprint import (
@@ -109,10 +110,19 @@ def cmd_synth(args) -> int:
     return 0
 
 
+def _read_clips(files: list[str], rate: int):
+    """Clips decoded one by one, each named by its file's stem; two files of one stem are refused first."""
+    first: dict[str, int] = {}  # stem -> the index of its first file
+    for i, name in enumerate(files):
+        if (j := first.setdefault(Path(name).stem, i)) != i:
+            raise ValueError(f"{files[j]} and {name} are both clip {Path(name).stem!r}")
+    return (read_clip(Path(_require(name, "audio file")), rate) for name in files)
+
+
 def cmd_index(args) -> int:
     cfg = _config_from(args)
     index = FingerprintIndex(cfg)
-    clips = (read_clip(Path(_require(name, "audio file")), cfg.rate) for name in args.files)
+    clips = _read_clips(args.files, cfg.rate)
     for clip_id, duration, hashed, _ in fingerprint_clips(clips, cfg):
         if len(hashed) == 0:
             print(f"warning: {clip_id}: no landmarks, skipped", file=sys.stderr)
@@ -161,19 +171,26 @@ def matches_from_doc(doc) -> list[MatchingList]:
     may not exceed tml; a ValueError names the query, the entry's index in
     its list and the field. ml may exceed lq: `query` writes such entries
     when one query landmark meets postings at adjacent offsets of one clip.
+    A key matches_to_doc does not write, or a query id repeated, is refused.
     """
     queries = doc.get("queries") if isinstance(doc, dict) else None
     if not isinstance(queries, list):
         raise ValueError("matches file: expected an object whose 'queries' is a list")
+    refuse_unknown_keys(doc, ("queries",), "matches file")
     lists = []
+    first: dict[str, int] = {}  # query id -> the index of its first query
     for n, q in enumerate(queries):
         if not (isinstance(q, dict) and isinstance(q.get("query"), str) and isinstance(q.get("entries"), list)):
             raise ValueError(f"matches file: query {n} needs a string 'query' and a list 'entries'")
+        if (j := first.setdefault(q["query"], n)) != n:
+            raise ValueError(f"matches file: queries {j} and {n} are both {q['query']!r}")
+        refuse_unknown_keys(q, ("query", "entries"), f"query {q['query']!r}")
         entries = []
         for i, e in enumerate(q["entries"]):
             where = f"query {q['query']!r} entry {i}"
             if not isinstance(e, dict):
                 raise ValueError(f"{where}: not an object")
+            refuse_unknown_keys(e, _ENTRY_FIELDS, where)
             values = {"query_id": q["query"]}
             for key, (attr, kinds, wanted) in _ENTRY_FIELDS.items():
                 if key not in e:
@@ -197,8 +214,8 @@ def matches_from_doc(doc) -> list[MatchingList]:
 
 def cmd_match(args) -> int:
     cfg = _config_from(args)
+    clips = _read_clips(args.files, cfg.rate)
     index = load_index(_require(args.index, "index file"))
-    clips = (read_clip(Path(_require(name, "audio file")), cfg.rate) for name in args.files)
     lists = [query(index, clip_id, hashed, cfg) for clip_id, _, hashed, _ in fingerprint_clips(clips, cfg)]
     _write(matches_to_doc(lists), args.out, f"wrote matches for {len(lists)} queries to {args.out}")
     return 0

@@ -381,22 +381,14 @@ def _knn_grid_predict(
     return preds
 
 
-def _grid_predict(
-    family: str,
-    grid: Sequence,
-    tr_x: np.ndarray,
-    tr_y: np.ndarray,
-    targets: Sequence[np.ndarray],
-) -> list[np.ndarray]:
-    """Per target matrix, an array of predictions shaped (len(grid), len(target))."""
+def _grid_predict(family: str, grid: Sequence, fold: tuple[np.ndarray, ...]) -> np.ndarray:
+    """Predictions for fold = (train x, train y, query x), (len(grid), len(query x))."""
+    tr_x, tr_y, query_x = fold
     if family == FAMILY_LOGREG:
         models = train_logreg_grid(tr_x, tr_y, [float(c) for c in grid])
-        return [
-            np.stack([model.predict(t) for model in models]) for t in targets
-        ]
+        return np.stack([model.predict(query_x) for model in models])
     if family == FAMILY_KNN:
-        ks = [int(k) for k in grid]
-        return [_knn_grid_predict(tr_x, tr_y, t, ks) for t in targets]
+        return _knn_grid_predict(tr_x, tr_y, query_x, [int(k) for k in grid])
     raise ValueError(f"unknown model family {family!r}")
 
 
@@ -411,27 +403,11 @@ def _cv_workers(family: str) -> int:
     return parallel.WORKERS if family == FAMILY_KNN else 1
 
 
-def _inner_errors(
-    family: str, grid: Sequence, fold: tuple[np.ndarray, ...]
-) -> tuple[np.ndarray, np.ndarray]:
-    """One inner fold's train and validation error per grid value."""
-    tr_x, tr_y, va_x, va_y = fold
-    tr_pred, va_pred = _grid_predict(family, grid, tr_x, tr_y, (tr_x, va_x))
-    return (tr_pred != tr_y).mean(axis=1), (va_pred != va_y).mean(axis=1)
-
-
-def _outer_predictions(family: str, grid: Sequence, fold: tuple[np.ndarray, ...]) -> np.ndarray:
-    """One outer fold's test predictions, (len(grid), len(test x))."""
-    tr_x, tr_y, test_x = fold
-    return _grid_predict(family, grid, tr_x, tr_y, (test_x,))[0]
-
-
 @dataclass
 class CvResult:
     family: str
     param: float
     subset: FeatureSubset
-    train_error: float
     val_error: float
     test_accuracy: float
     wrong_fps: int
@@ -448,17 +424,18 @@ def double_cv(
 ) -> list[CvResult]:
     """Leave-one-song-out outside, seeded k-fold inside, per grid value.
 
-    Each left-out song contributes: inner_folds train/validation errors per
-    parameter (folds of the remaining songs' balanced samples), plus test
-    predictions from the model retrained on all of those balanced samples.
-    Train and validation errors are means over every (song, fold) pair;
+    Each left-out song contributes inner_folds folds of the remaining songs'
+    balanced samples, each predicting its validation rows, and one outer
+    fold, the model retrained on all of those samples predicting the song's
+    rows. Validation errors are means over every (song, inner fold) pair;
     accuracy and the wrong-match false-positive count pool the test
     predictions of all left-out songs.
 
-    Every fold is built before any is predicted. k-NN folds are then
-    predicted on `_cv_workers` threads, logistic-regression folds one after
-    another; the errors are summed in fold order either way, so the results
-    do not depend on the number of workers.
+    Every fold, a (train x, train y, query x) triple, is built before any is
+    predicted, and one `_grid_predict` call predicts each: k-NN folds on
+    `_cv_workers` threads, logistic-regression folds one after another. The
+    errors are summed in fold order, so the results do not depend on the
+    number of workers.
 
     A k-NN grid is cut to the k that fit every training set, inner and
     outer; only those get a result. When none fits, ValueError names the
@@ -473,7 +450,7 @@ def double_cv(
         raise ValueError("empty parameter grid")
 
     # All folds are built before any fit: fitting each song's folds as built measured slower.
-    inner = []  # (train x, train y, validation x, validation y), song by song
+    inner, val_ys = [], []  # (train x, train y, validation x) and validation y, song by song
     outer = []  # (train x, train y, test x), one per song
     tested: list[Sample] = []  # the test rows of every song, in fold order
     for song in songs:
@@ -494,7 +471,8 @@ def double_cv(
             val = np.zeros(len(bal), dtype=bool)
             val[chunk] = True
             std = fit_standardizer(bal_x[~val])
-            inner.append((std.apply(bal_x[~val]), bal_y[~val], std.apply(bal_x[val]), bal_y[val]))
+            inner.append((std.apply(bal_x[~val]), bal_y[~val], std.apply(bal_x[val])))
+            val_ys.append(bal_y[val])
         std = fit_standardizer(bal_x)
         test_x = std.apply(feature_matrix([s.entry for s in test], subset))
         outer.append((std.apply(bal_x), bal_y, test_x))
@@ -502,23 +480,18 @@ def double_cv(
 
     if family == FAMILY_KNN:
         # Each inner training set is a part of its outer fold's.
-        smallest = min(len(tr_y) for _, tr_y, _, _ in inner)
+        smallest = min(len(tr_y) for _, tr_y, _ in inner)
         grid = [k for k in grid if int(k) <= smallest]
         if not grid:
             raise ValueError(
                 f"no k in the grid fits the smallest training set, {smallest} samples"
             )
-    train_sum = np.zeros(len(grid))
-    val_sum = np.zeros(len(grid))
     n_workers = _cv_workers(family)
     with ThreadPoolExecutor(n_workers) if n_workers > 1 else nullcontext() as pool:
         fold_map = map if pool is None else pool.map  # either way, results in fold order
-        errors = fold_map(partial(_inner_errors, family, grid), inner)
-        tests = fold_map(partial(_outer_predictions, family, grid), outer)
-        for tr_err, va_err in errors:
-            train_sum += tr_err
-            val_sum += va_err
-        test_pred = np.concatenate(list(tests), axis=1)
+        preds = list(fold_map(partial(_grid_predict, family, grid), inner + outer))
+    val_sum = sum((va_pred != va_y).mean(axis=1) for va_pred, va_y in zip(preds, val_ys))
+    test_pred = np.concatenate(preds[len(inner) :], axis=1)
     correct = (test_pred == labels_of(tested)).sum(axis=1)
     wrong = np.array([s.kind == KIND_WRONG for s in tested], dtype=bool)
     wrong_fps = (test_pred[:, wrong] == 1).sum(axis=1)
@@ -527,7 +500,6 @@ def double_cv(
             family=family,
             param=float(param),
             subset=subset,
-            train_error=float(train_sum[j] / len(inner)),
             val_error=float(val_sum[j] / len(inner)),
             test_accuracy=float(correct[j] / len(data)),
             wrong_fps=int(wrong_fps[j]),

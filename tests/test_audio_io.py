@@ -327,6 +327,8 @@ class TestGroundTruthJson:
                     ({"duration": 0}, "duration must be above 0, got 0"),
                 ]
             ),
+            ({"clips": {"x": {**GOOD_TRUTH, "snr": 9}}}, "manifest clip 'x': unknown key 'snr'"),
+            ({"clips": {"x": GOOD_TRUTH}, "extra": 1}, "manifest: unknown key 'extra'"),
         ],
     )
     def test_malformed_refused_naming_clip_and_field(self, doc, message):

@@ -354,6 +354,20 @@ class TestMatch:
         doc = json.loads(capsys.readouterr().out)
         assert doc["queries"][0]["query"] == Path(wavs[0]).stem
 
+    @pytest.mark.parametrize("command", ["index", "match"])
+    def test_repeated_clip_id_exits_3_before_decoding(self, indexed, tmp_path, capsys, command):
+        # Neither file is a WAV: the refusal comes before either is decoded.
+        a, b = tmp_path / "a" / "x.wav", tmp_path / "b" / "x.wav"
+        for path in (a, b):
+            path.parent.mkdir()
+            path.write_bytes(b"not a wav")
+        out = tmp_path / "out"
+        argv = ["index"] if command == "index" else ["match", "--index", str(indexed[0])]
+        capsys.readouterr()
+        assert main([*argv, "--out", str(out), str(a), str(b)]) == 3
+        assert capsys.readouterr().err == f"error: {a} and {b} are both clip 'x'\n"
+        assert not out.exists()
+
     def test_usage_error_exits_2(self):
         assert main(["match"]) == 2
 
@@ -415,12 +429,19 @@ MALFORMED_ENTRIES = [
     ({"offset_seconds": float("inf")}, "offset_seconds must be finite, got inf"),
     ({"offset_seconds": -float("inf")}, "offset_seconds must be finite, got -inf"),
     ({"clip": "a"}, "clip must differ from the query, got 'a'"),
+    ({"mll": 9}, "unknown key 'mll'"),
 ]
-# Documents with no list of queries where one belongs, and the refusal's text.
+# Documents malformed outside their entries, and the refusal's text.
 MALFORMED_DOCS = [
     ([], "matches file: expected an object whose 'queries' is a list"),
     ({"queries": {"a": []}}, "matches file: expected an object whose 'queries' is a list"),
     ({"queries": [{"query": "a"}]}, "matches file: query 0 needs a string 'query' and a list 'entries'"),
+    ({"queries": [], "extra": 1}, "matches file: unknown key 'extra'"),
+    ({"queries": [{"query": "a", "entries": [], "note": ""}]}, "query 'a': unknown key 'note'"),
+    (
+        {"queries": [{"query": q, "entries": []} for q in ("a", "b", "a")]},
+        "matches file: queries 0 and 2 are both 'a'",
+    ),
 ]
 
 
@@ -538,7 +559,9 @@ class TestTrain:
         )
         assert rc == 2
 
-    @pytest.mark.parametrize("fault", ["list", "no event_id", "integer event_id", "negative duration"])
+    @pytest.mark.parametrize(
+        "fault", ["list", "no event_id", "integer event_id", "negative duration", "unknown clip key", "unknown key"]
+    )
     def test_malformed_manifest_exits_3(self, train_corpus, matches_file, tmp_path, capsys, fault):
         manifest = json.loads((train_corpus / "manifest.json").read_text())
         first = min(manifest["clips"])
@@ -550,9 +573,15 @@ class TestTrain:
         elif fault == "integer event_id":
             manifest["clips"][first]["event_id"] = 7
             message = f"manifest clip {first!r}: event_id must be a string, got 7"
-        else:
+        elif fault == "negative duration":
             manifest["clips"][first]["duration"] = -1
             message = f"manifest clip {first!r}: duration must be above 0, got -1"
+        elif fault == "unknown clip key":
+            manifest["clips"][first]["snr"] = 9
+            message = f"manifest clip {first!r}: unknown key 'snr'"
+        else:
+            manifest["extra"] = 1
+            message = "manifest: unknown key 'extra'"
         bad = tmp_path / "manifest.json"
         bad.write_text(json.dumps(manifest))
         capsys.readouterr()

@@ -25,6 +25,7 @@ from ugcaudio import (
     autolabel,
     balance,
     confirm_cluster,
+    default_grid,
     double_cv,
     fit_filter,
     fit_standardizer,
@@ -563,7 +564,7 @@ def reference_double_cv(data, family, grid, subset, seed, inner_folds):
     results = []
     for param in grid:
         train, value = (train_logreg, float(param)) if family == "logreg" else (train_knn, int(param))
-        train_err = val_err = 0.0
+        val_err = 0.0
         n_inner = correct = wrong_fps = 0
         try:
             for song in songs:
@@ -576,7 +577,6 @@ def reference_double_cv(data, family, grid, subset, seed, inner_folds):
                     val = np.isin(np.arange(len(bal)), chunk)
                     std = fit_standardizer(x[~val])
                     model = train(std.apply(x[~val]), y[~val], value)
-                    train_err += np.mean(model.predict(std.apply(x[~val])) != y[~val])
                     val_err += np.mean(model.predict(std.apply(x[val])) != y[val])
                     n_inner += 1
                 std = fit_standardizer(x)
@@ -592,7 +592,6 @@ def reference_double_cv(data, family, grid, subset, seed, inner_folds):
                 family=family,
                 param=float(param),
                 subset=subset,
-                train_error=float(train_err / n_inner),
                 val_error=float(val_err / n_inner),
                 test_accuracy=correct / len(data),
                 wrong_fps=wrong_fps,
@@ -604,20 +603,54 @@ def reference_double_cv(data, family, grid, subset, seed, inner_folds):
 class TestDoubleCv:
     def test_outer_fold_per_song(self, monkeypatch):
         data = songs_dataset()
-        calls = []
+        calls = []  # (training rows, query rows) per call, in call order on one worker
         grid_predict = match_classifier._grid_predict
 
-        def recording(family, grid, tr_x, tr_y, targets):
-            calls.append([len(t) for t in targets])
-            return grid_predict(family, grid, tr_x, tr_y, targets)
+        def recording(family, grid, fold):
+            _, tr_y, query_x = fold
+            calls.append((len(tr_y), len(query_x)))
+            return grid_predict(family, grid, fold)
 
         monkeypatch.setattr(match_classifier, "_grid_predict", recording)
+        monkeypatch.setattr(parallel, "WORKERS", 1)
         double_cv(data, "knn", [1], S1, seed=0, inner_folds=5)
-        outer = [c for c in calls if len(c) == 1]  # (test x,)
-        inner = [c for c in calls if len(c) == 2]  # (train x, validation x)
-        assert len(outer) == 4
-        assert len(inner) == 4 * 5
-        assert sum(n for (n,) in outer) == len(data)
+        assert len(calls) == 4 * 5 + 4  # each fold predicted once: 5 inner per song, then 4 outer
+        inner, outer = calls[: 4 * 5], calls[4 * 5 :]
+        assert sum(n_query for _, n_query in outer) == len(data)
+        for song, (n_balanced, _) in enumerate(outer):
+            folds = inner[5 * song : 5 * (song + 1)]
+            # The validation rows of a song's inner folds are its balanced set, once each.
+            assert sum(n_query for _, n_query in folds) == n_balanced
+            assert all(n_train + n_query == n_balanced for n_train, n_query in folds)
+
+    @pytest.mark.parametrize("family", ["logreg", "knn"])
+    def test_no_fold_predicts_its_own_training_rows(self, monkeypatch, family):
+        data = mixed_dataset()
+        trained, queried = [], []
+        knn_grid_predict = match_classifier._knn_grid_predict
+        fit_logreg = match_classifier.train_logreg
+        logreg_predict = match_classifier.LogRegModel.predict
+
+        def knn_recording(tr_x, tr_y, xq, ks):
+            trained.append(tr_x)
+            queried.append(xq)
+            return knn_grid_predict(tr_x, tr_y, xq, ks)
+
+        def logreg_recording(x, y, c):
+            trained.append(x)
+            return fit_logreg(x, y, c)
+
+        def predict_recording(model, x):
+            queried.append(x)
+            return logreg_predict(model, x)
+
+        monkeypatch.setattr(match_classifier, "_knn_grid_predict", knn_recording)
+        monkeypatch.setattr(match_classifier, "train_logreg", logreg_recording)
+        monkeypatch.setattr(match_classifier.LogRegModel, "predict", predict_recording)
+        double_cv(data, family, default_grid(family)[::4], S3, seed=3, inner_folds=4)
+        assert trained and queried
+        for q in queried:
+            assert not any(q.shape == t.shape and np.array_equal(q, t) for t in trained)
 
     @pytest.mark.parametrize(
         "family, grid, subset",
@@ -663,7 +696,6 @@ class TestDoubleCv:
         assert r.test_accuracy == 1.0
         assert r.wrong_fps == 0
         assert r.val_error == 0.0
-        assert r.train_error == 0.0
 
     def test_wrong_kind_false_positives_counted(self):
         data = songs_dataset({"true": 5, "repetition": 4, "wrong": 1})
@@ -722,7 +754,6 @@ def cv_result(val, fps, param=1.0, subset=S1, family="knn", acc=0.9):
         family=family,
         param=param,
         subset=subset,
-        train_error=val / 2,
         val_error=val,
         test_accuracy=acc,
         wrong_fps=fps,
