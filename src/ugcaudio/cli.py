@@ -8,7 +8,6 @@ or incompatible stored file, failed precondition).
 from __future__ import annotations
 
 import argparse
-import math
 import os
 import sys
 from dataclasses import asdict
@@ -138,7 +137,6 @@ def cmd_index(args) -> int:
 _ENTRY_FIELDS = {
     "clip": ("clip_id", (str,), "a string"),
     "offset_frames": ("offset_frames", (int,), "an integer"),
-    "offset_seconds": ("offset_seconds", (int, float), "a number"),
     "ml": ("ml", (int,), "an integer"),
     "tml": ("tml", (int,), "an integer"),
     "lq": ("lq", (int,), "an integer"),
@@ -166,12 +164,14 @@ def matches_from_doc(doc) -> list[MatchingList]:
 
     The document is {"queries": [{"query": id, "entries": [...]}, ...]}, as
     matches_to_doc writes it. Every entry field must be present and of its
-    type (a count 7.9 or true is not read as 7 or 1), offset_seconds must be
-    finite, clip may not be the query itself, no count may be negative and ml
-    may not exceed tml; a ValueError names the query, the entry's index in
-    its list and the field. ml may exceed lq: `query` writes such entries
-    when one query landmark meets postings at adjacent offsets of one clip.
-    A key matches_to_doc does not write, or a query id repeated, is refused.
+    type (a count 7.9 or true is not read as 7 or 1), clip may not be the
+    query itself, no count may be negative and ml may not exceed tml; a
+    ValueError names the query, the entry's index in its list and the field.
+    ml may exceed lq: `query` writes such entries when one query landmark
+    meets postings at adjacent offsets of one clip. The one landmark count
+    `query` writes per query (lq) and per indexed clip (li) must agree
+    wherever it is repeated; a ValueError names both entries. A key
+    matches_to_doc does not write, or a query id repeated, is refused.
     """
     queries = doc.get("queries") if isinstance(doc, dict) else None
     if not isinstance(queries, list):
@@ -179,6 +179,7 @@ def matches_from_doc(doc) -> list[MatchingList]:
     refuse_unknown_keys(doc, ("queries",), "matches file")
     lists = []
     first: dict[str, int] = {}  # query id -> the index of its first query
+    li_of: dict[str, tuple[str, int]] = {}  # clip -> (the entry that gave its li, that li)
     for n, q in enumerate(queries):
         if not (isinstance(q, dict) and isinstance(q.get("query"), str) and isinstance(q.get("entries"), list)):
             raise ValueError(f"matches file: query {n} needs a string 'query' and a list 'entries'")
@@ -198,15 +199,18 @@ def matches_from_doc(doc) -> list[MatchingList]:
                 if not isinstance(e[key], kinds) or isinstance(e[key], bool):
                     raise ValueError(f"{where}: {key} must be {wanted}, got {e[key]!r}")
                 values[attr] = e[key]
-            if not math.isfinite(e["offset_seconds"]):  # JSON NaN and Infinity parse to floats
-                raise ValueError(f"{where}: offset_seconds must be finite, got {e['offset_seconds']!r}")
             if e["clip"] == q["query"]:
                 raise ValueError(f"{where}: clip must differ from the query, got {e['clip']!r}")
-            entry = MatchEntry(**values | {"offset_seconds": float(e["offset_seconds"])})
+            entry = MatchEntry(**values)
             if min(entry.ml, entry.tml, entry.lq, entry.li) < 0:
                 raise ValueError(f"{where}: negative landmark count")
             if entry.ml > entry.tml:
                 raise ValueError(f"{where}: ml {entry.ml} exceeds tml {entry.tml}")
+            if entries and entry.lq != entries[0].lq:
+                raise ValueError(f"query {q['query']!r} entries 0 and {i} disagree on lq ({entries[0].lq}, {entry.lq})")
+            given, li = li_of.setdefault(entry.clip_id, (where, entry.li))
+            if entry.li != li:
+                raise ValueError(f"{given} and {where} disagree on li for clip {entry.clip_id!r} ({li}, {entry.li})")
             entries.append(entry)
         lists.append(MatchingList(query_id=q["query"], entries=entries))
     return lists

@@ -12,7 +12,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
 
-from .fingerprint import MatchEntry, MatchingList
+from .fingerprint import FpConfig, MatchEntry, MatchingList
 
 
 @dataclass
@@ -54,8 +54,8 @@ def split_repetitions(
 
     Per matched clip the entry with the most matching landmarks is the
     primary; everything else for that clip is a repetition. Ties go to the
-    smaller absolute offset, then the smaller signed offset, so the split is
-    a total order.
+    smaller absolute offset_frames, then the smaller signed one, so the
+    split is a total order.
     """
     by_clip: dict[str, list[MatchEntry]] = {}
     for entry in matching_list.entries:
@@ -66,7 +66,7 @@ def split_repetitions(
     for clip_id in sorted(by_clip):
         entries = sorted(
             by_clip[clip_id],
-            key=lambda e: (-e.ml, abs(e.offset_seconds), e.offset_seconds),
+            key=lambda e: (-e.ml, abs(e.offset_frames), e.offset_frames),
         )
         primaries.append(entries[0])
         repetitions.extend(entries[1:])
@@ -75,6 +75,7 @@ def split_repetitions(
 
 def build_graph(
     lists: Iterable[MatchingList],
+    cfg: FpConfig,
     filter_fn: Callable[[list[MatchEntry]], Sequence[int]] | None = None,
 ) -> MatchGraph:
     """Assemble the match graph from all clips' matching lists.
@@ -82,9 +83,10 @@ def build_graph(
     Repetitions are dropped first; if a classifier is supplied, it is called
     once on every list's primaries together, and those it predicts as false
     matches (class 0) are dropped too, before any edge is inserted. Each
-    surviving primary q->i contributes the edge pair
-    (q, i, -offset) and (i, q, +offset). When both directions survive
-    independently, the pair from the higher-landmark-count entry wins.
+    surviving primary q->i contributes the edge pair (q, i, -offset) and
+    (i, q, +offset), the offset in seconds: offset_frames * hop / rate.
+    When both directions survive independently, the pair from the
+    higher-landmark-count entry wins.
     """
     lists = list(lists)
     graph = MatchGraph()
@@ -106,7 +108,7 @@ def build_graph(
             chosen[pair] = entry
 
     for entry in chosen.values():
-        w = -entry.offset_seconds  # start(clip) - start(query)
+        w = -entry.offset_frames * cfg.hop / cfg.rate  # start(clip) - start(query)
         graph.edges[(entry.query_id, entry.clip_id)] = MatchEdge(
             from_id=entry.query_id,
             to_id=entry.clip_id,

@@ -181,7 +181,6 @@ class MatchEntry:
     query_id: str
     clip_id: str
     offset_frames: int  # anchor frame in candidate minus anchor frame in query
-    offset_seconds: float
     ml: int  # matching landmarks in this merged offset bin
     tml: int  # total matching landmarks over all offsets for this clip pair
     lq: int  # landmarks of the query clip
@@ -527,7 +526,7 @@ def query(
     index: FingerprintIndex,
     query_id: str,
     hashed,
-    cfg: FpConfig | None = None,
+    cfg: FpConfig,
 ) -> MatchingList:
     """Match hashed query landmarks against the index.
 
@@ -536,7 +535,6 @@ def query(
     count reaches the matching threshold. The query clip itself never
     appears in its own matching list.
     """
-    cfg = cfg or index.cfg
     cfg.compatible_with(index.cfg)
     hashed = _as_hashed(hashed)
     postings = index.postings()
@@ -586,7 +584,6 @@ def query(
                         query_id=query_id,
                         clip_id=clip_id,
                         offset_frames=offset,
-                        offset_seconds=offset * cfg.hop / cfg.rate,
                         ml=count,
                         tml=tml,
                         lq=lq,

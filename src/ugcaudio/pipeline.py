@@ -152,7 +152,7 @@ def run_pipeline(
             index.add_hashed(clip_id, h, duration)
 
     lists = [query(index, cid, hashed[cid], cfg) for cid in index.clip_ids]
-    graph = build_graph(lists, filter_fn=match_filter.predict if match_filter else None)
+    graph = build_graph(lists, cfg, filter_fn=match_filter.predict if match_filter else None)
 
     events: list[EventResult] = []
     for cluster in connected_components(graph):

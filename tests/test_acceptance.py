@@ -178,7 +178,6 @@ def test_criterion_05_repetition_split_is_total_and_unique():
                         query_id="q",
                         clip_id=f"c{c}",
                         offset_frames=int(off),
-                        offset_seconds=int(off) * 256 / 11025,
                         ml=int(ml),
                         tml=int(mls.sum()),
                         lq=500,
@@ -342,7 +341,7 @@ def _confirmation_setup(third_clip):
         for to in members:
             if frm != to:
                 entry = MatchEntry(
-                    query_id=frm, clip_id=to, offset_frames=0, offset_seconds=0.0,
+                    query_id=frm, clip_id=to, offset_frames=0,
                     ml=20, tml=25, lq=300, li=300,
                 )
                 graph.edges[(frm, to)] = MatchEdge(frm, to, 0.0, entry)
@@ -406,7 +405,7 @@ def test_criterion_10_persistence_round_trips_exactly():
                     Sample(
                         MatchEntry(
                             query_id=f"{song}_c{i:02d}", clip_id=f"{song}_c{i + 1:02d}",
-                            offset_frames=i, offset_seconds=0.0,
+                            offset_frames=i,
                             ml=ml, tml=ml + 5, lq=400, li=380,
                         ),
                         kind="true" if cls else "repetition",

@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ugcaudio import (
+    FpConfig,
     MatchEntry,
     MatchingList,
     build_graph,
@@ -16,7 +17,6 @@ def entry(q, c, offset_frames, ml, tml=None, lq=100, li=100):
         query_id=q,
         clip_id=c,
         offset_frames=offset_frames,
-        offset_seconds=offset_frames * 256 / 11025,
         ml=ml,
         tml=tml if tml is not None else ml,
         lq=lq,
@@ -98,10 +98,21 @@ class TestBuildGraph:
             MatchingList("a", [entry("a", "b", 43, 20)]),
             MatchingList("b", [entry("b", "a", -43, 20)]),
         ]
-        g = build_graph(lists)
+        g = build_graph(lists, FpConfig())
         wab = g.weight("a", "b")
         assert wab == pytest.approx(-43 * 256 / 11025)
         assert g.weight("b", "a") == pytest.approx(-wab)
+
+    def test_weights_are_offset_frames_in_the_runs_seconds(self):
+        lists = [
+            MatchingList("a", [entry("a", "b", 43, 20), entry("a", "c", -7, 9)]),
+            MatchingList("b", [entry("b", "c", 1, 8)]),
+        ]
+        g = build_graph(lists, FpConfig(hop=128))
+        assert len(g.edges) == 6
+        for (frm, _to), edge in g.edges.items():
+            weight = -edge.source_entry.offset_frames * 128 / 11025
+            assert edge.weight == (weight if frm == edge.source_entry.query_id else -weight)
 
     def test_higher_ml_direction_wins(self):
         # directions disagree: a->b says offset 10, b->a says offset -12
@@ -109,7 +120,7 @@ class TestBuildGraph:
             MatchingList("a", [entry("a", "b", 10, 5)]),
             MatchingList("b", [entry("b", "a", -12, 9)]),
         ]
-        g = build_graph(lists)
+        g = build_graph(lists, FpConfig())
         # b's entry (ml 9) defines the pair: weight(b->a) = -offset = 12 frames
         assert g.weight("b", "a") == pytest.approx(12 * 256 / 11025)
         assert g.weight("a", "b") == pytest.approx(-12 * 256 / 11025)
@@ -119,7 +130,7 @@ class TestBuildGraph:
             MatchingList("a", [entry("a", "b", 10, 7)]),
             MatchingList("b", [entry("b", "a", -11, 7)]),
         ]
-        g = build_graph(lists)
+        g = build_graph(lists, FpConfig())
         assert g.weight("a", "b") == pytest.approx(-10 * 256 / 11025)
 
     def test_filter_drops_edges(self):
@@ -128,10 +139,10 @@ class TestBuildGraph:
             MatchingList("b", [entry("b", "a", -5, 30)]),
             MatchingList("c", [entry("c", "a", -9, 6)]),
         ]
-        keep_all = build_graph(lists)
+        keep_all = build_graph(lists, FpConfig())
         assert len(connected_components(keep_all)) == 1
 
-        weak_out = build_graph(lists, filter_fn=lambda es: [1 if e.ml >= 10 else 0 for e in es])
+        weak_out = build_graph(lists, FpConfig(), filter_fn=lambda es: [1 if e.ml >= 10 else 0 for e in es])
         comps = [c.members for c in connected_components(weak_out)]
         assert comps == [["a", "b"], ["c"]]
 
@@ -147,7 +158,7 @@ class TestBuildGraph:
             batches.append([(e.query_id, e.clip_id, e.offset_frames) for e in entries])
             return [int(e.ml >= 10) for e in entries]
 
-        g = build_graph(lists, filter_fn=keep_strong)
+        g = build_graph(lists, FpConfig(), filter_fn=keep_strong)
         assert batches == [[("a", "b", 5), ("a", "c", 9), ("b", "a", -5)]]
         assert sorted(g.edges) == [("a", "b"), ("b", "a")]
 
@@ -158,8 +169,8 @@ class TestBuildGraph:
             MatchingList("c", [entry("c", "d", 2, 8)]),
             MatchingList("d", []),
         ]
-        before = {tuple(c.members) for c in connected_components(build_graph(lists))}
-        filtered = build_graph(lists, filter_fn=lambda es: [0 if e.ml < 10 else 1 for e in es])
+        before = {tuple(c.members) for c in connected_components(build_graph(lists, FpConfig()))}
+        filtered = build_graph(lists, FpConfig(), filter_fn=lambda es: [0 if e.ml < 10 else 1 for e in es])
         after = {tuple(c.members) for c in connected_components(filtered)}
         # every filtered cluster is a subset of one unfiltered cluster
         for comp in after:
@@ -171,7 +182,7 @@ class TestBuildGraph:
                 "a", [entry("a", "b", 5, 30, tml=42), entry("a", "b", 90, 12, tml=42)]
             )
         ]
-        g = build_graph(lists)
+        g = build_graph(lists, FpConfig())
         assert len(g.edges) == 2  # one pair, both directions
         assert g.weight("a", "b") == pytest.approx(-5 * 256 / 11025)
 
@@ -183,7 +194,7 @@ class TestComponents:
             MatchingList("b", []),
             MatchingList("c", []),
         ]
-        comps = connected_components(build_graph(lists))
+        comps = connected_components(build_graph(lists, FpConfig()))
         assert [c.members for c in comps] == [["a", "b"], ["c"]]
         assert [c.id for c in comps] == ["a", "c"]
 
@@ -193,7 +204,7 @@ class TestComponents:
             MatchingList("b", [entry("b", "c", 1, 9)]),
             MatchingList("c", []),
         ]
-        comps = connected_components(build_graph(lists))
+        comps = connected_components(build_graph(lists, FpConfig()))
         assert [c.members for c in comps] == [["a", "b", "c"]]
 
     def test_cluster_edges_are_intra_cluster(self):
@@ -203,7 +214,7 @@ class TestComponents:
             MatchingList("c", [entry("c", "d", 4, 9)]),
             MatchingList("d", []),
         ]
-        g = build_graph(lists)
+        g = build_graph(lists, FpConfig())
         comps = connected_components(g)
         first = cluster_edges(comps[0], g)
         assert {(e.from_id, e.to_id) for e in first} == {("a", "b"), ("b", "a")}

@@ -565,7 +565,7 @@ class TestIndexAndQuery:
         stored = sorted(zip(postings[:, 0].tolist(), postings[:, 2].tolist()))
         assert stored == sorted(tuple(kt) for kt in hashed.tolist())
 
-    @pytest.mark.parametrize("build", [FingerprintIndex.postings, lambda index: query(index, "x", [(1, 0)])])
+    @pytest.mark.parametrize("build", [FingerprintIndex.postings, lambda index: query(index, "x", [(1, 0)], FpConfig())])
     def test_add_after_build_raises_naming_the_clip(self, build):
         index = FingerprintIndex(FpConfig())
         index.add_hashed("a", [(1, 0)], 1.0)
@@ -621,7 +621,6 @@ class TestIndexAndQuery:
         entry = max((e for e in result.entries if e.clip_id == "a"), key=lambda e: e.ml)
         # b starts 86 frames into a: shared landmark appears at t1 in a, t1-86 in b
         assert entry.offset_frames == 86
-        assert entry.offset_seconds == pytest.approx(86 * cfg.hop / cfg.rate)
 
     def test_threshold_filters_entries(self):
         cfg = FpConfig()
@@ -671,7 +670,6 @@ class TestIndexAndQuery:
         assert got == _brute_force_query(db, query_id, hashed, cfg)
         for e in query(index, query_id, hashed, cfg).entries:
             assert all(type(v) is int for v in (e.offset_frames, e.ml, e.tml, e.lq, e.li))
-            assert type(e.offset_seconds) is float
 
     def test_keys_outside_key_range_match_nothing(self):
         cfg = FpConfig(match_threshold=1)

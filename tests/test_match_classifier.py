@@ -52,8 +52,6 @@ from ugcaudio.match_classifier import (
     labels_of,
 )
 
-SECONDS_PER_FRAME = 256 / 11025
-
 
 def entry(
     query="songA_c00",
@@ -68,7 +66,6 @@ def entry(
         query_id=query,
         clip_id=clip,
         offset_frames=offset_frames,
-        offset_seconds=offset_frames * SECONDS_PER_FRAME,
         ml=ml,
         tml=ml if tml is None else tml,
         lq=lq,
