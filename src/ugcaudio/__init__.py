@@ -43,7 +43,6 @@ from .fingerprint import (
     offset_zero_votes,
     pair_landmarks,
     parse_config,
-    peak_candidates,
     query,
     spectrogram,
     thin_peaks,

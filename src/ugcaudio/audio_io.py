@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 import math
 import struct
+import sys
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
@@ -126,7 +127,7 @@ class GroundTruth:
 
         Each clip's fields hold what docs/manifest.schema.json states: a
         string event_id and finite numbers start >= 0, duration > 0 and
-        snr_db. A key the schema lacks is refused, at the top or in a clip.
+        snr_db, where an integer past the float range is not finite. A key the schema lacks is refused, at the top or in a clip.
         """
         doc = json.loads(text)
         clips = doc.get("clips") if isinstance(doc, dict) else None
@@ -147,7 +148,7 @@ class GroundTruth:
                 if f.type == "str":  # event_id; annotations are strings in this module
                     if not isinstance(value, str):
                         raise ValueError(f"manifest clip {cid!r}: {f.name} must be a string, got {value!r}")
-                elif isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+                elif isinstance(value, bool) or not isinstance(value, (int, float)) or not abs(value) <= sys.float_info.max:
                     raise ValueError(f"manifest clip {cid!r}: {f.name} must be a finite number, got {value!r}")
             if t["start"] < 0:
                 raise ValueError(f"manifest clip {cid!r}: start must be at least 0, got {t['start']!r}")

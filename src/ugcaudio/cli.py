@@ -165,8 +165,8 @@ def matches_from_doc(doc) -> list[MatchingList]:
     The document is {"queries": [{"query": id, "entries": [...]}, ...]}, as
     matches_to_doc writes it. Every entry field must be present and of its
     type (a count 7.9 or true is not read as 7 or 1), clip may not be the
-    query itself, no count may be negative and ml may not exceed tml; a
-    ValueError names the query, the entry's index in its list and the field.
+    query itself, no count may be negative or above 2**53 and ml may not
+    exceed tml; a ValueError names the query, the entry's index and the field.
     ml may exceed lq: `query` writes such entries when one query landmark
     meets postings at adjacent offsets of one clip. The one landmark count
     `query` writes per query (lq) and per indexed clip (li) must agree
@@ -204,6 +204,9 @@ def matches_from_doc(doc) -> list[MatchingList]:
             entry = MatchEntry(**values)
             if min(entry.ml, entry.tml, entry.lq, entry.li) < 0:
                 raise ValueError(f"{where}: negative landmark count")
+            for key in ("ml", "tml", "lq", "li"):  # counts are read as float64 features
+                if e[key] > 2**53:
+                    raise ValueError(f"{where}: {key} must be at most 2**53, got {e[key]}")
             if entry.ml > entry.tml:
                 raise ValueError(f"{where}: ml {entry.ml} exceeds tml {entry.tml}")
             if entries and entry.lq != entries[0].lq:

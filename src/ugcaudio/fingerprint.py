@@ -4,14 +4,13 @@ A fingerprint is a set of landmarks: pairs of spectrogram peaks, each packed
 into a 21-bit key of (first-peak bin, bin delta, frame delta). Everything is
 carried as int arrays, one row per item:
 
-    peak_candidates N x 2  (frame, bin) int32, strongest first
+    candidates      N x 2  (frame, bin) int32, strongest first
     extract_peaks   N x 2  (frame, bin), sorted by (frame, bin)
     pair_landmarks  N x 4  (t1, f1, f2, dt), t1 the anchor frame
     hash_landmarks  N x 2  (key, t1)
 
-Candidates are picked in blocks of frames, each written with its halo into
-one padded buffer: from the STFT as it is computed (clip_fingerprint), or
-from a whole spectrogram (peak_candidates).
+Candidates are picked from a clip's STFT as it is computed, in blocks of
+frames with their halo in one padded buffer; each STFT row is computed once.
 
 The index is one key-sorted (key, clip ordinal, t1) posting array, built
 once from the clips' (key, t1) arrays and frozen from then on. Querying votes
@@ -222,6 +221,8 @@ def _stft_rows(windows: np.ndarray, out: np.ndarray, cfg: FpConfig) -> None:
             np.maximum(rows, cfg.log_floor, out=rows)
 
 
+# spectrogram, extract_peaks and fingerprint_clip stay public only because the
+# benchmark in perfbench/ wraps them by name and times fingerprint_clip.
 def spectrogram(clip: AudioClip, cfg: FpConfig) -> np.ndarray:
     """Log-magnitude STFT, frames x bins, floored at cfg.log_floor.
 
@@ -234,28 +235,20 @@ def spectrogram(clip: AudioClip, cfg: FpConfig) -> np.ndarray:
     return spec
 
 
-def peak_candidates(spec: np.ndarray, cfg: FpConfig) -> np.ndarray:
+def _pick_candidates(rows, shape: tuple[int, int], cfg: FpConfig) -> np.ndarray:
     """Strict local maxima over a +/-3 frame, +/-3 bin neighborhood.
 
     Every cell above all its neighbors that clears log_floor + 1, as an
     N x 2 int32 array of (frame, bin) rows in thinning order: magnitude
-    descending, then frame, then bin.
-    """
-    if spec.size == 0:
-        raise ValueError("empty spectrogram")
-    return _pick_candidates(lambda lo, hi, out: np.copyto(out, spec[lo:hi]), spec.shape, cfg)
-
-
-def _pick_candidates(rows, shape: tuple[int, int], cfg: FpConfig) -> np.ndarray:
-    """peak_candidates of the spectrogram whose frames [lo, hi) rows(lo, hi, out) writes to out.
-
-    Each block of _FRAME_BLOCK frames is written, with its 3-frame halo, into
-    the inner columns of one -inf-padded buffer and picked there. Halo frames
-    are written again for each block that has them, and rows past the last
-    frame are reset to -inf, so every cell sees the same neighbors as in the
-    whole spectrogram and the result does not depend on the block. A block's
-    candidates come from one flat scan of its mask, (frame, bin) recovered by
-    divmod, and the magnitudes that order them are gathered block by block.
+    descending, then frame, then bin. rows(lo, hi, out) writes frames [lo,
+    hi) of the spectrogram of `shape` to the contiguous `out`; it is asked
+    for each frame once, in order. Blocks of _FRAME_BLOCK frames are picked
+    in one -inf-padded buffer with a 3-frame halo either side: the 6 rows
+    that end a block move to the top of the next, later frames are copied
+    in from contiguous scratch, and rows past the last frame are reset to
+    -inf, so every cell sees its neighbors in the whole spectrogram. A
+    block's candidates come from one flat scan of its mask, (frame, bin)
+    recovered by divmod.
     """
     n_frames, n_bins = shape
     block = min(_FRAME_BLOCK, n_frames)
@@ -263,14 +256,18 @@ def _pick_candidates(rows, shape: tuple[int, int], cfg: FpConfig) -> np.ndarray:
     # which only the first block has.
     padded = np.full((block + 6, n_bins + 6), -np.inf)
     inner = padded[:, 3 : n_bins + 3]
+    # New rows land in `full`, which _holed_max overwrites only after the copy.
     sides, full = np.empty((2, block + 6, n_bins))
     found_frames, found_bins, found_mags = [], [], []
     for f0 in range(0, n_frames, block):
         m = min(block, n_frames - f0)
-        lo, hi = max(f0 - 3, 0), min(f0 + m + 3, n_frames)
-        top = lo - f0 + 3  # padded row of frame lo
-        rows(lo, hi, inner[top : top + hi - lo])
-        inner[top + hi - lo : m + 6] = -np.inf  # rows past the last frame
+        # Frames [lo, hi) are new; inner row r - f0 + 3 holds frame r.
+        lo, hi = min(f0 + 3, n_frames) if f0 else 0, min(f0 + m + 3, n_frames)
+        if f0:
+            inner[:6] = inner[block:]  # frames f0 - 3 .. f0 + 2, which end the last block
+        rows(lo, hi, full[: hi - lo])
+        inner[lo - f0 + 3 : hi - f0 + 3] = full[: hi - lo]
+        inner[hi - f0 + 3 : m + 6] = -np.inf  # rows past the last frame
         values = inner[3 : m + 3]
         # Above the neighborhood max and the floor: above the larger of them.
         bar = _holed_max(padded[: m + 6], sides[: m + 6], full[: m + 6])
@@ -284,6 +281,13 @@ def _pick_candidates(rows, shape: tuple[int, int], cfg: FpConfig) -> np.ndarray:
     # Already in (frame, bin) order, so a stable sort keeps it among equals.
     order = np.argsort(-np.concatenate(found_mags), kind="stable")
     return np.stack([frames_idx[order], bins_idx[order]], axis=1).astype(np.int32)
+
+
+def _clip_candidates(clip: AudioClip, cfg: FpConfig) -> tuple[np.ndarray, int]:
+    """The clip's peak candidates (see _pick_candidates), its STFT streamed in, and its frame count."""
+    windows = _frame_windows(clip, cfg)
+    shape = (len(windows), cfg.window // 2 + 1)
+    return _pick_candidates(lambda lo, hi, out: _stft_rows(windows[lo:hi], out, cfg), shape, cfg), len(windows)
 
 
 def thin_peaks(candidates: np.ndarray, f0: int, f1: int, cfg: FpConfig) -> np.ndarray:
@@ -301,12 +305,10 @@ def thin_peaks(candidates: np.ndarray, f0: int, f1: int, cfg: FpConfig) -> np.nd
     return kept[np.lexsort((kept[:, 1], kept[:, 0]))]
 
 
-def extract_peaks(spec: np.ndarray, cfg: FpConfig) -> np.ndarray:
-    """Peak candidates thinned globally to the top peak_density-per-second.
-
-    Returns an N x 2 int array of (frame, bin) rows sorted by (frame, bin).
-    """
-    return thin_peaks(peak_candidates(spec, cfg), 0, spec.shape[0], cfg)
+def extract_peaks(clip: AudioClip, cfg: FpConfig) -> np.ndarray:
+    """The clip's candidates thinned to the top peak_density per second, as thin_peaks sorts them."""
+    candidates, n_frames = _clip_candidates(clip, cfg)
+    return thin_peaks(candidates, 0, n_frames, cfg)
 
 
 def _holed_max(padded: np.ndarray, sides: np.ndarray, full: np.ndarray) -> np.ndarray:
@@ -411,28 +413,21 @@ def hash_landmarks(landmarks: np.ndarray) -> np.ndarray:
 
 
 def fingerprint_clip(clip: AudioClip, cfg: FpConfig) -> np.ndarray:
-    """Full extraction pipeline: spectrogram -> peaks -> landmark pairs."""
-    return pair_landmarks(extract_peaks(spectrogram(clip, cfg), cfg), cfg)
+    """The clip's landmarks: extract_peaks, paired."""
+    return pair_landmarks(extract_peaks(clip, cfg), cfg)
 
 
 def clip_fingerprint(clip: AudioClip, cfg: FpConfig) -> tuple[np.ndarray, np.ndarray]:
-    """A clip's hashed landmarks and its peak candidates, from one STFT.
+    """A clip's hashed landmarks and its peak candidates, from one streamed STFT.
 
-    The landmarks are those of hash_landmarks(fingerprint_clip(clip, cfg)).
-    A clip shorter than one window has neither. The candidates are those of
-    peak_candidates(spectrogram(clip, cfg), cfg), but the STFT writes each
-    block's frames straight into the picker's buffer, and the spectrogram is
-    never held whole.
+    The landmarks are hash_landmarks(fingerprint_clip(clip, cfg)), and the
+    candidates are those extract_peaks thins. A clip shorter than one window
+    has neither.
     """
     if len(clip.samples) < cfg.window:
         return np.empty((0, 2), dtype=np.int64), np.empty((0, 2), dtype=np.int32)
-    windows = _frame_windows(clip, cfg)
-    n_frames = len(windows)
-    candidates = _pick_candidates(
-        lambda lo, hi, out: _stft_rows(windows[lo:hi], out, cfg), (n_frames, cfg.window // 2 + 1), cfg
-    )
-    peaks = thin_peaks(candidates, 0, n_frames, cfg)
-    return hash_landmarks(pair_landmarks(peaks, cfg)), candidates
+    candidates, n_frames = _clip_candidates(clip, cfg)
+    return hash_landmarks(pair_landmarks(thin_peaks(candidates, 0, n_frames, cfg), cfg)), candidates
 
 
 def _as_hashed(hashed) -> np.ndarray:
@@ -594,7 +589,7 @@ def query(
     return MatchingList(query_id=query_id, entries=entries)
 
 
-def offset_zero_votes(hashed: list, tol_frames: int = 2) -> np.ndarray:
+def offset_zero_votes(hashed: list, tol_frames: int) -> np.ndarray:
     """Matching-landmark votes near offset 0 between every two of m fingerprints.
 
     Entry (a, b) of the symmetric m x m int64 result counts the (a, b)

@@ -136,7 +136,7 @@ def consistency_report(
     cluster: Cluster,
     graph: MatchGraph,
     pm: PositionMap,
-    eps: float = 0.1,
+    eps: float,
 ) -> list[EdgeResidual]:
     """Cycle-consistency check the path-cost method silently assumes.
 
@@ -266,12 +266,12 @@ def segment_quality(
 ) -> list[QualityRanking]:
     """Rank each segment's members by shared near-zero-offset landmark votes.
 
-    Each member's cut gets landmarks from its clip's peak candidates (see
-    peak_candidates) at density_multiplier x peak_density; for every pair
-    the landmark votes within QUALITY_OFFSET_TOL_FRAMES of offset zero are
-    counted (all members are time-aligned here, so other offsets are noise
-    and ignored). A member's score sums its votes against all others. Cuts
-    that hold no whole window score zero.
+    Each member's cut gets landmarks from its clip's peak candidates, as
+    clip_fingerprint returns them, at density_multiplier x peak_density;
+    for every pair the landmark votes within QUALITY_OFFSET_TOL_FRAMES of
+    offset zero are counted (all members are time-aligned here, so other
+    offsets are noise and ignored). A member's score sums its votes against
+    all others. Cuts that hold no whole window score zero.
 
     One cut_landmarks generator reads every segment's cuts in turn, and
     offset_zero_votes counts each segment's votes in one call. A segment's

@@ -5,7 +5,8 @@ from __future__ import annotations
 import numpy as np
 from scipy import ndimage
 
-from ugcaudio import AudioClip, FpConfig, PROCESS_RATE, peak_candidates, spectrogram
+from ugcaudio import AudioClip, FpConfig, PROCESS_RATE, clip_fingerprint, thin_peaks
+from ugcaudio.fingerprint import _pick_candidates
 
 
 def burst_clip(
@@ -90,7 +91,17 @@ def add_noise(clip: AudioClip, snr_db: float, seed: int) -> AudioClip:
 
 def candidates_of(clips: dict[str, AudioClip], cfg: FpConfig) -> dict[str, np.ndarray]:
     """Per-clip peak candidates, the input segment_quality ranks from."""
-    return {cid: peak_candidates(spectrogram(clip, cfg), cfg) for cid, clip in clips.items()}
+    return {cid: clip_fingerprint(clip, cfg)[1] for cid, clip in clips.items()}
+
+
+def spectrum_candidates(spec: np.ndarray, cfg: FpConfig) -> np.ndarray:
+    """The picker's candidates of an arbitrary spectrogram, fed to it row block by row block."""
+    return _pick_candidates(lambda lo, hi, out: np.copyto(out, spec[lo:hi]), spec.shape, cfg)
+
+
+def spectrum_peaks(spec: np.ndarray, cfg: FpConfig) -> np.ndarray:
+    """spectrum_candidates thinned over the whole spectrogram, as extract_peaks thins a clip's."""
+    return thin_peaks(spectrum_candidates(spec, cfg), 0, spec.shape[0], cfg)
 
 
 def reference_peaks(spec, cfg, f0=0, f1=None):

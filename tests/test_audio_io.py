@@ -329,6 +329,15 @@ class TestGroundTruthJson:
             ),
             ({"clips": {"x": {**GOOD_TRUTH, "snr": 9}}}, "manifest clip 'x': unknown key 'snr'"),
             ({"clips": {"x": GOOD_TRUTH}, "extra": 1}, "manifest: unknown key 'extra'"),
+            # Integers past the float range: "duration": 1 followed by 400 zeros.
+            *(
+                pytest.param(
+                    {"clips": {"x": {**GOOD_TRUTH, key: value}}},
+                    f"manifest clip 'x': {key} must be a finite number, got {value}",
+                    id=f"{key}-{name}",
+                )
+                for key, value, name in [("duration", 10**400, "10**400"), ("snr_db", -(10**400), "-10**400")]
+            ),
         ],
     )
     def test_malformed_refused_naming_clip_and_field(self, doc, message):

@@ -431,6 +431,12 @@ MALFORMED_ENTRIES = [
     ({"clip": "a"}, "clip must differ from the query, got 'a'"),
     ({"mll": 9}, "unknown key 'mll'"),
     ({"offset_seconds": 0.07}, "unknown key 'offset_seconds'"),  # written by older versions of match
+    # Counts past 2**53 would not survive the classifier's float features.
+    *(
+        pytest.param({key: 10**400}, f"{key} must be at most 2**53, got {10**400}", id=f"{key}-10**400")
+        for key in ("ml", "tml", "lq", "li")
+    ),
+    pytest.param({"tml": 2**53 + 1}, f"tml must be at most 2**53, got {2**53 + 1}", id="tml-2**53+1"),
 ]
 # Documents malformed outside their entries, and the refusal's text.
 MALFORMED_DOCS = [
@@ -465,6 +471,10 @@ class TestMatchesFromDoc:
         for key in ("ml", "tml", "lq", "li"):
             with pytest.raises(ValueError, match="^query 'a' entry 1: negative landmark count$"):
                 matches_from_doc(matches_doc(**{key: -1}))
+
+    def test_counts_up_to_2_to_the_53_accepted(self):
+        entry = matches_from_doc(matches_doc(ml=2**53, tml=2**53, li=2**53))[0].entries[1]
+        assert (entry.ml, entry.tml, entry.li) == (2**53,) * 3
 
     def test_ml_above_tml_rejected(self):
         with pytest.raises(ValueError, match="^query 'a' entry 1: ml 13 exceeds tml 12$"):
@@ -575,7 +585,8 @@ class TestTrain:
         assert rc == 2
 
     @pytest.mark.parametrize(
-        "fault", ["list", "no event_id", "integer event_id", "negative duration", "unknown clip key", "unknown key"]
+        "fault",
+        ["list", "no event_id", "integer event_id", "negative duration", "unknown clip key", "unknown key", "huge duration"],
     )
     def test_malformed_manifest_exits_3(self, train_corpus, matches_file, tmp_path, capsys, fault):
         manifest = json.loads((train_corpus / "manifest.json").read_text())
@@ -594,9 +605,12 @@ class TestTrain:
         elif fault == "unknown clip key":
             manifest["clips"][first]["snr"] = 9
             message = f"manifest clip {first!r}: unknown key 'snr'"
-        else:
+        elif fault == "unknown key":
             manifest["extra"] = 1
             message = "manifest: unknown key 'extra'"
+        else:  # past the float range: "duration": 1 followed by 400 zeros
+            manifest["clips"][first]["duration"] = 10**400
+            message = f"manifest clip {first!r}: duration must be a finite number, got {10**400}"
         bad = tmp_path / "manifest.json"
         bad.write_text(json.dumps(manifest))
         capsys.readouterr()

@@ -23,7 +23,6 @@ from ugcaudio import (
     offset_zero_votes,
     pair_landmarks,
     parse_config,
-    peak_candidates,
     query,
     spectrogram,
     thin_peaks,
@@ -31,7 +30,7 @@ from ugcaudio import (
 from ugcaudio import fingerprint
 from ugcaudio.fingerprint import _merge_offset_bins
 
-from _helpers import burst_clip, reference_peaks, snip
+from _helpers import burst_clip, reference_peaks, snip, spectrum_candidates, spectrum_peaks
 
 # Few distinct levels make ties everywhere; sides under 7 clip the window.
 TIE_HEAVY_SPECS = hnp.arrays(
@@ -184,7 +183,7 @@ class TestPeaks:
         cfg = FpConfig()
         clip = burst_clip("p", duration=3.0, seed=1)
         spec = spectrogram(clip, cfg)
-        peaks = extract_peaks(spec, cfg)
+        peaks = extract_peaks(clip, cfg)
         assert len(peaks) > 0
         for frame, b in peaks.tolist():
             lo_f, hi_f = max(0, frame - 3), min(spec.shape[0], frame + 4)
@@ -198,7 +197,7 @@ class TestPeaks:
         clip = burst_clip("p", duration=4.0, seed=2)
         spec = spectrogram(clip, cfg)
         duration = ((spec.shape[0] - 1) * cfg.hop + cfg.window) / cfg.rate
-        peaks = extract_peaks(spec, cfg)
+        peaks = extract_peaks(clip, cfg)
         assert len(peaks) <= round(cfg.peak_density * duration)
 
     def test_planted_deltas_found(self):
@@ -207,7 +206,7 @@ class TestPeaks:
         planted = [(5, 30), (5, 100), (20, 60), (35, 200)]
         for f, b in planted:
             spec[f, b] = 0.0
-        peaks = extract_peaks(spec, cfg)
+        peaks = spectrum_peaks(spec, cfg)
         assert [tuple(p) for p in peaks.tolist()] == sorted(planted)
 
     def test_keeps_strongest_when_over_budget(self):
@@ -218,7 +217,7 @@ class TestPeaks:
         spots = [(4 * (i % 10) + 2, 8 * (i // 10) + 30) for i in range(30)]
         for (f, b), m in zip(spots, mags):
             spec[f, b] = m
-        peaks = extract_peaks(spec, cfg)
+        peaks = spectrum_peaks(spec, cfg)
         duration = ((40 - 1) * cfg.hop + cfg.window) / cfg.rate
         budget = round(cfg.peak_density * duration)
         got = {tuple(p) for p in peaks.tolist()}
@@ -232,21 +231,25 @@ class TestPeaks:
     @settings(max_examples=200, deadline=None)
     def test_matches_maximum_filter_definition(self, spec, density):
         cfg = FpConfig(peak_density=density)
-        got = [tuple(p) for p in extract_peaks(spec, cfg).tolist()]
+        assert spectrum_candidates(spec, cfg).dtype == np.int32
+        got = [tuple(p) for p in spectrum_peaks(spec, cfg).tolist()]
         assert got == reference_peaks(spec, cfg)
 
     @given(
-        spec=TIE_HEAVY_SPECS,
+        n_frames=st.integers(1, 24),
+        kinds=st.lists(st.sampled_from(["silent", "periodic", "noise"]), min_size=1, max_size=3),
+        seed=st.integers(0, 2**16),
         density=st.sampled_from([2.0, 20.0, 200.0]),
     )
-    @settings(max_examples=200, deadline=None)
-    def test_whole_range_thinning_is_extract_peaks(self, spec, density):
+    @settings(max_examples=100, deadline=None)
+    def test_whole_range_thinning_is_extract_peaks(self, n_frames, kinds, seed, density):
         cfg = FpConfig(peak_density=density)
-        candidates = peak_candidates(spec, cfg)
+        clip = piecewise_clip(n_frames, kinds, 0, seed, cfg)
+        _, candidates = clip_fingerprint(clip, cfg)
         assert candidates.dtype == np.int32
-        whole = thin_peaks(candidates, 0, spec.shape[0], cfg)
-        assert whole.tolist() == extract_peaks(spec, cfg).tolist()
-        assert [tuple(p) for p in whole.tolist()] == reference_peaks(spec, cfg)
+        whole = thin_peaks(candidates, 0, n_frames, cfg)
+        assert whole.tolist() == extract_peaks(clip, cfg).tolist()
+        assert [tuple(p) for p in whole.tolist()] == reference_peaks(spectrogram(clip, cfg), cfg)
 
     @given(
         spec=TIE_HEAVY_SPECS,
@@ -266,7 +269,7 @@ class TestPeaks:
     def test_window_thinning_matches_oracle(self, spec, density, f0, f1):
         # Peaks are picked on the whole spectrogram, then restricted to the window.
         cfg = FpConfig(peak_density=density)
-        got = thin_peaks(peak_candidates(spec, cfg), f0, f1, cfg)
+        got = thin_peaks(spectrum_candidates(spec, cfg), f0, f1, cfg)
         assert [tuple(p) for p in got.tolist()] == reference_peaks(spec, cfg, f0, f1)
 
 
@@ -292,7 +295,7 @@ class TestBlockedPeaks:
         cfg = FpConfig()
         levels = np.array([-10.0, -9.0, -8.5, -4.0, -4.0, 0.0])
         spec = np.random.default_rng(seed).choice(levels, size=(n_frames, 40))
-        got = [tuple(p) for p in peak_candidates(spec, cfg).tolist()]
+        got = [tuple(p) for p in spectrum_candidates(spec, cfg).tolist()]
         assert got == self.oracle_candidates(spec, cfg)
 
     # (frames, frames loud from the start). With a loud start, the rows past
@@ -316,7 +319,7 @@ class TestBlockedPeaks:
         # A peak whose only rival sits in the next block's halo.
         spec[BLOCK - 3, 10] = -5.0
         spec[BLOCK, 12] = -4.0
-        got = [tuple(p) for p in peak_candidates(spec, cfg).tolist()]
+        got = [tuple(p) for p in spectrum_candidates(spec, cfg).tolist()]
         assert got == self.oracle_candidates(spec, cfg)
         assert {(BLOCK - 1, 5), (BLOCK, 20), (BLOCK + 1, 35)} <= set(got)
         assert (BLOCK - 1, 50) not in got and (BLOCK, 52) not in got
@@ -342,7 +345,7 @@ def piecewise_clip(n_frames, kinds, extra, seed, cfg):
 
 
 class TestStreamedFingerprint:
-    """clip_fingerprint streams the STFT into the picker; the result is the whole-spectrogram one."""
+    """clip_fingerprint streams the STFT into the picker; the result is the whole-spectrogram oracle's."""
 
     @given(
         n_frames=st.sampled_from([1, 3, *range(BLOCK - 1, BLOCK + 7), *range(2 * BLOCK - 1, 2 * BLOCK + 7)]),
@@ -359,10 +362,32 @@ class TestStreamedFingerprint:
         clip = piecewise_clip(n_frames, kinds, extra, seed, cfg)
         hashed, candidates = clip_fingerprint(clip, cfg)
         spec = spectrogram(clip, cfg)
-        want = peak_candidates(spec, cfg)
-        assert candidates.dtype == want.dtype and np.array_equal(candidates, want)
+        assert candidates.dtype == np.int32
         assert [tuple(p) for p in candidates.tolist()] == TestBlockedPeaks.oracle_candidates(spec, cfg)
+        peaks = np.array(reference_peaks(spec, cfg), dtype=np.int64).reshape(-1, 2)
+        assert np.array_equal(hashed, hash_landmarks(pair_landmarks(peaks, cfg)))
         assert np.array_equal(hashed, hash_landmarks(fingerprint_clip(clip, cfg)))
+
+    @pytest.mark.parametrize("n_frames", [1, BLOCK - 1, BLOCK, BLOCK + 1, BLOCK + 2, BLOCK + 3, 2 * BLOCK + 3])
+    def test_each_stft_row_computed_once(self, n_frames, monkeypatch):
+        cfg = FpConfig()
+        clip = piecewise_clip(n_frames, ["noise"], 0, 0, cfg)
+        base = clip.samples.__array_interface__["data"][0]
+        computed = []
+        stft_rows = fingerprint._stft_rows
+
+        def counting(windows, out, cfg):
+            # Frame windows are strided views of the samples, a hop apart,
+            # so the first window's address gives its frame.
+            first = (windows.__array_interface__["data"][0] - base) // (cfg.hop * clip.samples.itemsize)
+            computed.extend(range(first, first + len(windows)))
+            stft_rows(windows, out, cfg)
+
+        monkeypatch.setattr(fingerprint, "_stft_rows", counting)
+        _, candidates = clip_fingerprint(clip, cfg)
+        assert computed == list(range(n_frames))
+        want = TestBlockedPeaks.oracle_candidates(spectrogram(clip, cfg), cfg)
+        assert [tuple(p) for p in candidates.tolist()] == want
 
     @pytest.mark.parametrize("n_frames", [1, 3, BLOCK + 2, 2 * BLOCK + 6])
     def test_silent_clip_has_no_candidate(self, n_frames):
@@ -459,8 +484,7 @@ class TestLandmarks:
         """A 40 s clip's thinned peaks, at the matching and at the quality density."""
         cfg = FpConfig(peak_density=density)
         clip = burst_clip("long", duration=40.0, seed=3)
-        spec = spectrogram(clip, cfg)
-        peaks = thin_peaks(peak_candidates(spec, cfg), 0, len(spec), cfg)
+        peaks = extract_peaks(clip, cfg)
         assert len(peaks) >= 0.9 * density * 40
         got = [tuple(lm) for lm in pair_landmarks(peaks, cfg).tolist()]
         assert got == _brute_force_pairs(peaks, cfg)

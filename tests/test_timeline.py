@@ -21,7 +21,6 @@ from ugcaudio import (
     normalize_positions,
     offset_zero_votes,
     pair_landmarks,
-    peak_candidates,
     segment_quality,
     spectrogram,
     synth_corpus,
@@ -103,7 +102,7 @@ class TestConsistency:
         g = hand_graph({("a", "b"): 2.0, ("b", "c"): 3.0, ("a", "c"): 5.0})
         cluster = Cluster(members=["a", "b", "c"])
         pm = normalize_positions(assign_offsets(cluster, g))
-        report = consistency_report(cluster, g, pm)
+        report = consistency_report(cluster, g, pm, eps=0.1)
         assert len(report) == 3
         assert all(r.residual == pytest.approx(0.0) for r in report)
         assert not any(r.flagged for r in report)
@@ -358,7 +357,7 @@ class TestCutLandmarks:
         assert (len(clip.samples) - cfg.window) % cfg.hop != 0  # a partial frame at the end
         end = len(clip.samples) if end is None else end
         cut = ClipCut("a", start / clip.rate, end / clip.rate)
-        [got] = cut_landmarks({"a": peak_candidates(spectrogram(clip, cfg), cfg)}, [cut], cfg)
+        [got] = cut_landmarks(candidates_of({"a": clip}, cfg), [cut], cfg)
         want = _inside_cut_oracle(clip, cut, cfg)
         assert len(want) > 0
         assert got.tolist() == want.tolist()
