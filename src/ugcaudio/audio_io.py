@@ -93,6 +93,14 @@ class SynthSpec:
             raise ValueError("repeat_fraction must be in [0, 0.5)")
 
 
+def read_text(path: str) -> str:
+    """The UTF-8 text of the file at path; a ValueError names the file when its bytes do not decode."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+
+
 def refuse_unknown_keys(doc: dict, known, where: str) -> None:
     """Refuse the first key of a JSON object that known lacks, naming it and where."""
     for key in doc:
@@ -122,14 +130,13 @@ class GroundTruth:
         return json.dumps({"clips": doc}, indent=2, sort_keys=True)
 
     @classmethod
-    def from_json(cls, text: str) -> "GroundTruth":
-        """Read to_json's form; a ValueError names the clip and field at fault.
+    def from_doc(cls, doc) -> "GroundTruth":
+        """Read to_json's form, parsed; a ValueError names the clip and field at fault.
 
         Each clip's fields hold what docs/manifest.schema.json states: a
         string event_id and finite numbers start >= 0, duration > 0 and
         snr_db, where an integer past the float range is not finite. A key the schema lacks is refused, at the top or in a clip.
         """
-        doc = json.loads(text)
         clips = doc.get("clips") if isinstance(doc, dict) else None
         if not isinstance(clips, dict):
             raise ValueError("manifest: expected an object whose 'clips' is an object")

@@ -276,9 +276,7 @@ def _cv_result_doc(r: CvResult) -> dict:
 def cmd_train(args) -> int:
     doc = load_json(_require(args.matches, "matches file"))
     lists = matches_from_doc(doc)
-    truth = GroundTruth.from_json(
-        Path(_require(args.manifest, "manifest file")).read_text(encoding="utf-8")
-    )
+    truth = GroundTruth.from_doc(load_json(_require(args.manifest, "manifest file")))
     seed = seed_override(args.seed)
     samples = autolabel(lists, truth)
 

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .audio_io import AudioClip, PROCESS_RATE
+from .audio_io import AudioClip, PROCESS_RATE, read_text
 
 # Key layout: f1 in bits 13-20, (df + 63) in bits 6-12, dt in bits 0-5.
 _F1_SHIFT = 13
@@ -169,8 +169,7 @@ def parse_config(text: str) -> FpConfig:
 
 
 def load_config(path: str) -> FpConfig:
-    with open(path, "r", encoding="utf-8") as f:
-        return parse_config(f.read())
+    return parse_config(read_text(path))
 
 
 @dataclass

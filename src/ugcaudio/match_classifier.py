@@ -11,15 +11,11 @@ class-1 samples from clusters whose segments all agree at offset zero.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
-from contextlib import nullcontext
 from dataclasses import dataclass, replace
-from functools import partial
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from . import parallel
 from .audio_io import GroundTruth
 from .event_graph import Cluster, MatchGraph, cluster_edges, split_repetitions
 from .fingerprint import MatchEntry, MatchingList
@@ -392,17 +388,6 @@ def _grid_predict(family: str, grid: Sequence, fold: tuple[np.ndarray, ...]) -> 
     raise ValueError(f"unknown model family {family!r}")
 
 
-def _cv_workers(family: str) -> int:
-    """Threads double_cv predicts its folds on.
-
-    k-NN folds run on `parallel.WORKERS` threads: the kernel's numpy calls
-    release the interpreter lock. Logistic regression stays on one: its
-    Newton steps are small numpy calls under the lock, and its folds on two
-    threads measured no faster than one after another.
-    """
-    return parallel.WORKERS if family == FAMILY_KNN else 1
-
-
 @dataclass
 class CvResult:
     family: str
@@ -432,10 +417,9 @@ def double_cv(
     predictions of all left-out songs.
 
     Every fold, a (train x, train y, query x) triple, is built before any is
-    predicted, and one `_grid_predict` call predicts each: k-NN folds on
-    `_cv_workers` threads, logistic-regression folds one after another. The
-    errors are summed in fold order, so the results do not depend on the
-    number of workers.
+    predicted, and one `_grid_predict` call predicts each, in fold order on
+    the calling thread. Fold pools measured slower at the sample counts
+    trained on (525 or fewer).
 
     A k-NN grid is cut to the k that fit every training set, inner and
     outer; only those get a result. When none fits, ValueError names the
@@ -486,10 +470,7 @@ def double_cv(
             raise ValueError(
                 f"no k in the grid fits the smallest training set, {smallest} samples"
             )
-    n_workers = _cv_workers(family)
-    with ThreadPoolExecutor(n_workers) if n_workers > 1 else nullcontext() as pool:
-        fold_map = map if pool is None else pool.map  # either way, results in fold order
-        preds = list(fold_map(partial(_grid_predict, family, grid), inner + outer))
+    preds = [_grid_predict(family, grid, fold) for fold in inner + outer]
     val_sum = sum((va_pred != va_y).mean(axis=1) for va_pred, va_y in zip(preds, val_ys))
     test_pred = np.concatenate(preds[len(inner) :], axis=1)
     correct = (test_pred == labels_of(tested)).sum(axis=1)

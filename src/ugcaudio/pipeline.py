@@ -1,10 +1,11 @@
 """End-to-end run: decode, fingerprint, match, cluster, align, segment.
 
-Clips stream through the run: `fingerprint_clips` fingerprints them on one
-worker thread per available CPU (at most 2), taking the next clip only while
-fewer than that many are in flight, and only each clip's duration, hashed
-landmarks and peak candidates are kept. A corpus read with `load_corpus`
-holds at most one clip's audio per worker in memory at a time.
+Clips stream through the run: `fingerprint_clips` fingerprints them on
+`WORKERS` threads, one per available CPU (at most 2) and the only threads
+the package starts, taking the next clip only while fewer than that many
+are in flight, and only each clip's duration, hashed landmarks and peak
+candidates are kept. A corpus read with `load_corpus` holds at most one
+clip's audio per worker in memory at a time.
 
 One `FpConfig` drives the run: its landmark parameters fingerprint and
 match the clips, its `density_multiplier` sets the density segment quality
@@ -13,6 +14,7 @@ thins at, and its `consistency_eps` flags timeline residuals in the report.
 
 from __future__ import annotations
 
+import os
 from collections import deque
 from collections.abc import Iterable, Iterator
 from concurrent.futures import ThreadPoolExecutor
@@ -21,7 +23,6 @@ from pathlib import Path
 
 import numpy as np
 
-from . import parallel
 from .audio_io import AudioClip, read_clip
 from .event_graph import Cluster, MatchGraph, build_graph, connected_components
 from .fingerprint import (
@@ -44,6 +45,21 @@ from .timeline import (
 )
 
 
+def available_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # not every platform has it
+        return os.cpu_count() or 1
+
+
+# Fingerprint worker threads: one per CPU this process may run on, at most
+# 2. The STFT and peak picking run in numpy calls that release the
+# interpreter lock. Each worker holds one more clip and its working set: on
+# the perfbench organise workload, peak RSS is 90 MB with 2 workers and
+# 103 MB with 4.
+WORKERS = min(2, available_cpus())
+
+
 def _fingerprint_taken(box: list[AudioClip], cfg: FpConfig) -> tuple[np.ndarray, np.ndarray]:
     # The clip leaves its box here, so its samples are freed as soon as its
     # fingerprint is done, not when the executor drops the work item.
@@ -55,14 +71,14 @@ def fingerprint_clips(
 ) -> Iterator[tuple[str, float, np.ndarray, np.ndarray]]:
     """(id, duration, hashed landmarks, peak candidates) per clip, in input order.
 
-    `clip_fingerprint` runs on a pool of `parallel.WORKERS` threads. The next
-    clip is taken from `clips` only while fewer than that many are in flight
-    (taken and not yet yielded), so at most that many clips' audio is held
-    at a time. Failures surface in input order too: an error raised by
+    `clip_fingerprint` runs on a pool of `WORKERS` threads, read from the
+    module global on each call. The next clip is taken from `clips` only
+    while fewer than that many are in flight (taken and not yet yielded), so
+    at most that many clips' audio is held at a time. Failures surface in input order too: an error raised by
     `clips` for clip k is raised after clips 0..k-1 are yielded, and a
     worker's error on an earlier clip wins over it.
     """
-    n_workers = parallel.WORKERS
+    n_workers = WORKERS
     with ThreadPoolExecutor(n_workers) as pool:
         in_flight: deque = deque()
         source = iter(clips)

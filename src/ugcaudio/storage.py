@@ -30,6 +30,7 @@ from typing import Any
 
 import numpy as np
 
+from .audio_io import read_text
 from .fingerprint import _KEY_LIMIT, LANDMARK_KEYS, FingerprintIndex, parse_config
 from .match_classifier import (
     FAMILY_KNN,
@@ -328,8 +329,7 @@ def save_model(flt: MatchFilter, path: str, meta: dict[str, Any] | None = None) 
 
 
 def load_model(path: str) -> tuple[MatchFilter, dict[str, Any]]:
-    with open(path, "r", encoding="utf-8") as f:
-        return model_from_text(f.read())
+    return model_from_text(read_text(path))
 
 
 def dump_json(obj: Any) -> str:
@@ -343,5 +343,9 @@ def save_json(obj: Any, path: str) -> None:
 
 
 def load_json(path: str) -> Any:
-    with open(path, "r", encoding="utf-8") as f:
-        return json.load(f)
+    """The JSON document in the file at path; a ValueError names the file when it does not parse."""
+    text = read_text(path)
+    try:
+        return json.loads(text)
+    except ValueError as exc:  # malformed JSON, or an integer past the interpreter's digit limit
+        raise ValueError(f"{path}: {exc}") from None

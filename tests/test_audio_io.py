@@ -297,7 +297,7 @@ GOOD_TRUTH = {"event_id": "e", "start": 0, "duration": 9.0, "snr_db": 20.0}
 class TestGroundTruthJson:
     def test_round_trip(self):
         _, truth = synth_corpus(SynthSpec(**TestSynthCorpus.SPEC))
-        again = GroundTruth.from_json(truth.to_json())
+        again = GroundTruth.from_doc(json.loads(truth.to_json()))
         assert again.to_json() == truth.to_json()
 
     @pytest.mark.parametrize(
@@ -342,11 +342,11 @@ class TestGroundTruthJson:
     )
     def test_malformed_refused_naming_clip_and_field(self, doc, message):
         with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
-            GroundTruth.from_json(json.dumps(doc))
+            GroundTruth.from_doc(doc)
 
     def test_schema_values_load(self):
         doc = {"clips": {"x": GOOD_TRUTH, "y": {**GOOD_TRUTH, "start": 2.5, "duration": 1, "snr_db": -3}}}
-        truth = GroundTruth.from_json(json.dumps(doc))
+        truth = GroundTruth.from_doc(doc)
         assert truth.clips["y"].start == 2.5 and truth.clips["x"].event_id == "e"
 
     def test_matches_schema(self):

@@ -12,7 +12,7 @@ import pytest
 from jsonschema import Draft202012Validator
 
 from ugcaudio import AudioClip, FingerprintIndex, FpConfig, PROCESS_RATE, encode_wav, load_index, load_model, query, read_clip
-from ugcaudio import parallel
+from ugcaudio import pipeline
 from ugcaudio.cli import main, matches_from_doc, matches_to_doc
 from ugcaudio.storage import index_to_bytes
 from ugcaudio.timeline import ClipCut, cut_audio
@@ -193,7 +193,7 @@ class TestIndex:
     @pytest.mark.parametrize("workers", [1, 4])
     def test_index_bytes_do_not_depend_on_workers(self, indexed, tmp_path, monkeypatch, workers):
         idx, wavs = indexed
-        monkeypatch.setattr(parallel, "WORKERS", workers)
+        monkeypatch.setattr(pipeline, "WORKERS", workers)
         out = tmp_path / "other.idx"
         assert main(["index", *wavs, "--out", str(out)]) == 0
         assert out.read_bytes() == idx.read_bytes()
@@ -276,6 +276,15 @@ class TestConfigFiles:
     def test_repeated_key_exits_3_naming_both_lines(self, small_corpus, tmp_path, capsys):
         assert self.run_with_config(small_corpus, tmp_path, "fanout = 3\n# denser\nfanout = 5") == 3
         assert "config line 3: fanout already set on line 1" in capsys.readouterr().err
+
+    def test_undecodable_file_exits_3_naming_it(self, small_corpus, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_bytes(b"hop = 128\n\xff\n")
+        wav = str(next(iter(sorted(small_corpus.glob("*.wav")))))
+        capsys.readouterr()
+        assert main(["index", wav, "--config", str(cfg), "--out", str(tmp_path / "o.idx")]) == 3
+        message = "'utf-8' codec can't decode byte 0xff in position 10: invalid start byte"
+        assert capsys.readouterr().err == f"error: {cfg}: {message}\n"
 
     def test_index_match_and_pipeline_ignore_env_seed(self, small_corpus, indexed, tmp_path, monkeypatch):
         monkeypatch.setenv("UGC_SEED", "not-a-number")
@@ -377,7 +386,7 @@ class TestMatch:
     @pytest.mark.parametrize("workers", [1, 4])
     def test_matches_do_not_depend_on_workers(self, indexed, matches_file, tmp_path, monkeypatch, workers):
         idx, wavs = indexed
-        monkeypatch.setattr(parallel, "WORKERS", workers)
+        monkeypatch.setattr(pipeline, "WORKERS", workers)
         out = tmp_path / "other.json"
         assert main(["match", *wavs, "--index", str(idx), "--out", str(out)]) == 0
         assert out.read_bytes() == matches_file.read_bytes()
@@ -413,6 +422,18 @@ class TestMatch:
 
 GOOD_ENTRY = {"clip": "b", "offset_frames": 3, "ml": 9, "tml": 12, "lq": 300, "li": 280}
 MISSING = object()  # drops the field from the entry
+
+
+# File contents no reader can take, by fault: the bytes and the error that follows the file's path.
+UNREADABLE_TEXT = {
+    "truncated": (b'{"queries": [', "Expecting value: line 1 column 14 (char 13)"),
+    "5001-digit integer": (
+        b'{"queries": ' + b"7" * 5001 + b"}",
+        "Exceeds the limit (4300 digits) for integer string conversion: "
+        "value has 5001 digits; use sys.set_int_max_str_digits() to increase the limit",
+    ),
+    "0xff byte": (b'{"queries": [\xff]}', "'utf-8' codec can't decode byte 0xff in position 13: invalid start byte"),
+}
 
 
 def matches_doc(**counts):
@@ -504,9 +525,9 @@ class TestMatchesFromDoc:
 
     @staticmethod
     def run_on(doc, command, train_corpus, trained_model, tmp_path, capsys) -> tuple[int, str]:
-        """`command` on a matches file holding `doc`: exit code and stderr."""
+        """`command` on a matches file holding `doc` (or these bytes): exit code and stderr."""
         bad = tmp_path / "bad.json"
-        bad.write_text(json.dumps(doc))
+        bad.write_bytes(doc if isinstance(doc, bytes) else json.dumps(doc).encode())
         if command == "train":
             manifest = str(train_corpus / "manifest.json")
             argv = ["train", "--matches", str(bad), "--manifest", manifest, "--out", str(tmp_path / "m.txt")]
@@ -531,6 +552,14 @@ class TestMatchesFromDoc:
         rc, err = self.run_on(doc, command, train_corpus, trained_model, tmp_path, capsys)
         assert rc == 3
         assert err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("command", ["train", "classify"])
+    @pytest.mark.parametrize("fault", UNREADABLE_TEXT)
+    def test_unreadable_file_exits_3_naming_it(self, train_corpus, trained_model, tmp_path, capsys, command, fault):
+        raw, message = UNREADABLE_TEXT[fault]
+        rc, err = self.run_on(raw, command, train_corpus, trained_model, tmp_path, capsys)
+        assert rc == 3
+        assert err == f"error: {tmp_path / 'bad.json'}: {message}\n"
 
 
 class TestTrain:
@@ -586,12 +615,19 @@ class TestTrain:
 
     @pytest.mark.parametrize(
         "fault",
-        ["list", "no event_id", "integer event_id", "negative duration", "unknown clip key", "unknown key", "huge duration"],
+        [
+            "list", "no event_id", "integer event_id", "negative duration", "unknown clip key", "unknown key",
+            "huge duration", *UNREADABLE_TEXT,
+        ],
     )
     def test_malformed_manifest_exits_3(self, train_corpus, matches_file, tmp_path, capsys, fault):
         manifest = json.loads((train_corpus / "manifest.json").read_text())
         first = min(manifest["clips"])
-        if fault == "list":
+        bad = tmp_path / "manifest.json"
+        if fault in UNREADABLE_TEXT:
+            manifest, message = UNREADABLE_TEXT[fault]
+            message = f"{bad}: {message}"
+        elif fault == "list":
             manifest, message = [], "manifest: expected an object whose 'clips' is an object"
         elif fault == "no event_id":
             del manifest["clips"][first]["event_id"]
@@ -611,8 +647,7 @@ class TestTrain:
         else:  # past the float range: "duration": 1 followed by 400 zeros
             manifest["clips"][first]["duration"] = 10**400
             message = f"manifest clip {first!r}: duration must be a finite number, got {10**400}"
-        bad = tmp_path / "manifest.json"
-        bad.write_text(json.dumps(manifest))
+        bad.write_bytes(manifest if isinstance(manifest, bytes) else json.dumps(manifest).encode())
         capsys.readouterr()
         assert main(["train", "--matches", str(matches_file), "--manifest", str(bad), "--out", str(tmp_path / "m.txt")]) == 3
         assert capsys.readouterr().err == f"error: {message}\n"
@@ -661,6 +696,20 @@ class TestClassify:
         argv = ["pipeline", "--in", str(small_corpus), "--model", str(bad)]
         assert main([*argv, "--out", str(tmp_path / "r.json")]) == 3
         assert "model file field 'param': k must be an odd integer" in capsys.readouterr().err
+
+    def test_undecodable_model_exits_3_naming_it(self, trained_model, matches_file, small_corpus, tmp_path, capsys):
+        model_path, _ = trained_model
+        bad = tmp_path / "model.txt"
+        text = model_path.read_bytes()
+        bad.write_bytes(text + b"\xff\n")
+        message = f"error: {bad}: 'utf-8' codec can't decode byte 0xff in position {len(text)}: invalid start byte\n"
+        capsys.readouterr()
+        argv = ["classify", "--model", str(bad), "--matches", str(matches_file)]
+        assert main([*argv, "--out", str(tmp_path / "p.json")]) == 3
+        assert capsys.readouterr().err == message
+        argv = ["pipeline", "--in", str(small_corpus), "--model", str(bad)]
+        assert main([*argv, "--out", str(tmp_path / "r.json")]) == 3
+        assert capsys.readouterr().err == message
 
     def test_key_the_family_lacks_exits_3_naming_its_line(self, trained_model, matches_file, small_corpus, tmp_path, capsys):
         model_path, _ = trained_model

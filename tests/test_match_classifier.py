@@ -38,7 +38,7 @@ from ugcaudio import (
     train_logreg,
     train_logreg_grid,
 )
-from ugcaudio import match_classifier, parallel
+from ugcaudio import match_classifier, pipeline
 from ugcaudio.match_classifier import (
     KIND_REPETITION,
     KIND_TRUE,
@@ -600,7 +600,7 @@ def reference_double_cv(data, family, grid, subset, seed, inner_folds):
 class TestDoubleCv:
     def test_outer_fold_per_song(self, monkeypatch):
         data = songs_dataset()
-        calls = []  # (training rows, query rows) per call, in call order on one worker
+        calls = []  # (training rows, query rows) per call, in call order
         grid_predict = match_classifier._grid_predict
 
         def recording(family, grid, fold):
@@ -609,7 +609,6 @@ class TestDoubleCv:
             return grid_predict(family, grid, fold)
 
         monkeypatch.setattr(match_classifier, "_grid_predict", recording)
-        monkeypatch.setattr(parallel, "WORKERS", 1)
         double_cv(data, "knn", [1], S1, seed=0, inner_folds=5)
         assert len(calls) == 4 * 5 + 4  # each fold predicted once: 5 inner per song, then 4 outer
         inner, outer = calls[: 4 * 5], calls[4 * 5 :]
@@ -663,28 +662,29 @@ class TestDoubleCv:
         assert any(r.wrong_fps > 0 for r in results)
         assert any(0.0 < r.val_error for r in results)
 
-    @pytest.mark.parametrize(
-        "family, grid, subset",
-        [("logreg", LOGREG_C_GRID[::3], S4), ("knn", KNN_K_GRID, S3)],
-    )
-    def test_same_results_on_one_and_two_workers(self, monkeypatch, family, grid, subset):
+    @pytest.mark.parametrize("family", ["logreg", "knn"])
+    def test_folds_run_in_order_on_the_calling_thread(self, monkeypatch, family):
         data = mixed_dataset()
-        threads = set()
+        calls = []  # (thread, training rows, query rows) per call, in call order
         grid_predict = match_classifier._grid_predict
 
-        def recording(*args):
-            threads.add(threading.current_thread())
-            return grid_predict(*args)
+        def recording(family, grid, fold):
+            _, tr_y, query_x = fold
+            calls.append((threading.current_thread(), len(tr_y), len(query_x)))
+            return grid_predict(family, grid, fold)
 
         monkeypatch.setattr(match_classifier, "_grid_predict", recording)
-        runs = {}
-        for workers in (1, 2):
-            monkeypatch.setattr(parallel, "WORKERS", workers)
-            threads.clear()
-            runs[workers] = double_cv(data, family, grid, subset, seed=3, inner_folds=4)
-            # k-NN folds go to the pool when it has two workers; logreg folds never do.
-            assert (threads == {threading.main_thread()}) == (workers == 1 or family == "logreg")
-        assert runs[1] == runs[2]
+        monkeypatch.setattr(pipeline, "WORKERS", 2)  # fingerprint threads leave double CV alone
+        double_cv(data, family, default_grid(family)[::4], S3, seed=3, inner_folds=4)
+
+        songs = sorted({s.query_song_id for s in data})
+        inner, outer = [], []
+        for song in songs:
+            n_bal = len(balance([s for s in data if s.query_song_id != song], 3))
+            inner += [(n_bal - len(c), len(c)) for c in np.array_split(np.arange(n_bal), 4)]
+            outer.append((n_bal, sum(s.query_song_id == song for s in data)))
+        assert [(n_train, n_query) for _, n_train, n_query in calls] == inner + outer
+        assert {thread for thread, _, _ in calls} == {threading.current_thread()}
 
     def test_perfectly_separable_data(self):
         data = songs_dataset()

@@ -19,7 +19,7 @@ from ugcaudio import (
     synth_corpus,
 )
 import ugcaudio
-from ugcaudio import parallel
+from ugcaudio import pipeline
 from ugcaudio.pipeline import fingerprint_clips, load_corpus
 
 from _helpers import burst_clip
@@ -69,23 +69,23 @@ def test_run_pipeline_holds_one_clip_at_a_time(monkeypatch):
     # Before each clip is made, at most one clip per other worker is still
     # alive, in flight.
     streamed, alive = alive_when_each_clip_is_made(clips)
-    assert max(map(len, alive)) <= parallel.WORKERS - 1
+    assert max(map(len, alive)) <= pipeline.WORKERS - 1
     assert streamed.report == listed.report
     assert streamed.durations == {c.id: c.duration for c in clips}
 
     # With one worker, every clip yielded before it is gone.
-    monkeypatch.setattr(parallel, "WORKERS", 1)
+    monkeypatch.setattr(pipeline, "WORKERS", 1)
     streamed, alive = alive_when_each_clip_is_made(clips)
     assert alive == [[] for _ in clips]
     assert streamed.report == listed.report
 
 
 def test_workers_follow_the_cpus_the_process_may_use(monkeypatch):
-    monkeypatch.setattr(parallel.os, "sched_getaffinity", lambda pid: {3}, raising=False)
-    assert parallel.available_cpus() == 1
-    monkeypatch.delattr(parallel.os, "sched_getaffinity")
-    monkeypatch.setattr(parallel.os, "cpu_count", lambda: None)
-    assert parallel.available_cpus() == 1
+    monkeypatch.setattr(pipeline.os, "sched_getaffinity", lambda pid: {3}, raising=False)
+    assert pipeline.available_cpus() == 1
+    monkeypatch.delattr(pipeline.os, "sched_getaffinity")
+    monkeypatch.setattr(pipeline.os, "cpu_count", lambda: None)
+    assert pipeline.available_cpus() == 1
 
 
 def run_summary(result):
@@ -97,7 +97,7 @@ def run_summary(result):
 def test_run_is_the_same_on_any_number_of_workers(monkeypatch, workers):
     clips = small_corpus()
     default = run_summary(run_pipeline(clips, FpConfig()))
-    monkeypatch.setattr(parallel, "WORKERS", workers)
+    monkeypatch.setattr(pipeline, "WORKERS", workers)
     # Short thread switches, so that in-flight clips interleave often.
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
@@ -110,7 +110,7 @@ def test_run_is_the_same_on_any_number_of_workers(monkeypatch, workers):
 class TestFingerprintClips:
     @pytest.mark.parametrize("workers", [1, 2, 4])
     def test_yields_in_input_order(self, monkeypatch, workers):
-        monkeypatch.setattr(parallel, "WORKERS", workers)
+        monkeypatch.setattr(pipeline, "WORKERS", workers)
         cfg = FpConfig()
         clips = [burst_clip(f"c{i}", duration=2.0 + (5 - i), seed=i) for i in range(6)]
         got = list(fingerprint_clips(iter(clips), cfg))
@@ -122,7 +122,7 @@ class TestFingerprintClips:
 
     @pytest.mark.parametrize("workers", [1, 2, 4])
     def test_earlier_worker_error_wins_over_a_later_decode_error(self, monkeypatch, workers):
-        monkeypatch.setattr(parallel, "WORKERS", workers)
+        monkeypatch.setattr(pipeline, "WORKERS", workers)
 
         def clips():
             yield burst_clip("good", duration=2.0)
@@ -137,7 +137,7 @@ class TestFingerprintClips:
 
     @pytest.mark.parametrize("workers", [1, 2, 4])
     def test_decode_error_surfaces_after_the_clips_before_it(self, monkeypatch, workers):
-        monkeypatch.setattr(parallel, "WORKERS", workers)
+        monkeypatch.setattr(pipeline, "WORKERS", workers)
 
         def clips():
             yield burst_clip("a", duration=2.0, seed=1)
