@@ -10,7 +10,6 @@ truth.
 
 from __future__ import annotations
 
-import json
 import math
 import struct
 import sys
@@ -108,6 +107,32 @@ def refuse_unknown_keys(doc: dict, known, where: str) -> None:
             raise ValueError(f"{where}: unknown key {key!r}")
 
 
+# The kinds of value read_record takes, by the name its refusals give them:
+# a bool is no number, and an integer past the float range is not finite.
+_JSON_KINDS = {
+    "a string": lambda v: isinstance(v, str),
+    "an integer": lambda v: isinstance(v, int) and not isinstance(v, bool),
+    "a finite number": lambda v: isinstance(v, (int, float)) and not isinstance(v, bool) and abs(v) <= sys.float_info.max,
+}
+
+
+def read_record(doc, kinds: dict[str, str], where: str) -> dict:
+    """doc, refused unless it is a JSON object with exactly the fields of kinds, each of its _JSON_KINDS kind.
+
+    A ValueError names where and the first of: not an object, an unknown key, a missing field, a wrong kind.
+    """
+    if not isinstance(doc, dict):
+        raise ValueError(f"{where}: not an object")
+    refuse_unknown_keys(doc, kinds, where)
+    for key in kinds:
+        if key not in doc:
+            raise ValueError(f"{where}: missing field {key!r}")
+    for key, kind in kinds.items():
+        if not _JSON_KINDS[kind](doc[key]):
+            raise ValueError(f"{where}: {key} must be {kind}, got {doc[key]!r}")
+    return doc
+
+
 @dataclass
 class ClipTruth:
     event_id: str
@@ -125,13 +150,13 @@ class GroundTruth:
     def event_of(self, clip_id: str) -> str:
         return self.clips[clip_id].event_id
 
-    def to_json(self) -> str:
-        doc = {cid: asdict(t) for cid, t in sorted(self.clips.items())}
-        return json.dumps({"clips": doc}, indent=2, sort_keys=True)
+    def to_doc(self) -> dict:
+        """The manifest document: {"clips": {clip id: the clip's fields}}, as from_doc reads it."""
+        return {"clips": {cid: asdict(t) for cid, t in sorted(self.clips.items())}}
 
     @classmethod
     def from_doc(cls, doc) -> "GroundTruth":
-        """Read to_json's form, parsed; a ValueError names the clip and field at fault.
+        """Read to_doc's form; a ValueError names the clip and field at fault.
 
         Each clip's fields hold what docs/manifest.schema.json states: a
         string event_id and finite numbers start >= 0, duration > 0 and
@@ -142,26 +167,15 @@ class GroundTruth:
             raise ValueError("manifest: expected an object whose 'clips' is an object")
         refuse_unknown_keys(doc, ("clips",), "manifest")
         truth = cls()
-        spec = fields(ClipTruth)
+        # event_id is the one string; annotations are strings in this module.
+        kinds = {f.name: "a string" if f.type == "str" else "a finite number" for f in fields(ClipTruth)}
         for cid, t in clips.items():
-            if not isinstance(t, dict):
-                raise ValueError(f"manifest clip {cid!r}: not an object")
-            refuse_unknown_keys(t, [f.name for f in spec], f"manifest clip {cid!r}")
-            for f in spec:
-                if f.name not in t:
-                    raise ValueError(f"manifest clip {cid!r}: missing field {f.name!r}")
-            for f in spec:
-                value = t[f.name]
-                if f.type == "str":  # event_id; annotations are strings in this module
-                    if not isinstance(value, str):
-                        raise ValueError(f"manifest clip {cid!r}: {f.name} must be a string, got {value!r}")
-                elif isinstance(value, bool) or not isinstance(value, (int, float)) or not abs(value) <= sys.float_info.max:
-                    raise ValueError(f"manifest clip {cid!r}: {f.name} must be a finite number, got {value!r}")
-            if t["start"] < 0:
-                raise ValueError(f"manifest clip {cid!r}: start must be at least 0, got {t['start']!r}")
-            if t["duration"] <= 0:
-                raise ValueError(f"manifest clip {cid!r}: duration must be above 0, got {t['duration']!r}")
-            truth.clips[cid] = ClipTruth(**{f.name: t[f.name] for f in spec})
+            clip = ClipTruth(**read_record(t, kinds, f"manifest clip {cid!r}"))
+            if clip.start < 0:
+                raise ValueError(f"manifest clip {cid!r}: start must be at least 0, got {clip.start!r}")
+            if clip.duration <= 0:
+                raise ValueError(f"manifest clip {cid!r}: duration must be above 0, got {clip.duration!r}")
+            truth.clips[cid] = clip
         return truth
 
 
@@ -297,7 +311,7 @@ def resample_mono(clip: AudioClip, target_rate: int) -> AudioClip:
 
     Peak positions, not waveform fidelity, drive matching downstream, so a
     linear interpolator is a documented, deliberate approximation. Identity
-    when the rates already agree.
+    when the rates already agree; an empty clip stays empty.
 
     When the rate is an integer multiple of the target (44.1 -> 11.025 kHz),
     every output time falls on an input sample: k / target and
@@ -308,8 +322,8 @@ def resample_mono(clip: AudioClip, target_rate: int) -> AudioClip:
     """
     if target_rate <= 0:
         raise ValueError(f"target_rate must be positive, got {target_rate}")
-    if clip.rate == target_rate:
-        return AudioClip(id=clip.id, samples=clip.samples.copy(), rate=clip.rate)
+    if clip.rate == target_rate or len(clip.samples) == 0:  # np.interp refuses an empty clip's time axis
+        return AudioClip(id=clip.id, samples=clip.samples.copy(), rate=target_rate)
     n_out = int(round(len(clip.samples) * target_rate / clip.rate))
     if clip.rate % target_rate == 0:
         # n_out <= ceil(n / step), so the slice has every wanted sample.

@@ -20,6 +20,7 @@ from .audio_io import (
     SynthSpec,
     encode_wav,
     read_clip,
+    read_record,
     refuse_unknown_keys,
     synth_corpus,
 )
@@ -104,7 +105,7 @@ def cmd_synth(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     for clip in clips:
         (out / f"{clip.id}.wav").write_bytes(encode_wav(clip))
-    (out / "manifest.json").write_text(truth.to_json() + "\n", encoding="utf-8")
+    save_json(truth.to_doc(), str(out / "manifest.json"))
     print(f"wrote {len(clips)} clips + manifest.json to {out}")
     return 0
 
@@ -132,16 +133,17 @@ def cmd_index(args) -> int:
     return 0
 
 
-# Each field of a matches-file entry: its MatchEntry attribute, the JSON
-# types it takes, and their name.
+# Each field of a matches-file entry: its MatchEntry attribute and the kind
+# of value it takes, as read_record names it.
 _ENTRY_FIELDS = {
-    "clip": ("clip_id", (str,), "a string"),
-    "offset_frames": ("offset_frames", (int,), "an integer"),
-    "ml": ("ml", (int,), "an integer"),
-    "tml": ("tml", (int,), "an integer"),
-    "lq": ("lq", (int,), "an integer"),
-    "li": ("li", (int,), "an integer"),
+    "clip": ("clip_id", "a string"),
+    "offset_frames": ("offset_frames", "an integer"),
+    "ml": ("ml", "an integer"),
+    "tml": ("tml", "an integer"),
+    "lq": ("lq", "an integer"),
+    "li": ("li", "an integer"),
 }
+_ENTRY_KINDS = {key: kind for key, (_, kind) in _ENTRY_FIELDS.items()}
 
 
 def matches_to_doc(lists: list[MatchingList]) -> dict:
@@ -150,7 +152,7 @@ def matches_to_doc(lists: list[MatchingList]) -> dict:
             {
                 "query": ml.query_id,
                 "entries": [
-                    {key: getattr(e, attr) for key, (attr, _, _) in _ENTRY_FIELDS.items()}
+                    {key: getattr(e, attr) for key, (attr, _) in _ENTRY_FIELDS.items()}
                     for e in ml.entries
                 ],
             }
@@ -189,24 +191,15 @@ def matches_from_doc(doc) -> list[MatchingList]:
         entries = []
         for i, e in enumerate(q["entries"]):
             where = f"query {q['query']!r} entry {i}"
-            if not isinstance(e, dict):
-                raise ValueError(f"{where}: not an object")
-            refuse_unknown_keys(e, _ENTRY_FIELDS, where)
-            values = {"query_id": q["query"]}
-            for key, (attr, kinds, wanted) in _ENTRY_FIELDS.items():
-                if key not in e:
-                    raise ValueError(f"{where}: missing field {key!r}")
-                if not isinstance(e[key], kinds) or isinstance(e[key], bool):
-                    raise ValueError(f"{where}: {key} must be {wanted}, got {e[key]!r}")
-                values[attr] = e[key]
-            if e["clip"] == q["query"]:
-                raise ValueError(f"{where}: clip must differ from the query, got {e['clip']!r}")
-            entry = MatchEntry(**values)
+            values = read_record(e, _ENTRY_KINDS, where)
+            entry = MatchEntry(query_id=q["query"], **{attr: values[key] for key, (attr, _) in _ENTRY_FIELDS.items()})
+            if entry.clip_id == entry.query_id:
+                raise ValueError(f"{where}: clip must differ from the query, got {entry.clip_id!r}")
             if min(entry.ml, entry.tml, entry.lq, entry.li) < 0:
                 raise ValueError(f"{where}: negative landmark count")
             for key in ("ml", "tml", "lq", "li"):  # counts are read as float64 features
-                if e[key] > 2**53:
-                    raise ValueError(f"{where}: {key} must be at most 2**53, got {e[key]}")
+                if getattr(entry, key) > 2**53:
+                    raise ValueError(f"{where}: {key} must be at most 2**53, got {getattr(entry, key)}")
             if entry.ml > entry.tml:
                 raise ValueError(f"{where}: ml {entry.ml} exceeds tml {entry.tml}")
             if entries and entry.lq != entries[0].lq:
@@ -233,17 +226,17 @@ def cmd_pipeline(args) -> int:
     corpus_dir = _require(args.input, "corpus directory")
 
     match_filter = None
-    meta = None
     if args.model:
-        match_filter, meta_raw = load_model(_require(args.model, "model file"))
-        meta = {
+        match_filter, meta = load_model(_require(args.model, "model file"))
+
+    result = run_pipeline(load_corpus(corpus_dir, cfg.rate), cfg, match_filter)
+    if match_filter is not None:
+        result.report["classifier"] = {
             "family": match_filter.family,
             "param": match_filter.param,
             "subset": match_filter.subset.name,
-            **meta_raw,
+            **meta,
         }
-
-    result = run_pipeline(load_corpus(corpus_dir, cfg.rate), cfg, match_filter, meta)
 
     _write(result.report, args.out, f"wrote report ({len(result.events)} events) to {args.out}")
 

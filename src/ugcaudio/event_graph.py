@@ -28,14 +28,15 @@ class MatchGraph:
     nodes: set[str] = field(default_factory=set)
     edges: dict[tuple[str, str], MatchEdge] = field(default_factory=dict)
 
-    def neighbors(self, node: str) -> list[str]:
-        return sorted(to for (frm, to) in self.edges if frm == node)
-
     def weight(self, from_id: str, to_id: str) -> float:
         return self.edges[(from_id, to_id)].weight
 
-    def degree(self, node: str) -> int:
-        return sum(1 for (frm, _to) in self.edges if frm == node)
+    def adjacency(self) -> dict[str, list[str]]:
+        """Sorted neighbour ids of every node and edge endpoint; a node's degree is their number."""
+        adjacency: dict[str, list[str]] = {node: [] for node in self.nodes.union(*self.edges)}
+        for frm, to in sorted(self.edges):
+            adjacency[frm].append(to)
+        return adjacency
 
 
 @dataclass
@@ -130,10 +131,7 @@ def connected_components(graph: MatchGraph) -> list[Cluster]:
     Isolated nodes come out as singleton clusters. Clusters are sorted by
     their id (smallest member).
     """
-    adjacency: dict[str, list[str]] = {node: [] for node in graph.nodes}
-    for frm, to in graph.edges:
-        adjacency[frm].append(to)
-
+    adjacency = graph.adjacency()
     visited: set[str] = set()
     clusters: list[Cluster] = []
     for node in sorted(graph.nodes):
@@ -145,7 +143,7 @@ def connected_components(graph: MatchGraph) -> list[Cluster]:
         while queue:
             current = queue.popleft()
             component.append(current)
-            for neighbor in sorted(adjacency[current]):
+            for neighbor in adjacency[current]:
                 if neighbor not in visited:
                     visited.add(neighbor)
                     queue.append(neighbor)
@@ -155,10 +153,12 @@ def connected_components(graph: MatchGraph) -> list[Cluster]:
 
 
 def cluster_edges(cluster: Cluster, graph: MatchGraph) -> list[MatchEdge]:
-    """All stored edges between members of the cluster, one per direction."""
+    """All stored edges between members of the cluster, one per direction, sorted by (from, to)."""
     members = set(cluster.members)
+    adjacency = graph.adjacency()
     return [
-        edge
-        for (frm, to), edge in sorted(graph.edges.items())
-        if frm in members and to in members
+        graph.edges[(frm, to)]
+        for frm in sorted(members)
+        for to in adjacency.get(frm, ())
+        if to in members
     ]

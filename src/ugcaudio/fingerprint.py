@@ -511,6 +511,14 @@ def _merge_offset_bins(
     return bins
 
 
+def _window_join(keys: np.ndarray, low: np.ndarray, high: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Every (i, j) with low[i] <= keys[j] <= high[i] of sorted keys, as (i, j) arrays in (i, j) order."""
+    lo = np.searchsorted(keys, low, "left")
+    hits = np.searchsorted(keys, high, "right") - lo
+    rows = np.repeat(np.arange(len(low)), hits)
+    return rows, np.repeat(lo - (np.cumsum(hits) - hits), hits) + np.arange(len(rows))
+
+
 # (clip ordinal, offset) vote codes: ordinal above bit 33, offset + 2**32 below.
 _OFFSET_BITS = 33
 _OFFSET_BIAS = 1 << 32
@@ -541,11 +549,7 @@ def query(
     hashed = hashed[np.argsort(hashed[:, 0])]
     keys = hashed[:, 0]
     keys = np.where((keys >= 0) & (keys < _KEY_LIMIT), keys, _KEY_LIMIT).astype(np.uint32)
-    lo = np.searchsorted(index._keys, keys, "left")
-    hits = np.searchsorted(index._keys, keys, "right") - lo
-    rows = np.repeat(np.arange(len(hashed)), hits)
-    starts = np.cumsum(hits) - hits
-    post = np.repeat(lo - starts, hits) + np.arange(len(rows))
+    rows, post = _window_join(index._keys, keys, keys)
     ordinals = postings[post, 1].astype(np.int64)
     offsets = postings[post, 2].astype(np.int64) - hashed[rows, 1]
     if query_id in index.landmark_counts:
@@ -603,11 +607,8 @@ def offset_zero_votes(hashed: list, tol_frames: int) -> np.ndarray:
     codes = np.concatenate([(p[:, 0] << _OFFSET_BITS) + p[:, 1] for p in parts] + [np.empty(0, np.int64)])
     order = np.argsort(codes)
     codes, member = codes[order], member[order]
-    lo = np.searchsorted(codes, codes - tol_frames, "left")
-    hits = np.searchsorted(codes, codes + tol_frames, "right") - lo
     # Every code within the window of each code, as (row, partner) positions.
-    rows = np.repeat(np.arange(len(codes)), hits)
-    partners = np.repeat(lo - (np.cumsum(hits) - hits), hits) + np.arange(len(rows))
+    rows, partners = _window_join(codes, codes - tol_frames, codes + tol_frames)
     votes = np.bincount(member[rows] * m + member[partners], minlength=m * m).reshape(m, m)
     np.fill_diagonal(votes, 0)
     return votes

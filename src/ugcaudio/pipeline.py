@@ -139,7 +139,6 @@ def run_pipeline(
     clips: Iterable[AudioClip],
     cfg: FpConfig,
     match_filter: MatchFilter | None = None,
-    classifier_meta: dict | None = None,
 ) -> PipelineResult:
     """Cluster clips into events and lay each event out on its own timeline.
 
@@ -149,7 +148,9 @@ def run_pipeline(
     audio per worker unless the caller keeps the others; on one CPU that is
     one clip at a time. The result does not depend on the number of workers
     and holds no audio, only each clip's duration; `cut_audio` on a clip
-    read again gives a segment's cut.
+    read again gives a segment's cut. `match_filter` drops the primaries it
+    labels false; the report's classifier is None, for the caller that
+    chose the filter to describe.
     """
     index = FingerprintIndex(cfg)
     durations: dict[str, float] = {}
@@ -186,16 +187,11 @@ def run_pipeline(
         events=events,
         unmatched=sorted(unmatched),
     )
-    result.report = _build_report(result, cfg, graph, classifier_meta)
+    result.report = _build_report(result, cfg)
     return result
 
 
-def _build_report(
-    result: PipelineResult,
-    cfg: FpConfig,
-    graph: MatchGraph,
-    classifier_meta: dict | None,
-) -> dict:
+def _build_report(result: PipelineResult, cfg: FpConfig) -> dict:
     events = []
     residuals = []
     for ev in result.events:
@@ -233,20 +229,14 @@ def _build_report(
                 ],
             }
         )
-        for res in consistency_report(ev.cluster, graph, pm, cfg.consistency_eps):
-            residuals.append(
-                {
-                    "event": ev.cluster.id,
-                    "from": res.from_id,
-                    "to": res.to_id,
-                    "residual": res.residual,
-                    "flagged": res.flagged,
-                }
-            )
+        residuals.extend(
+            {"event": ev.cluster.id, "from": r.from_id, "to": r.to_id, "residual": r.residual, "flagged": r.flagged}
+            for r in consistency_report(ev.cluster, result.graph, pm, cfg.consistency_eps)
+        )
 
     return {
         "events": events,
         "unmatched": result.unmatched,
         "residuals": residuals,
-        "classifier": classifier_meta,
+        "classifier": None,
     }

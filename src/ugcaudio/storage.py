@@ -342,10 +342,19 @@ def save_json(obj: Any, path: str) -> None:
         f.write(dump_json(obj))
 
 
+def _refuse_repeated_keys(pairs: list[tuple[str, Any]]) -> dict:
+    """A JSON object from its (key, value) pairs, refusing a key given twice rather than keeping the last."""
+    doc = dict(pairs)
+    if len(doc) < len(pairs):
+        keys = [key for key, _ in pairs]
+        raise ValueError(f"repeated key {next(key for key in doc if keys.count(key) > 1)!r}")
+    return doc
+
+
 def load_json(path: str) -> Any:
-    """The JSON document in the file at path; a ValueError names the file when it does not parse."""
+    """The JSON document in the file at path; a ValueError names the file when it does not parse or repeats a key."""
     text = read_text(path)
     try:
-        return json.loads(text)
-    except ValueError as exc:  # malformed JSON, or an integer past the interpreter's digit limit
+        return json.loads(text, object_pairs_hook=_refuse_repeated_keys)
+    except ValueError as exc:  # malformed JSON, a repeated key, or an integer past the interpreter's digit limit
         raise ValueError(f"{path}: {exc}") from None

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .audio_io import AudioClip
-from .event_graph import Cluster, MatchGraph
+from .event_graph import Cluster, MatchGraph, cluster_edges
 from .fingerprint import (
     FpConfig,
     hash_landmarks,
@@ -48,7 +48,6 @@ QUALITY_BATCH_PEAKS = 4096
 class RawOffsets:
     """Path-cost offsets of every cluster member relative to the representative."""
 
-    cluster_id: str
     representative: str
     offsets: dict[str, float]
 
@@ -57,7 +56,6 @@ class RawOffsets:
 class PositionMap:
     """Normalized timeline: seconds from the earliest-starting clip."""
 
-    cluster_id: str
     representative: str
     earliest: str
     positions: dict[str, float]
@@ -101,20 +99,21 @@ def assign_offsets(cluster: Cluster, graph: MatchGraph) -> RawOffsets:
     follow the breadth-first tree, neighbors visited in sorted id order, so
     the result is deterministic.
     """
-    rep = min(cluster.members, key=lambda m: (-graph.degree(m), m))
+    adjacency = graph.adjacency()
+    rep = min(cluster.members, key=lambda m: (-len(adjacency.get(m, ())), m))
     offsets: dict[str, float] = {rep: 0.0}
     queue = deque([rep])
     members = set(cluster.members)
     while queue:
         current = queue.popleft()
-        for neighbor in graph.neighbors(current):
+        for neighbor in adjacency.get(current, ()):
             if neighbor in members and neighbor not in offsets:
                 offsets[neighbor] = offsets[current] + graph.weight(current, neighbor)
                 queue.append(neighbor)
     if set(offsets) != members:
         missing = sorted(members - set(offsets))
         raise ValueError(f"cluster not connected: unreachable members {missing}")
-    return RawOffsets(cluster_id=cluster.id, representative=rep, offsets=offsets)
+    return RawOffsets(representative=rep, offsets=offsets)
 
 
 def normalize_positions(raw: RawOffsets) -> PositionMap:
@@ -124,12 +123,7 @@ def normalize_positions(raw: RawOffsets) -> PositionMap:
     earliest = min(raw.offsets, key=lambda cid: (raw.offsets[cid], cid))
     base = raw.offsets[earliest]
     positions = {cid: off - base for cid, off in raw.offsets.items()}
-    return PositionMap(
-        cluster_id=raw.cluster_id,
-        representative=raw.representative,
-        earliest=earliest,
-        positions=positions,
-    )
+    return PositionMap(representative=raw.representative, earliest=earliest, positions=positions)
 
 
 def consistency_report(
@@ -144,15 +138,12 @@ def consistency_report(
     edges off by more than eps seconds are flagged. Tree edges always come
     out at zero because they defined the positions.
     """
-    members = set(cluster.members)
     report: list[EdgeResidual] = []
-    for (frm, to), edge in sorted(graph.edges.items()):
-        if frm not in members or to not in members or frm > to:
-            continue
-        residual = abs((pm.positions[to] - pm.positions[frm]) - edge.weight)
-        report.append(
-            EdgeResidual(from_id=frm, to_id=to, residual=residual, flagged=residual > eps)
-        )
+    for edge in cluster_edges(cluster, graph):
+        frm, to = edge.from_id, edge.to_id
+        if frm <= to:
+            residual = abs((pm.positions[to] - pm.positions[frm]) - edge.weight)
+            report.append(EdgeResidual(from_id=frm, to_id=to, residual=residual, flagged=residual > eps))
     return report
 
 
@@ -197,21 +188,21 @@ def build_segments(pm: PositionMap, durations: dict[str, float]) -> list[Segment
     return segments
 
 
+def _cut_samples(cut: ClipCut, rate: int) -> tuple[int, int]:
+    """The samples [i0, i1) a cut spans at `rate`, its ends rounded to the nearest sample."""
+    return int(round(cut.local_start * rate)), int(round(cut.local_end * rate))
+
+
 def cut_audio(clip: AudioClip, cut: ClipCut) -> AudioClip:
     """The portion of a clip a segment covers, as its own clip."""
-    i0 = int(round(cut.local_start * clip.rate))
-    i1 = int(round(cut.local_end * clip.rate))
-    return AudioClip(
-        id=f"{clip.id}__{int(round(cut.local_start * 1000))}_{int(round(cut.local_end * 1000))}",
-        samples=clip.samples[i0:i1],
-        rate=clip.rate,
-    )
+    i0, i1 = _cut_samples(cut, clip.rate)
+    ms0, ms1 = _cut_samples(cut, 1000)
+    return AudioClip(id=f"{clip.id}__{ms0}_{ms1}", samples=clip.samples[i0:i1], rate=clip.rate)
 
 
 def _cut_frames(cut: ClipCut, cfg: FpConfig) -> tuple[int, int]:
     """The frames [f0, f1) whose whole window lies inside the cut's samples."""
-    i0 = int(round(cut.local_start * cfg.rate))
-    i1 = int(round(cut.local_end * cfg.rate))
+    i0, i1 = _cut_samples(cut, cfg.rate)
     f0 = -(-i0 // cfg.hop)  # first frame starting at or after i0
     f1 = (i1 - cfg.window) // cfg.hop + 1  # past the last frame ending by i1
     return f0, f1

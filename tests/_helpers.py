@@ -150,7 +150,6 @@ def pm_of(positions: dict[str, float]):
 
     rep = sorted(positions)[0]
     return PositionMap(
-        cluster_id=rep,
         representative=rep,
         earliest=min(positions, key=lambda c: (positions[c], c)),
         positions=dict(positions),

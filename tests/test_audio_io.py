@@ -231,7 +231,7 @@ class TestSynthCorpus:
         assert [c.id for c in a] == [c.id for c in b]
         for ca, cb in zip(a, b):
             assert np.array_equal(ca.samples, cb.samples)
-        assert truth_a.to_json() == truth_b.to_json()
+        assert truth_a.to_doc() == truth_b.to_doc()
 
     def test_shape_and_ids(self):
         clips, truth = synth_corpus(SynthSpec(**self.SPEC))
@@ -297,8 +297,8 @@ GOOD_TRUTH = {"event_id": "e", "start": 0, "duration": 9.0, "snr_db": 20.0}
 class TestGroundTruthJson:
     def test_round_trip(self):
         _, truth = synth_corpus(SynthSpec(**TestSynthCorpus.SPEC))
-        again = GroundTruth.from_doc(json.loads(truth.to_json()))
-        assert again.to_json() == truth.to_json()
+        again = GroundTruth.from_doc(json.loads(json.dumps(truth.to_doc())))
+        assert again.to_doc() == truth.to_doc()
 
     @pytest.mark.parametrize(
         "doc, message",
@@ -355,4 +355,4 @@ class TestGroundTruthJson:
         _, truth = synth_corpus(SynthSpec(**TestSynthCorpus.SPEC))
         with open("docs/manifest.schema.json") as f:
             schema = json.load(f)
-        jsonschema.validate(json.loads(truth.to_json()), schema)
+        jsonschema.validate(json.loads(json.dumps(truth.to_doc())), schema)

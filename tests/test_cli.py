@@ -337,6 +337,30 @@ class TestEmptyFingerprints:
         assert json.loads(report.read_text())["unmatched"] == ["quiet", "tiny"]
 
 
+    @pytest.mark.parametrize("rate", [8000, 11025, 22050, 44100, 48000])
+    def test_empty_wav_is_skipped_at_any_rate(self, indexed, small_corpus, tmp_path, capsys, rate):
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        wav = corpus / "hollow.wav"
+        wav.write_bytes(encode_wav(AudioClip(id="hollow", samples=np.zeros(0), rate=rate)))
+
+        out = tmp_path / "empty.idx"
+        assert main(["index", str(wav), "--out", str(out)]) == 0
+        assert capsys.readouterr().err == "warning: hollow: no landmarks, skipped\n"
+        assert load_index(str(out)).clip_ids == []
+
+        idx, _ = indexed
+        matches = tmp_path / "matches.json"
+        assert main(["match", str(wav), "--index", str(idx), "--out", str(matches)]) == 0
+        assert json.loads(matches.read_text()) == {"queries": [{"query": "hollow", "entries": []}]}
+
+        src = next(iter(sorted(small_corpus.glob("*.wav"))))
+        (corpus / src.name).write_bytes(src.read_bytes())
+        report = tmp_path / "report.json"
+        assert main(["pipeline", "--in", str(corpus), "--out", str(report)]) == 0
+        assert json.loads(report.read_text())["unmatched"] == ["hollow"]
+
+
 class TestMatch:
     def test_matches_written(self, matches_file, indexed):
         _, wavs = indexed
@@ -433,6 +457,8 @@ UNREADABLE_TEXT = {
         "value has 5001 digits; use sys.set_int_max_str_digits() to increase the limit",
     ),
     "0xff byte": (b'{"queries": [\xff]}', "'utf-8' codec can't decode byte 0xff in position 13: invalid start byte"),
+    # json.loads alone would keep the last value, here a valid 53.
+    "repeated key": (b'{"queries": [{"query": "a", "entries": [{"ml": 999999, "ml": 53}]}]}', "repeated key 'ml'"),
 }
 
 
@@ -617,7 +643,7 @@ class TestTrain:
         "fault",
         [
             "list", "no event_id", "integer event_id", "negative duration", "unknown clip key", "unknown key",
-            "huge duration", *UNREADABLE_TEXT,
+            "huge duration", "repeated snr_db", *UNREADABLE_TEXT,
         ],
     )
     def test_malformed_manifest_exits_3(self, train_corpus, matches_file, tmp_path, capsys, fault):
@@ -644,6 +670,9 @@ class TestTrain:
         elif fault == "unknown key":
             manifest["extra"] = 1
             message = "manifest: unknown key 'extra'"
+        elif fault == "repeated snr_db":  # in the first clip, which the file lists first
+            manifest = json.dumps(manifest).replace('"snr_db": ', '"snr_db": 99.0, "snr_db": ', 1).encode()
+            message = f"{bad}: repeated key 'snr_db'"
         else:  # past the float range: "duration": 1 followed by 400 zeros
             manifest["clips"][first]["duration"] = 10**400
             message = f"manifest clip {first!r}: duration must be a finite number, got {10**400}"

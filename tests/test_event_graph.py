@@ -1,13 +1,20 @@
+from collections import deque
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from ugcaudio import (
     FpConfig,
+    MatchEdge,
     MatchEntry,
+    MatchGraph,
     MatchingList,
+    assign_offsets,
     build_graph,
     cluster_edges,
     connected_components,
+    consistency_report,
+    normalize_positions,
     split_repetitions,
 )
 
@@ -218,3 +225,88 @@ class TestComponents:
         comps = connected_components(g)
         first = cluster_edges(comps[0], g)
         assert {(e.from_id, e.to_id) for e in first} == {("a", "b"), ("b", "a")}
+
+
+@st.composite
+def random_graphs(draw):
+    """(nodes, {(a, b): weight} with a < b, directed edges in insertion order) over a small id pool.
+
+    Few ids and few edges give several components, isolated nodes and
+    degree ties; edges are inserted in a drawn order, not sorted.
+    """
+    nodes = draw(st.lists(st.sampled_from([f"c{i:02d}" for i in range(10)]), min_size=1, max_size=10, unique=True))
+    possible = [(a, b) for a in sorted(nodes) for b in sorted(nodes) if a < b]
+    pairs = draw(st.lists(st.sampled_from(possible), max_size=14, unique=True)) if possible else []
+    weights = {pair: draw(st.integers(-400, 400)) / 8 for pair in pairs}
+    directed = [(a, b) for a, b in pairs] + [(b, a) for a, b in pairs]
+    return nodes, weights, draw(st.permutations(directed))
+
+
+def bfs_oracle(nodes, weights):
+    """Plain BFS over neighbour sets: components, then per component its representative and offsets.
+
+    The representative is the member of highest degree, ties to the
+    smallest id; neighbours are visited in sorted id order.
+    """
+    neighbours = {n: set() for n in nodes}
+    for a, b in weights:
+        neighbours[a].add(b)
+        neighbours[b].add(a)
+
+    def weight(frm, to):
+        return weights[(frm, to)] if frm < to else -weights[(to, frm)]
+
+    def bfs(start, visit):
+        order, queue, seen = [start], deque([start]), {start}
+        while queue:
+            current = queue.popleft()
+            for n in sorted(neighbours[current]):
+                if n not in seen:
+                    seen.add(n)
+                    visit(current, n)
+                    order.append(n)
+                    queue.append(n)
+        return order
+
+    components, placed = [], set()
+    for node in sorted(nodes):
+        if node not in placed:
+            members = sorted(bfs(node, lambda _frm, _to: None))
+            placed.update(members)
+            components.append(members)
+    walks = []
+    for members in components:
+        rep = min(members, key=lambda m: (-len(neighbours[m]), m))
+        offsets = {rep: 0.0}
+        bfs(rep, lambda frm, to: offsets.__setitem__(to, offsets[frm] + weight(frm, to)))
+        walks.append((rep, offsets))
+    return components, walks
+
+
+class TestGraphWalks:
+    @given(random_graphs())
+    @settings(max_examples=200, deadline=None)
+    def test_walks_agree_with_a_plain_bfs(self, drawn):
+        nodes, weights, directed = drawn
+        graph = MatchGraph(nodes=set(nodes))
+        for frm, to in directed:
+            w = weights[(frm, to)] if frm < to else -weights[(to, frm)]
+            graph.edges[(frm, to)] = MatchEdge(from_id=frm, to_id=to, weight=w, source_entry=None)
+
+        components, walks = bfs_oracle(nodes, weights)
+        clusters = connected_components(graph)
+        assert [c.members for c in clusters] == components
+        for cluster, (rep, offsets) in zip(clusters, walks):
+            raw = assign_offsets(cluster, graph)
+            assert raw.representative == rep
+            assert raw.offsets == offsets
+            inside = sorted((a, b) for a, b in weights if a in cluster.members)
+            pm = normalize_positions(raw)
+            rows = consistency_report(cluster, graph, pm, eps=0.1)
+            assert [(r.from_id, r.to_id) for r in rows] == inside
+            assert [r.residual for r in rows] == [
+                abs((pm.positions[b] - pm.positions[a]) - weights[(a, b)]) for a, b in inside
+            ]
+            assert [(e.from_id, e.to_id) for e in cluster_edges(cluster, graph)] == sorted(
+                inside + [(b, a) for a, b in inside]
+            )

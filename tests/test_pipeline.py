@@ -206,6 +206,18 @@ print("ran without scipy")
 """
 
 
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def test_readme_library_example_runs(capsys):
+    """The `python` block under the README's "Library use" runs as written."""
+    section = README.read_text(encoding="utf-8").split("\n## Library use\n", 1)[1].split("\n## ", 1)[0]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(code, f"{README} (Library use)", "exec"), {})
+    printed = capsys.readouterr().out.splitlines()
+    assert len(printed) >= 2  # a line per event, then the durations
+
+
 def test_runs_on_numpy_alone():
     """numpy is the only runtime dependency: the library imports, fits a
     logistic regression and runs the pipeline with scipy unimportable."""
