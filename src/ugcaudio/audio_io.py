@@ -114,12 +114,32 @@ _JSON_KINDS = {
     "an integer": lambda v: isinstance(v, int) and not isinstance(v, bool),
     "a finite number": lambda v: isinstance(v, (int, float)) and not isinstance(v, bool) and abs(v) <= sys.float_info.max,
 }
+# A list kind is a JSON array whose items are each of its item kind, a list kind itself for rows.
+_ITEM_KINDS = {
+    "a list of strings": "a string",
+    "a list of finite numbers": "a finite number",
+    "a list of rows of finite numbers": "a list of finite numbers",
+}
+
+
+def _misfit(value, kind: str) -> tuple[str, str, object] | None:
+    """None when value is of kind, else (the index path to the part at fault, the kind it lacks, that part)."""
+    if kind not in _ITEM_KINDS:
+        return None if _JSON_KINDS[kind](value) else ("", kind, value)
+    if not isinstance(value, list):
+        return "", kind, value
+    for i, item in enumerate(value):
+        fault = _misfit(item, _ITEM_KINDS[kind])
+        if fault is not None:
+            return f"[{i}]{fault[0]}", fault[1], fault[2]
+    return None
 
 
 def read_record(doc, kinds: dict[str, str], where: str) -> dict:
-    """doc, refused unless it is a JSON object with exactly the fields of kinds, each of its _JSON_KINDS kind.
+    """doc, refused unless it is a JSON object with exactly the fields of kinds, each of its kind.
 
-    A ValueError names where and the first of: not an object, an unknown key, a missing field, a wrong kind.
+    A ValueError names where and the first of: not an object, an unknown key, a missing field, a
+    wrong kind (in a list, the first item at fault: `train_x[4][1] must be a finite number, got nan`).
     """
     if not isinstance(doc, dict):
         raise ValueError(f"{where}: not an object")
@@ -128,8 +148,10 @@ def read_record(doc, kinds: dict[str, str], where: str) -> dict:
         if key not in doc:
             raise ValueError(f"{where}: missing field {key!r}")
     for key, kind in kinds.items():
-        if not _JSON_KINDS[kind](doc[key]):
-            raise ValueError(f"{where}: {key} must be {kind}, got {doc[key]!r}")
+        fault = _misfit(doc[key], kind)
+        if fault is not None:
+            at, wanted, value = fault
+            raise ValueError(f"{where}: {key}{at} must be {wanted}, got {value!r}")
     return doc
 
 

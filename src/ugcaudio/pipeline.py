@@ -28,7 +28,6 @@ from .event_graph import Cluster, MatchGraph, build_graph, connected_components
 from .fingerprint import (
     FingerprintIndex,
     FpConfig,
-    MatchingList,
     clip_fingerprint,
     query,
 )
@@ -128,7 +127,6 @@ class EventResult:
 @dataclass
 class PipelineResult:
     durations: dict[str, float]  # seconds, every input clip
-    lists: list[MatchingList]
     graph: MatchGraph
     events: list[EventResult]
     unmatched: list[str]  # clips that produced no landmarks
@@ -170,6 +168,7 @@ def run_pipeline(
 
     lists = [query(index, cid, hashed[cid], cfg) for cid in index.clip_ids]
     graph = build_graph(lists, cfg, filter_fn=match_filter.predict if match_filter else None)
+    del lists
 
     events: list[EventResult] = []
     for cluster in connected_components(graph):
@@ -182,7 +181,6 @@ def run_pipeline(
 
     result = PipelineResult(
         durations=durations,
-        lists=lists,
         graph=graph,
         events=events,
         unmatched=sorted(unmatched),

@@ -1,4 +1,4 @@
-"""On-disk formats: binary fingerprint index, text model file, JSON report.
+"""On-disk formats: binary fingerprint index, JSON model file and reports.
 
 The index layout is little-endian and, apart from the header text and the
 clip ids, fixed-width, so a round trip is byte-identical and a hexdump diff
@@ -18,19 +18,25 @@ the posting block is the index's in-memory posting array: written with one
 `tobytes`, read with one `frombuffer`, checked, and handed to the index as
 is. A file out of either order is refused, naming where.
 
-Model files are `key = value` text with repr'd floats, which round-trip
-float64 exactly. Reports are JSON with sorted keys and a trailing newline.
+JSON files are written by dump_json (sorted keys, 2-space indent, floats in
+their shortest repr, which round-trips float64 exactly) and read through
+_refuse_repeated_keys, which refuses a key given twice in one object. A model
+file is one such document: its header, the fields of its Standardizer and of
+its family's model, each listed once with its read_record kind in
+_MODEL_HEADER and _MODEL_FIELDS for writer and reader alike, and the optional
+_MODEL_META figures. A version-1 `key = value` text model is refused.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import struct
 from typing import Any
 
 import numpy as np
 
-from .audio_io import read_text
+from .audio_io import read_record, read_text
 from .fingerprint import _KEY_LIMIT, LANDMARK_KEYS, FingerprintIndex, parse_config
 from .match_classifier import (
     FAMILY_KNN,
@@ -44,11 +50,20 @@ from .match_classifier import (
 
 INDEX_MAGIC = b"UGFP"
 INDEX_VERSION = 2
-MODEL_VERSION = 1
+MODEL_VERSION = 2
 # One posting row is three of these: key, clip ordinal, anchor frame.
 _POSTING = np.dtype("<u4")
-# The metadata a model file may end with, in file order, and the type of each.
-_MODEL_META = (("accuracy", float), ("val_error", float), ("wrong_fps", int), ("degraded", int))
+_NUMBER, _NUMBERS = "a finite number", "a list of finite numbers"
+# The model document's fields besides its records', with their read_record kinds.
+_MODEL_HEADER = {"version": "an integer", "family": "a string", "subset": "a string", "features": "a list of strings"}
+# The dataclass fields a model document holds for each record, with their read_record kinds.
+_MODEL_FIELDS = {
+    Standardizer: {"mean": _NUMBERS, "std": _NUMBERS},
+    LogRegModel: {"weights": _NUMBERS, "bias": _NUMBER, "c": _NUMBER},
+    KnnModel: {"k": _NUMBER, "train_x": "a list of rows of finite numbers", "train_y": _NUMBERS},
+}
+# The metadata a model document may hold: each key's type and largest value (the least is 0).
+_MODEL_META = {"accuracy": (float, 1), "val_error": (float, 1), "wrong_fps": (int, math.inf), "degraded": (int, 1)}
 
 
 class StorageError(Exception):
@@ -193,134 +208,92 @@ def load_index(path: str) -> FingerprintIndex:
         return index_from_bytes(f.read())
 
 
-def _floats(values) -> str:
-    return ",".join(repr(float(v)) for v in np.asarray(values, dtype=np.float64).ravel())
-
-
 def model_to_text(flt: MatchFilter, meta: dict[str, Any] | None = None) -> str:
-    """Fixed field order so identical models serialize identically."""
-    meta = meta or {}
-    lines = [
-        f"version = {MODEL_VERSION}",
-        f"family = {flt.family}",
-        f"subset = {flt.subset.name}",
-        f"features = {','.join(flt.subset.fields)}",
-        f"param = {repr(flt.param)}",
-        f"mean = {_floats(flt.standardizer.mean)}",
-        f"std = {_floats(flt.standardizer.std)}",
-    ]
-    if isinstance(flt.model, LogRegModel):
-        lines.append(f"weights = {_floats(flt.model.weights)}")
-        lines.append(f"bias = {repr(float(flt.model.bias))}")
-    else:
-        rows = ";".join(_floats(row) for row in flt.model.train_x)
-        lines.append(f"train_x = {rows}")
-        lines.append(f"train_y = {','.join(str(int(v)) for v in flt.model.train_y)}")
-    lines.extend(f"{key} = {kind(meta[key])!r}" for key, kind in _MODEL_META if key in meta)
-    return "\n".join(lines) + "\n"
+    """The model document: its header, the _MODEL_FIELDS of the filter's records and meta's _MODEL_META keys."""
+    doc = {"version": MODEL_VERSION, "family": flt.family, "subset": flt.subset.name, "features": list(flt.subset.fields)}
+    for record in (flt.standardizer, flt.model):
+        doc |= {key: np.asarray(getattr(record, key)).tolist() for key in _MODEL_FIELDS[type(record)]}
+    doc |= {key: kind(meta[key]) for key, (kind, _) in _MODEL_META.items() if key in (meta or {})}
+    return dump_json(doc)
+
+
+def _refuse_first(where: str, key: str, values: np.ndarray, ok: np.ndarray, wanted: str) -> None:
+    """Refuse the first of values that ok marks false, naming where, key and its index."""
+    bad = np.flatnonzero(~ok)
+    if len(bad):
+        raise StorageError(f"{where}: {key}[{bad[0]}] must be {wanted}, got {values[bad[0]].item()!r}")
 
 
 def model_from_text(text: str) -> tuple[MatchFilter, dict[str, Any]]:
-    """Parse a model file, refusing any value that no fitted filter has.
+    """Read model_to_text's document, refusing any value that no fitted filter has.
 
-    Every value must be a number; mean, weights, bias and train_x finite;
-    std finite and positive; train_y 0 or 1; a logistic c finite and
-    positive; a k-NN k an odd integer in [1, training rows]. A StorageError
-    names the field at fault, or the line of a key that the file's family
-    does not have (a logistic model's train_x, a misspelt metadata key).
+    Beyond its kind, std must be positive, train_y 0 or 1, c positive, k an odd integer in
+    [1, training rows], accuracy and val_error in [0, 1], wrong_fps at least 0 and degraded 0
+    or 1. A StorageError names the field at fault, a key the family lacks (a logistic model's
+    train_x, a misspelt metadata key) or a repeated key; a version-1 text model is named so.
     """
-    fields: dict[str, str] = {}
-    line_of: dict[str, int] = {}
-    for i, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
-        if " = " not in line:
-            raise StorageError(f"model file line {i}: expected 'key = value'")
-        key, value = line.split(" = ", 1)
-        if key in fields:
-            raise StorageError(f"model file line {i}: duplicate key {key!r}")
-        fields[key] = value
-        line_of[key] = i
-    read: set[str] = set()  # every key the file's family has, as it is read
-
-    def need(key: str) -> str:
-        if key not in fields:
-            raise StorageError(f"model file missing field {key!r}")
-        read.add(key)
-        return fields[key]
-
-    def floats(key: str, text: str, check=np.isfinite, wanted: str = "finite") -> np.ndarray:
-        """Comma-separated numbers of field `key`, each passing `check`."""
-        try:
-            values = np.array([float(v) for v in text.split(",")] if text else [])
-        except ValueError:
-            raise StorageError(f"model file field {key!r}: {text!r} is not numbers") from None
-        if not check(values).all():
-            raise StorageError(f"model file field {key!r}: values must be {wanted}, got {text!r}")
-        return values
-
-    def positive(v: np.ndarray) -> np.ndarray:
-        return np.isfinite(v) & (v > 0)
-
-    def number(key: str, check=np.isfinite, wanted: str = "finite") -> float:
-        value = floats(key, need(key), check, wanted)
-        if len(value) != 1:
-            raise StorageError(f"model file field {key!r}: expected one number, got {need(key)!r}")
-        return float(value[0])
-
-    if need("version") != str(MODEL_VERSION):
-        raise StorageError(
-            f"unsupported version {fields['version']} (expected {MODEL_VERSION})"
-        )
-    family = need("family")
-    subset = parse_subset(need("subset"))
-    if need("features") != ",".join(subset.fields):
-        raise StorageError("model file features do not match its subset")
-    std = Standardizer(
-        mean=floats("mean", need("mean")),
-        std=floats("std", need("std"), positive, "finite and positive"),
-    )
-    dim = len(subset.fields)
-    if len(std.mean) != dim or len(std.std) != dim:
-        raise StorageError("standardizer dimension does not match the feature subset")
-
-    if family == FAMILY_LOGREG:
-        weights = floats("weights", need("weights"))
-        if len(weights) != dim:
-            raise StorageError("weight dimension does not match the feature subset")
-        c = number("param", positive, "finite and positive")
-        model = LogRegModel(weights=weights, bias=number("bias"), c=c)
-    elif family == FAMILY_KNN:
-        rows = [floats("train_x", row) for row in need("train_x").split(";")]
-        if any(len(row) != dim for row in rows):
-            raise StorageError("training matrix does not match the feature subset")
-        train_x = np.array(rows, dtype=np.float64).reshape(len(rows), dim)
-        train_y = floats("train_y", need("train_y"), lambda v: (v == 0) | (v == 1), "0 or 1")
-        if len(train_y) != len(train_x):
-            raise StorageError("training labels do not match the training matrix")
-        k = number("param")
-        if not (k.is_integer() and k % 2 == 1 and 1 <= k <= len(train_x)):
+    try:
+        doc = json.loads(text, object_pairs_hook=_refuse_repeated_keys)
+    except ValueError as exc:  # malformed JSON, a repeated key, or an integer past the digit limit
+        if text.startswith("version = 1\n"):
             raise StorageError(
-                f"model file field 'param': k must be an odd integer "
-                f"in [1, {len(train_x)}], got {k!r}"
-            )
-        model = KnnModel(k=int(k), train_x=train_x, train_y=train_y)
+                "model file is a version-1 text model, which this version does not read; re-train the model"
+            ) from None
+        raise StorageError(f"model file: {exc}") from None
+    if not isinstance(doc, dict):
+        raise StorageError("model file: not an object")
+    for key in ("version", "family"):
+        if key not in doc:
+            raise StorageError(f"model file: missing field {key!r}")
+    if doc["version"] != MODEL_VERSION:
+        raise StorageError(f"model file: unsupported version {doc['version']!r} (expected {MODEL_VERSION})")
+    family = doc["family"]
+    if family not in (FAMILY_LOGREG, FAMILY_KNN):
+        raise StorageError(f"model file: unknown model family {family!r}")
+    model_type = LogRegModel if family == FAMILY_LOGREG else KnnModel
+    where = f"{family} model file"
+    kinds = _MODEL_HEADER | _MODEL_FIELDS[Standardizer] | _MODEL_FIELDS[model_type]
+    kinds |= {key: _NUMBER if kind is float else "an integer" for key, (kind, _) in _MODEL_META.items() if key in doc}
+    try:
+        read_record(doc, kinds, where)
+        subset = parse_subset(doc["subset"])
+    except ValueError as exc:
+        raise StorageError(str(exc)) from None
+    if doc["features"] != list(subset.fields):
+        raise StorageError(f"{where}: features do not match its subset")
+    dim = len(subset.fields)
+    if family == FAMILY_KNN and any(len(row) != dim for row in doc["train_x"]):
+        raise StorageError(f"{where}: training matrix does not match the feature subset")
+    # Each record field is a list of numbers, read as a float64 array, or a finite number.
+    std, model = (
+        record(**{
+            key: np.array(doc[key], dtype=np.float64) if isinstance(doc[key], list) else float(doc[key])
+            for key in _MODEL_FIELDS[record]
+        })
+        for record in (Standardizer, model_type)
+    )
+    if len(std.mean) != dim or len(std.std) != dim:
+        raise StorageError(f"{where}: standardizer dimension does not match the feature subset")
+    _refuse_first(where, "std", std.std, std.std > 0, "positive")
+    if family == FAMILY_LOGREG:
+        if len(model.weights) != dim:
+            raise StorageError(f"{where}: weight dimension does not match the feature subset")
+        if model.c <= 0:
+            raise StorageError(f"{where}: c must be positive, got {model.c!r}")
     else:
-        raise StorageError(f"unknown model family {family!r}")
-
-    meta: dict[str, Any] = {}
-    for key, kind in _MODEL_META:
-        if key not in fields:
-            continue
-        try:
-            meta[key] = number(key) if kind is float else int(need(key))
-        except ValueError:  # int() only: number() raises StorageError
-            raise StorageError(f"model file field {key!r}: {fields[key]!r} is not an integer") from None
-    unknown = next((key for key in fields if key not in read), None)
-    if unknown is not None:
-        raise StorageError(f"model file line {line_of[unknown]}: a {family} model has no field {unknown!r}")
-    flt = MatchFilter(subset=subset, standardizer=std, model=model)
-    return flt, meta
+        _refuse_first(where, "train_y", model.train_y, (model.train_y == 0) | (model.train_y == 1), "0 or 1")
+        if len(model.train_y) != len(model.train_x):
+            raise StorageError(f"{where}: training labels do not match the training matrix")
+        if not (model.k.is_integer() and model.k % 2 == 1 and 1 <= model.k <= len(model.train_x)):
+            raise StorageError(f"{where}: k must be an odd integer in [1, {len(model.train_x)}], got {model.k!r}")
+        model.k = int(model.k)
+    meta = {key: kind(doc[key]) for key, (kind, _) in _MODEL_META.items() if key in doc}
+    for key, value in meta.items():
+        top = _MODEL_META[key][1]
+        if not 0 <= value <= top:
+            wanted = "at least 0" if top == math.inf else f"in [0, {top}]"
+            raise StorageError(f"{where}: {key} must be {wanted}, got {value!r}")
+    return MatchFilter(subset=subset, standardizer=std, model=model), meta
 
 
 def save_model(flt: MatchFilter, path: str, meta: dict[str, Any] | None = None) -> None:
@@ -329,7 +302,12 @@ def save_model(flt: MatchFilter, path: str, meta: dict[str, Any] | None = None) 
 
 
 def load_model(path: str) -> tuple[MatchFilter, dict[str, Any]]:
-    return model_from_text(read_text(path))
+    """model_from_text on the file at path; a StorageError starts with the path."""
+    text = read_text(path)
+    try:
+        return model_from_text(text)
+    except StorageError as exc:
+        raise StorageError(f"{path}: {exc}") from None
 
 
 def dump_json(obj: Any) -> str:

@@ -426,7 +426,7 @@ def test_criterion_10_persistence_round_trips_exactly():
             flt.model.predict(std_probe),
         )
 
-    text2 = text.replace("version = 1", "version = 9")
+    text2 = text.replace('"version": 2', '"version": 9')
     with pytest.raises(StorageError, match="unsupported version"):
         model_from_text(text2)
     print(

@@ -14,7 +14,7 @@ from jsonschema import Draft202012Validator
 from ugcaudio import AudioClip, FingerprintIndex, FpConfig, PROCESS_RATE, encode_wav, load_index, load_model, query, read_clip
 from ugcaudio import pipeline
 from ugcaudio.cli import main, matches_from_doc, matches_to_doc
-from ugcaudio.storage import index_to_bytes
+from ugcaudio.storage import index_to_bytes, model_from_text, model_to_text
 from ugcaudio.timeline import ClipCut, cut_audio
 
 SCHEMA_DIR = Path(__file__).resolve().parent.parent / "docs"
@@ -89,7 +89,7 @@ def matches_file(indexed, tmp_path_factory):
 @pytest.fixture(scope="module")
 def trained_model(train_corpus, matches_file, tmp_path_factory):
     out_dir = tmp_path_factory.mktemp("model")
-    model = out_dir / "model.txt"
+    model = out_dir / "model.json"
     report = out_dir / "cv.json"
     rc = main(
         [
@@ -605,6 +605,20 @@ class TestTrain:
         _, report_path = trained_model
         load_schema("cv_report.schema.json").validate(json.loads(report_path.read_text()))
 
+    @pytest.mark.parametrize("family", ["logreg", "knn", "both"])
+    def test_model_matches_schema(self, family, train_corpus, matches_file, tmp_path):
+        model = tmp_path / "model.json"
+        argv = ["train", "--matches", str(matches_file), "--manifest", str(train_corpus / "manifest.json")]
+        assert main([*argv, "--family", family, "--subset", "S1", "--out", str(model)]) == 0
+        doc = json.loads(model.read_text())
+        schema = load_schema("model.schema.json")
+        schema.validate(doc)
+        assert set(doc) >= {"accuracy", "val_error", "wrong_fps", "degraded"}
+        # The metadata no fitted filter has, which the reader refuses too.
+        for key, value in {"accuracy": 7.5, "val_error": -1.0, "wrong_fps": -4, "degraded": 2}.items():
+            assert not schema.is_valid(doc | {key: value})
+        assert model_to_text(*model_from_text(model.read_text())) == model.read_text()
+
     def test_knn_grid_fits_a_small_corpus(self, tmp_path):
         # 25 balanced samples per inner training set: the k above 25 are left out.
         corpus = tmp_path / "corpus"
@@ -711,24 +725,58 @@ class TestClassify:
         assert len(doc["predictions"]) == total
         assert all(p["predicted_class"] in (0, 1) for p in doc["predictions"])
 
+    def run_bad_model(self, doc_or_text, small_corpus, matches_file, tmp_path, capsys) -> list[tuple[int, str]]:
+        """(exit code, stderr) of classify and of pipeline --model on the model file given as a document or as text."""
+        bad = tmp_path / "model.json"
+        bad.write_text(doc_or_text if isinstance(doc_or_text, str) else json.dumps(doc_or_text), encoding="utf-8")
+        capsys.readouterr()
+        out = []
+        for argv in (
+            ["classify", "--model", str(bad), "--matches", str(matches_file), "--out", str(tmp_path / "p.json")],
+            ["pipeline", "--in", str(small_corpus), "--model", str(bad), "--out", str(tmp_path / "r.json")],
+        ):
+            out.append((main(argv), capsys.readouterr().err))
+        return out
+
     def test_bad_model_value_exits_3_naming_the_field(
         self, trained_model, matches_file, small_corpus, tmp_path, capsys
     ):
         model_path, _ = trained_model
-        bad = tmp_path / "model.txt"
-        text = model_path.read_text(encoding="utf-8")
-        bad.write_text(re.sub(r"^param = .*$", "param = 4.0", text, flags=re.M), encoding="utf-8")
-        capsys.readouterr()
-        argv = ["classify", "--model", str(bad), "--matches", str(matches_file)]
-        assert main([*argv, "--out", str(tmp_path / "p.json")]) == 3
-        assert "model file field 'param': k must be an odd integer" in capsys.readouterr().err
-        argv = ["pipeline", "--in", str(small_corpus), "--model", str(bad)]
-        assert main([*argv, "--out", str(tmp_path / "r.json")]) == 3
-        assert "model file field 'param': k must be an odd integer" in capsys.readouterr().err
+        doc = json.loads(model_path.read_text(encoding="utf-8"))
+        doc["k"] = 4
+        for rc, err in self.run_bad_model(doc, small_corpus, matches_file, tmp_path, capsys):
+            assert rc == 3
+            assert err.startswith(f"error: {tmp_path / 'model.json'}: knn model file: k must be an odd integer in [1, ")
+
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("accuracy", 7.5, "accuracy must be in [0, 1], got 7.5"),
+            ("val_error", -1.0, "val_error must be in [0, 1], got -1.0"),
+            ("wrong_fps", -4, "wrong_fps must be at least 0, got -4"),
+            ("degraded", 2, "degraded must be in [0, 1], got 2"),
+        ],
+    )
+    def test_metadata_no_fitted_filter_has_exits_3_naming_the_field(
+        self, key, value, message, trained_model, matches_file, small_corpus, tmp_path, capsys
+    ):
+        model_path, _ = trained_model
+        doc = json.loads(model_path.read_text(encoding="utf-8"))
+        doc[key] = value
+        expected = f"error: {tmp_path / 'model.json'}: knn model file: {message}\n"
+        assert self.run_bad_model(doc, small_corpus, matches_file, tmp_path, capsys) == [(3, expected)] * 2
+
+    def test_version_1_text_model_exits_3_asking_to_retrain(self, matches_file, small_corpus, tmp_path, capsys):
+        old = "version = 1\nfamily = knn\nsubset = S1\nfeatures = ml,tml\nparam = 3.0\n"
+        expected = (
+            f"error: {tmp_path / 'model.json'}: model file is a version-1 text model, "
+            "which this version does not read; re-train the model\n"
+        )
+        assert self.run_bad_model(old, small_corpus, matches_file, tmp_path, capsys) == [(3, expected)] * 2
 
     def test_undecodable_model_exits_3_naming_it(self, trained_model, matches_file, small_corpus, tmp_path, capsys):
         model_path, _ = trained_model
-        bad = tmp_path / "model.txt"
+        bad = tmp_path / "model.json"
         text = model_path.read_bytes()
         bad.write_bytes(text + b"\xff\n")
         message = f"error: {bad}: 'utf-8' codec can't decode byte 0xff in position {len(text)}: invalid start byte\n"
@@ -740,20 +788,12 @@ class TestClassify:
         assert main([*argv, "--out", str(tmp_path / "r.json")]) == 3
         assert capsys.readouterr().err == message
 
-    def test_key_the_family_lacks_exits_3_naming_its_line(self, trained_model, matches_file, small_corpus, tmp_path, capsys):
+    def test_key_the_family_lacks_exits_3_naming_it(self, trained_model, matches_file, small_corpus, tmp_path, capsys):
         model_path, _ = trained_model
-        bad = tmp_path / "model.txt"
-        text = model_path.read_text(encoding="utf-8")
-        bad.write_text(text + "weights = 1.0,2.0\n", encoding="utf-8")
-        line = len(text.splitlines()) + 1
-        message = f"error: model file line {line}: a knn model has no field 'weights'\n"
-        capsys.readouterr()
-        argv = ["classify", "--model", str(bad), "--matches", str(matches_file)]
-        assert main([*argv, "--out", str(tmp_path / "p.json")]) == 3
-        assert capsys.readouterr().err == message
-        argv = ["pipeline", "--in", str(small_corpus), "--model", str(bad)]
-        assert main([*argv, "--out", str(tmp_path / "r.json")]) == 3
-        assert capsys.readouterr().err == message
+        doc = json.loads(model_path.read_text(encoding="utf-8"))
+        doc["weights"] = [1.0, 2.0]
+        expected = f"error: {tmp_path / 'model.json'}: knn model file: unknown key 'weights'\n"
+        assert self.run_bad_model(doc, small_corpus, matches_file, tmp_path, capsys) == [(3, expected)] * 2
 
 
 class TestPipeline:

@@ -1,9 +1,11 @@
+import json
 import re
 import struct
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ugcaudio import (
     FingerprintIndex,
@@ -13,6 +15,7 @@ from ugcaudio import (
     MatchFilter,
     S2,
     S4,
+    SUBSETS,
     Standardizer,
     LANDMARK_KEYS,
     StorageError,
@@ -280,6 +283,34 @@ def knn_filter() -> MatchFilter:
     )
 
 
+def model_doc(flt: MatchFilter, meta: dict | None = None) -> dict:
+    return json.loads(model_to_text(flt, meta))
+
+
+def spelled(text: str):
+    """The JSON value a case spells as comma-separated items: each a float
+    where float() reads it (nan and inf too), else a string. One item alone
+    is that item, not a list."""
+
+    def item(s: str):
+        try:
+            return float(s)
+        except ValueError:
+            return s
+
+    items = [item(s) for s in text.split(",")]
+    return items if len(items) > 1 else items[0]
+
+
+# A finite float64 drawn from the whole range: -0.0, subnormals and the largest
+# magnitudes included.
+finite = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([-0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.7976931348623157e308, -1.7976931348623157e308]),
+)
+positive = st.one_of(st.floats(min_value=5e-324, allow_infinity=False), st.sampled_from([5e-324, 1.7976931348623157e308]))
+
+
 class TestModelFormat:
     def test_logreg_round_trip_exact(self):
         flt = logreg_filter()
@@ -304,6 +335,34 @@ class TestModelFormat:
         assert np.array_equal(loaded.model.train_y, flt.model.train_y)
         assert meta == {"val_error": 0.03125, "degraded": 0}
 
+    @given(
+        st.sampled_from(SUBSETS).flatmap(
+            lambda subset: st.tuples(
+                st.just(subset),
+                *(st.lists(values, min_size=len(subset.fields), max_size=len(subset.fields)) for values in (finite, positive, finite)),
+                finite,
+                positive,
+                st.lists(st.lists(finite, min_size=len(subset.fields), max_size=len(subset.fields)), min_size=1, max_size=5),
+            )
+        )
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_random_values_round_trip_bit_for_bit(self, drawn):
+        subset, mean, std, weights, bias, c, train_x = drawn
+        standardizer = Standardizer(mean=np.array(mean), std=np.array(std))
+        for model in (
+            LogRegModel(weights=np.array(weights), bias=bias, c=c),
+            KnnModel(k=1, train_x=np.array(train_x), train_y=np.arange(len(train_x)) % 2.0),
+        ):
+            flt = MatchFilter(subset, standardizer, model)
+            text = model_to_text(flt)
+            loaded, _ = model_from_text(text)
+            assert model_to_text(loaded) == text
+            for record, back in ((flt.standardizer, loaded.standardizer), (flt.model, loaded.model)):
+                for key, value in vars(record).items():
+                    bits = np.asarray(value, dtype=np.float64).view(np.uint64)
+                    assert np.array_equal(np.asarray(getattr(back, key), dtype=np.float64).view(np.uint64), bits), key
+
     def test_loaded_filter_predicts_identically(self):
         flt = knn_filter()
         loaded, _ = model_from_text(model_to_text(flt))
@@ -311,94 +370,116 @@ class TestModelFormat:
         assert np.array_equal(loaded.model.predict(x), flt.model.predict(x))
 
     def test_file_round_trip(self, tmp_path):
-        path = str(tmp_path / "model.txt")
+        path = str(tmp_path / "model.json")
         save_model(logreg_filter(), path, {"accuracy": 1.0})
         loaded, meta = load_model(path)
         assert loaded.subset.name == "S2"
         assert meta["accuracy"] == 1.0
 
     def test_future_version_refused(self):
-        text = model_to_text(logreg_filter()).replace("version = 1", "version = 2")
-        with pytest.raises(StorageError, match="unsupported version"):
+        text = model_to_text(logreg_filter()).replace('"version": 2', '"version": 3')
+        with pytest.raises(StorageError, match="unsupported version 3"):
             model_from_text(text)
+
+    def test_version_1_text_model_refused_as_such(self):
+        with pytest.raises(StorageError, match="^model file is a version-1 text model, .*; re-train the model$"):
+            model_from_text("version = 1\nfamily = knn\n")
 
     def test_missing_field(self):
-        text = "\n".join(
-            line for line in model_to_text(logreg_filter()).splitlines() if not line.startswith("bias")
-        )
+        doc = model_doc(logreg_filter())
+        del doc["bias"]
         with pytest.raises(StorageError, match="missing field 'bias'"):
-            model_from_text(text)
+            model_from_text(json.dumps(doc))
 
     def test_weight_dimension_checked(self):
-        text = model_to_text(logreg_filter()).replace(
-            "weights = 0.1,-2.25,1e-07", "weights = 0.1,-2.25"
-        )
+        doc = model_doc(logreg_filter())
+        assert doc["weights"] == [0.1, -2.25, 1e-07]
+        doc["weights"] = [0.1, -2.25]
         with pytest.raises(StorageError, match="weight dimension"):
-            model_from_text(text)
+            model_from_text(json.dumps(doc))
 
     def test_features_subset_agreement_checked(self):
-        text = model_to_text(logreg_filter()).replace(
-            "features = ml,tml,lq", "features = ml,tml,li"
-        )
+        doc = model_doc(logreg_filter())
+        assert doc["features"] == ["ml", "tml", "lq"]
+        doc["features"] = ["ml", "tml", "li"]
         with pytest.raises(StorageError, match="features do not match"):
-            model_from_text(text)
+            model_from_text(json.dumps(doc))
 
     def test_duplicate_key_rejected(self):
         text = model_to_text(logreg_filter())
-        text += "family = knn\n"
-        with pytest.raises(StorageError, match="duplicate key"):
+        text = text[: text.rindex("}")] + ',\n  "family": "knn"\n}\n'
+        with pytest.raises(StorageError, match="^model file: repeated key 'family'$"):
             model_from_text(text)
 
     def test_malformed_line_rejected(self):
-        with pytest.raises(StorageError, match="key = value"):
+        with pytest.raises(StorageError, match="^model file: Expecting value: line 1 column 1"):
             model_from_text("version=1\n")
 
     @pytest.mark.parametrize(
         "family, field, value, message",
         [
-            ("logreg", "mean", "10.0,x,300.0", "'10.0,x,300.0' is not numbers"),
-            ("logreg", "mean", "10.0,nan,300.0", "values must be finite"),
-            ("logreg", "std", "0.0,1.0,55.25", "values must be finite and positive"),
-            ("logreg", "std", "2.0,-1.0,inf", "values must be finite and positive"),
-            ("logreg", "weights", "0.1,inf,1e-07", "values must be finite"),
-            ("logreg", "bias", "nan", "values must be finite"),
-            ("logreg", "param", "0.0", "values must be finite and positive"),
-            ("logreg", "param", "inf", "values must be finite and positive"),
-            ("knn", "train_x", "1.0,2.0,3.0,nan", "values must be finite"),
-            ("knn", "train_y", "0,1,1,0,2,0", "values must be 0 or 1"),
+            ("logreg", "mean", "10.0,x,300.0", "mean[1] must be a finite number, got 'x'"),
+            ("logreg", "mean", "10.0,nan,300.0", "mean[1] must be a finite number, got nan"),
+            ("logreg", "std", "0.0,1.0,55.25", "std[0] must be positive, got 0.0"),
+            ("logreg", "std", "2.0,-1.0,inf", "std[2] must be a finite number, got inf"),
+            ("logreg", "std", "2.0,-1.0,3.0", "std[1] must be positive, got -1.0"),
+            ("logreg", "weights", "0.1,inf,1e-07", "weights[1] must be a finite number, got inf"),
+            ("logreg", "bias", "nan", "bias must be a finite number, got nan"),
+            ("logreg", "param", "0.0", "c must be positive, got 0.0"),
+            ("logreg", "param", "inf", "c must be a finite number, got inf"),
+            ("knn", "train_x", "1.0,2.0,3.0,nan", "train_x[0][3] must be a finite number, got nan"),
+            ("knn", "train_y", "0,1,1,0,2,0", "train_y[4] must be 0 or 1, got 2.0"),
             ("knn", "param", "4.0", "k must be an odd integer in [1, 6], got 4.0"),
             ("knn", "param", "7.0", "k must be an odd integer in [1, 6], got 7.0"),
             ("knn", "param", "2.5", "k must be an odd integer in [1, 6], got 2.5"),
-            ("knn", "param", "three", "'three' is not numbers"),
+            ("knn", "param", "three", "k must be a finite number, got 'three'"),
         ],
     )
     def test_value_no_fitted_filter_has_refused(self, family, field, value, message):
-        text = model_to_text(logreg_filter() if family == "logreg" else knn_filter())
-        if field == "train_x":  # the first row only
-            text = re.sub(r"^train_x = [^;]*", f"train_x = {value}", text, flags=re.M)
+        doc = model_doc(logreg_filter() if family == "logreg" else knn_filter())
+        key = {"logreg": "c", "knn": "k"}[family] if field == "param" else field  # the filter's param
+        if key == "train_x":  # the first row only
+            doc[key][0] = spelled(value)
         else:
-            text = re.sub(rf"^{field} = .*$", f"{field} = {value}", text, flags=re.M)
-        with pytest.raises(StorageError, match=re.escape(f"model file field {field!r}: {message}")):
-            model_from_text(text)
+            doc[key] = spelled(value)
+        with pytest.raises(StorageError, match=f"^{re.escape(f'{family} model file: {message}')}$"):
+            model_from_text(json.dumps(doc))
 
     @pytest.mark.parametrize(
-        "family, line",
-        [("logreg", "train_x = 1,2"), ("logreg", "acuracy = 0.5"), ("knn", "bias = 0.5"), ("knn", "note = x")],
+        "key, value, message",
+        [
+            ("accuracy", 7.5, "accuracy must be in [0, 1], got 7.5"),
+            ("accuracy", -0.5, "accuracy must be in [0, 1], got -0.5"),
+            ("val_error", -1.0, "val_error must be in [0, 1], got -1.0"),
+            ("val_error", float("nan"), "val_error must be a finite number, got nan"),
+            ("wrong_fps", -4, "wrong_fps must be at least 0, got -4"),
+            ("wrong_fps", 1.5, "wrong_fps must be an integer, got 1.5"),
+            ("degraded", 2, "degraded must be in [0, 1], got 2"),
+            ("degraded", True, "degraded must be an integer, got True"),
+        ],
     )
-    def test_key_the_family_lacks_refused_naming_its_line(self, family, line):
-        text = model_to_text(logreg_filter() if family == "logreg" else knn_filter(), {"accuracy": 0.5})
-        at = len(text.splitlines()) + 1
-        key = line.split(" = ")[0]
-        with pytest.raises(StorageError, match=re.escape(f"model file line {at}: a {family} model has no field {key!r}")):
-            model_from_text(text + line + "\n")
+    def test_metadata_no_fitted_filter_has_refused(self, key, value, message):
+        doc = model_doc(knn_filter(), {"accuracy": 0.5, "val_error": 0.25, "wrong_fps": 0, "degraded": 0})
+        doc[key] = value
+        with pytest.raises(StorageError, match=f"^{re.escape(f'knn model file: {message}')}$"):
+            model_from_text(json.dumps(doc))
+
+    @pytest.mark.parametrize(
+        "family, key, value",
+        [("logreg", "train_x", [[1.0, 2.0]]), ("logreg", "acuracy", 0.5), ("knn", "bias", 0.5), ("knn", "note", "x")],
+    )
+    def test_key_the_family_lacks_refused_naming_it(self, family, key, value):
+        doc = model_doc(logreg_filter() if family == "logreg" else knn_filter(), {"accuracy": 0.5})
+        doc[key] = value
+        with pytest.raises(StorageError, match=f"^{re.escape(f'{family} model file: unknown key {key!r}')}$"):
+            model_from_text(json.dumps(doc))
 
     def test_knn_label_length_checked(self):
-        flt = knn_filter()
-        text = model_to_text(flt)
-        old = "train_y = " + ",".join(str(int(v)) for v in flt.model.train_y)
-        text = text.replace(old, "train_y = 0,1")
+        doc = model_doc(knn_filter())
+        assert doc["train_y"] == [0.0, 1.0, 1.0, 0.0, 1.0, 0.0]
+        doc["train_y"] = [0.0, 1.0]
         with pytest.raises(StorageError, match="labels do not match"):
-            model_from_text(text)
+            model_from_text(json.dumps(doc))
 
 
 class TestJson:
