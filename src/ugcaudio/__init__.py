@@ -42,7 +42,6 @@ from .fingerprint import (
     load_config,
     offset_zero_votes,
     pair_landmarks,
-    parse_config,
     query,
     spectrogram,
     thin_peaks,

@@ -6,10 +6,15 @@ clips. The synthesizer builds events out of amplitude-modulated tonal bursts
 so spectrogram peaks are plentiful and reproducible, then cuts overlapping
 noisy clips out of each event master and records the exact layout as ground
 truth.
+
+Every JSON file and the index header are read by read_json, which refuses a
+key given twice in one object, and their fields by read_record, which
+refuses unknown, missing and mistyped ones.
 """
 
 from __future__ import annotations
 
+import json
 import math
 import struct
 import sys
@@ -100,6 +105,23 @@ def read_text(path: str) -> str:
         raise ValueError(f"{path}: {exc}") from None
 
 
+def _refuse_repeated_keys(pairs: list[tuple[str, object]]) -> dict:
+    """A JSON object from its (key, value) pairs, refusing a key given twice rather than keeping the last."""
+    doc = dict(pairs)
+    if len(doc) < len(pairs):
+        keys = [key for key, _ in pairs]
+        raise ValueError(f"repeated key {next(key for key in doc if keys.count(key) > 1)!r}")
+    return doc
+
+
+def read_json(text: str, where: str):
+    """The JSON document in text; a ValueError starts with where when it does not parse or repeats a key."""
+    try:
+        return json.loads(text, object_pairs_hook=_refuse_repeated_keys)
+    except ValueError as exc:  # malformed JSON, a repeated key, or an integer past the interpreter's digit limit
+        raise ValueError(f"{where}: {exc}") from None
+
+
 def refuse_unknown_keys(doc: dict, known, where: str) -> None:
     """Refuse the first key of a JSON object that known lacks, naming it and where."""
     for key in doc:
@@ -111,6 +133,7 @@ def refuse_unknown_keys(doc: dict, known, where: str) -> None:
 # a bool is no number, and an integer past the float range is not finite.
 _JSON_KINDS = {
     "a string": lambda v: isinstance(v, str),
+    "an object": lambda v: isinstance(v, dict),
     "an integer": lambda v: isinstance(v, int) and not isinstance(v, bool),
     "a finite number": lambda v: isinstance(v, (int, float)) and not isinstance(v, bool) and abs(v) <= sys.float_info.max,
 }

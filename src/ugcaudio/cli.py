@@ -8,7 +8,6 @@ or incompatible stored file, failed precondition).
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from dataclasses import asdict
 from pathlib import Path
@@ -55,8 +54,6 @@ from .storage import (
 )
 from .timeline import cut_audio
 
-ENV_SEED = "UGC_SEED"
-
 
 def _require(path: str, what: str) -> str:
     if not Path(path).exists():
@@ -66,17 +63,6 @@ def _require(path: str, what: str) -> str:
 
 def _config_from(args) -> FpConfig:
     return load_config(_require(args.config, "config file")) if args.config else FpConfig()
-
-
-def seed_override(default: int) -> int:
-    """UGC_SEED in the environment beats a `--seed` flag."""
-    raw = os.environ.get(ENV_SEED)
-    if raw is None:
-        return default
-    try:
-        return int(raw)
-    except ValueError:
-        raise ValueError(f"{ENV_SEED} must be an integer, got {raw!r}") from None
 
 
 def _write(doc, out: str | None, done: str) -> None:
@@ -96,7 +82,7 @@ def cmd_synth(args) -> int:
         clip_duration_range=(args.clip_duration[0], args.clip_duration[1]),
         min_overlap=args.min_overlap,
         snr_range_db=(args.snr[0], args.snr[1]),
-        seed=seed_override(args.seed),
+        seed=args.seed,
         repeat_fraction=args.repeat_fraction,
         cross_snippet_seconds=args.cross_snippet,
     )
@@ -270,7 +256,6 @@ def cmd_train(args) -> int:
     doc = load_json(_require(args.matches, "matches file"))
     lists = matches_from_doc(doc)
     truth = GroundTruth.from_doc(load_json(_require(args.manifest, "manifest file")))
-    seed = seed_override(args.seed)
     samples = autolabel(lists, truth)
 
     subsets = SUBSETS if args.subset == "all" else (parse_subset(args.subset),)
@@ -279,10 +264,10 @@ def cmd_train(args) -> int:
     for family in families:
         grid = default_grid(family)
         for subset in subsets:
-            results.extend(double_cv(samples, family, grid, subset, seed))
+            results.extend(double_cv(samples, family, grid, subset, args.seed))
 
     chosen = select_model(results)
-    flt = fit_filter(samples, chosen.family, chosen.param, chosen.subset, seed)
+    flt = fit_filter(samples, chosen.family, chosen.param, chosen.subset, args.seed)
     save_model(
         flt,
         args.out,

@@ -12,6 +12,12 @@ carried as int arrays, one row per item:
 Candidates are picked from a clip's STFT as it is computed, in blocks of
 frames with their halo in one padded buffer; each STFT row is computed once.
 
+Every tunable is a field of FpConfig. A config file is a JSON object over its
+fields, read by load_config through audio_io.read_json and read_record, each
+field's kind taken from its type (_CONFIG_KINDS); keys left out keep their
+defaults. An index file's header holds the LANDMARK_KEYS through the same
+read_config.
+
 The index is one key-sorted (key, clip ordinal, t1) posting array, built
 once from the clips' (key, t1) arrays and frozen from then on. Querying votes
 anchor-frame differences per candidate clip and reports every merged offset
@@ -21,11 +27,11 @@ bin whose vote count clears the matching threshold.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
-from .audio_io import AudioClip, PROCESS_RATE, read_text
+from .audio_io import AudioClip, PROCESS_RATE, read_json, read_record, read_text
 
 # Key layout: f1 in bits 13-20, (df + 63) in bits 6-12, dt in bits 0-5.
 _F1_SHIFT = 13
@@ -66,7 +72,7 @@ LANDMARK_KEYS = (
 
 @dataclass(frozen=True)
 class FpConfig:
-    """Every tunable of a run, loadable from a `key = value` file.
+    """Every tunable of a run, loadable from a JSON config file (load_config).
 
     The cited landmark tooling leaves window, hop, density, fan-out, and the
     peak-picking rule unspecified; these defaults are this library's own and
@@ -91,8 +97,11 @@ class FpConfig:
 
     def __post_init__(self):
         for f in fields(self):
-            if f.type == "float" and not np.isfinite(getattr(self, f.name)):
-                raise ValueError(f"{f.name} must be finite, got {getattr(self, f.name)!r}")
+            if f.type == "float":
+                # Held as a float however it was spelt, so 40 and 40.0 store the same index.
+                object.__setattr__(self, f.name, float(getattr(self, f.name)))
+                if not np.isfinite(getattr(self, f.name)):
+                    raise ValueError(f"{f.name} must be finite, got {getattr(self, f.name)!r}")
         if self.rate <= 0:
             raise ValueError(f"rate must be positive, got {self.rate}")
         if self.window <= 0 or self.window & (self.window - 1):
@@ -137,39 +146,30 @@ class FpConfig:
                 )
 
 
-def parse_config(text: str) -> FpConfig:
-    """`key = value` lines over FpConfig's fields; blank lines and # comments ignored.
+# Each FpConfig field's kind of JSON value, as read_record names it.
+_CONFIG_KINDS = {f.name: "an integer" if f.type == "int" else "a finite number" for f in fields(FpConfig)}
 
-    Keys left out keep their defaults. An unknown key or a badly typed value
-    names its line, and a repeated key names both of its lines; an invalid
-    value raises FpConfig's own ValueError.
-    """
-    kinds = {f.name: int if f.type == "int" else float for f in fields(FpConfig)}
-    values = {}
-    line_of: dict[str, int] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise ValueError(f"config line {lineno}: expected 'key = value', got {raw!r}")
-        key, value = (part.strip() for part in line.split("=", 1))
-        if key not in kinds:
-            raise ValueError(f"config line {lineno}: unknown key {key!r}")
-        if key in line_of:
-            raise ValueError(f"config line {lineno}: {key} already set on line {line_of[key]}")
-        line_of[key] = lineno
-        try:
-            values[key] = kinds[key](value)
-        except ValueError:
-            raise ValueError(
-                f"config line {lineno}: {key} expects {kinds[key].__name__}, got {value!r}"
-            ) from None
-    return FpConfig(**values)
+
+def read_config(doc, kinds: dict[str, str], where: str) -> FpConfig:
+    """FpConfig from doc, a JSON object with exactly the fields of kinds; a ValueError starts with where."""
+    values = read_record(doc, kinds, where)
+    try:
+        return FpConfig(**values)
+    except ValueError as exc:
+        raise ValueError(f"{where}: {exc}") from None
 
 
 def load_config(path: str) -> FpConfig:
-    return parse_config(read_text(path))
+    """The config file at path: a JSON object over FpConfig's fields, keys left out keeping their defaults.
+
+    A ValueError starts with path. It names an unknown, repeated or mistyped key
+    (`hop` 1.5, `peak_density` NaN) or a value FpConfig refuses. A file that is no
+    JSON object, such as the `key = value` lines of earlier versions, is refused as such.
+    """
+    text = read_text(path)
+    if not text.lstrip().startswith("{"):
+        raise ValueError(f'{path}: not a JSON object; config files are JSON objects such as {{"hop": 128}}')
+    return read_config(asdict(FpConfig()) | read_json(text, path), _CONFIG_KINDS, path)
 
 
 @dataclass
@@ -462,7 +462,7 @@ class FingerprintIndex:
             raise ValueError(f"clip {clip_id!r}: key or anchor frame out of range")
         self._pending[clip_id] = hashed
         self.landmark_counts[clip_id] = len(hashed)
-        self.durations[clip_id] = duration
+        self.durations[clip_id] = float(duration)
 
     def postings(self) -> np.ndarray:
         """The sorted (key, clip ordinal, t1) u32 posting array; builds it on first use."""

@@ -1,30 +1,30 @@
-"""On-disk formats: binary fingerprint index, JSON model file and reports.
-
-The index layout is little-endian and, apart from the header text and the
-clip ids, fixed-width, so a round trip is byte-identical and a hexdump diff
-is readable:
-
-    magic 'UGFP', u16 version=2, u32 header length, header bytes,
-    u32 n_clips, per clip {u16 id length, id bytes, f64 duration, u32 #L},
-    u64 n_postings, per posting {u32 key, u32 clip ordinal, u32 t1}
-
-The header is UTF-8 `key = value` lines, one per LANDMARK_KEYS parameter in
-that order, floats written with repr: the config file format, read back by
-the same parser, so the index knows every parameter its postings depend on.
-Version 1 files stored only rate, window and hop, and are refused.
-
-Clips are in sorted-id order and postings sorted by (key, ordinal, t1), so
-the posting block is the index's in-memory posting array: written with one
-`tobytes`, read with one `frombuffer`, checked, and handed to the index as
-is. A file out of either order is refused, naming where.
+"""On-disk formats: fingerprint index, JSON model file and reports.
 
 JSON files are written by dump_json (sorted keys, 2-space indent, floats in
 their shortest repr, which round-trips float64 exactly) and read through
-_refuse_repeated_keys, which refuses a key given twice in one object. A model
-file is one such document: its header, the fields of its Standardizer and of
-its family's model, each listed once with its read_record kind in
-_MODEL_HEADER and _MODEL_FIELDS for writer and reader alike, and the optional
-_MODEL_META figures. A version-1 `key = value` text model is refused.
+audio_io.read_json, which refuses a key given twice in one object, and
+audio_io.read_record, which refuses unknown, missing and mistyped fields.
+
+The index file is little-endian, so a round trip is byte-identical:
+
+    magic 'UGFP', u16 version=3, u32 header length, header bytes,
+    u64 n_postings, per posting {u32 key, u32 clip ordinal, u32 t1}
+
+The header is one dump_json document, {"config": {the ten LANDMARK_KEYS},
+"clips": {id: {"duration": seconds, "landmarks": count}}}, so the index knows
+every parameter its postings depend on; its config is read by
+fingerprint.read_config like a config file's. A clip's ordinal is its rank
+among the sorted ids. Postings are sorted by (key, ordinal, t1), so the
+posting block is the index's in-memory posting array: written with one
+`tobytes`, read with one `frombuffer`, checked, and handed to the index as
+is. A block out of order is refused, naming where. Versions 1 and 2 (a
+`key = value` header and a binary clip table) are refused.
+
+A model file is one JSON document: its header, the fields of its
+Standardizer and of its family's model, each listed once with its
+read_record kind in _MODEL_HEADER and _MODEL_FIELDS for writer and reader
+alike, and the optional _MODEL_META figures. A version-1 `key = value` text
+model is refused.
 """
 
 from __future__ import annotations
@@ -36,8 +36,8 @@ from typing import Any
 
 import numpy as np
 
-from .audio_io import read_record, read_text
-from .fingerprint import _KEY_LIMIT, LANDMARK_KEYS, FingerprintIndex, parse_config
+from .audio_io import read_json, read_record, read_text
+from .fingerprint import _CONFIG_KINDS, _KEY_LIMIT, LANDMARK_KEYS, FingerprintIndex, read_config
 from .match_classifier import (
     FAMILY_KNN,
     FAMILY_LOGREG,
@@ -49,11 +49,15 @@ from .match_classifier import (
 )
 
 INDEX_MAGIC = b"UGFP"
-INDEX_VERSION = 2
+INDEX_VERSION = 3
 MODEL_VERSION = 2
 # One posting row is three of these: key, clip ordinal, anchor frame.
 _POSTING = np.dtype("<u4")
 _NUMBER, _NUMBERS = "a finite number", "a list of finite numbers"
+# The index header's fields, its config's and each of its clips', with their read_record kinds.
+_HEADER_KINDS = {"config": "an object", "clips": "an object"}
+_LANDMARK_KINDS = {key: _CONFIG_KINDS[key] for key in LANDMARK_KEYS}
+_CLIP_KINDS = {"duration": _NUMBER, "landmarks": "an integer"}
 # The model document's fields besides its records', with their read_record kinds.
 _MODEL_HEADER = {"version": "an integer", "family": "a string", "subset": "a string", "features": "a list of strings"}
 # The dataclass fields a model document holds for each record, with their read_record kinds.
@@ -90,29 +94,19 @@ class _Reader:
 
 
 def index_to_bytes(index: FingerprintIndex) -> bytes:
-    """Serialize with clips in sorted-id order and postings fully sorted."""
-    clip_ids = index.clip_ids
-    header = "".join(f"{key} = {getattr(index.cfg, key)!r}\n" for key in LANDMARK_KEYS).encode()
-    parts = [
+    """Serialize: the JSON header, then the postings, fully sorted."""
+    header = dump_json({
+        "config": {key: getattr(index.cfg, key) for key in LANDMARK_KEYS},
+        "clips": {cid: {"duration": index.durations[cid], "landmarks": index.landmark_counts[cid]} for cid in index.clip_ids},
+    }).encode()
+    postings = index.postings()
+    return b"".join([
         INDEX_MAGIC,
         struct.pack("<HI", INDEX_VERSION, len(header)),
         header,
-        struct.pack("<I", len(clip_ids)),
-    ]
-    for cid in clip_ids:
-        raw = cid.encode("utf-8")
-        if len(raw) > 0xFFFF:
-            raise StorageError(f"clip id too long to store: {cid[:40]!r}...")
-        parts.append(struct.pack("<H", len(raw)))
-        parts.append(raw)
-        parts.append(
-            struct.pack("<dI", index.durations[cid], index.landmark_counts[cid])
-        )
-
-    postings = index.postings()
-    parts.append(struct.pack("<Q", len(postings)))
-    parts.append(postings.astype(_POSTING, copy=False).tobytes())
-    return b"".join(parts)
+        struct.pack("<Q", len(postings)),
+        postings.astype(_POSTING, copy=False).tobytes(),
+    ])
 
 
 def index_from_bytes(data: bytes) -> FingerprintIndex:
@@ -120,47 +114,27 @@ def index_from_bytes(data: bytes) -> FingerprintIndex:
     if r.take_bytes(4) != INDEX_MAGIC:
         raise StorageError("not an index file (bad magic)")
     (version,) = r.take("<H")
-    if version == 1:
-        raise StorageError(
-            "index file version 1 does not record its landmark parameters; re-index the clips"
-        )
+    if version < INDEX_VERSION:
+        raise StorageError(f"index file version {version} is a format this version does not read; re-index the clips")
     if version != INDEX_VERSION:
         raise StorageError(f"unsupported version {version} (expected {INDEX_VERSION})")
     (header_len,) = r.take("<I")
     try:
-        text = r.take_bytes(header_len).decode("utf-8")
-        # The key list first, so that a repeated key is refused as a header fault.
-        keys = [line.partition("=")[0].strip() for line in text.splitlines()]
-        if sorted(keys) != sorted(LANDMARK_KEYS):
-            raise StorageError(
-                f"index header sets {', '.join(keys)}; expected exactly {', '.join(LANDMARK_KEYS)}"
-            )
-        cfg = parse_config(text)
-    except ValueError as exc:
+        doc = read_json(r.take_bytes(header_len).decode("utf-8"), "index header")
+        read_record(doc, _HEADER_KINDS, "index header")
+        cfg = read_config(doc["config"], _LANDMARK_KINDS, "index header config")
+        clips = {cid: read_record(clip, _CLIP_KINDS, f"index header clip {cid!r}") for cid, clip in doc["clips"].items()}
+    except UnicodeDecodeError as exc:
         raise StorageError(f"index header: {exc}") from None
-    (n_clips,) = r.take("<I")
+    except ValueError as exc:
+        raise StorageError(str(exc)) from None
     index = FingerprintIndex(cfg)
-
-    clip_ids: list[str] = []
-    for _ in range(n_clips):
-        (id_len,) = r.take("<H")
-        at = r.pos
-        try:
-            cid = r.take_bytes(id_len).decode("utf-8")
-        except UnicodeDecodeError:
-            raise StorageError(f"clip table entry {len(clip_ids)}: id at offset {at} is not UTF-8") from None
-        duration, n_landmarks = r.take("<dI")
-        if cid in index.landmark_counts:
-            raise StorageError(f"duplicate clip id {cid!r} in index file")
-        if clip_ids and cid < clip_ids[-1]:
-            raise StorageError(
-                f"clip table out of id order: clip {len(clip_ids)} {cid!r} follows {clip_ids[-1]!r}"
-            )
-        if n_landmarks == 0:
-            raise StorageError(f"clip {cid!r} declares 0 landmarks; an indexed clip has some")
-        clip_ids.append(cid)
-        index.landmark_counts[cid] = n_landmarks
-        index.durations[cid] = duration
+    clip_ids = sorted(clips)
+    for cid in clip_ids:
+        if clips[cid]["landmarks"] < 1:
+            raise StorageError(f"clip {cid!r} declares {clips[cid]['landmarks']} landmarks; an indexed clip has some")
+        index.landmark_counts[cid] = clips[cid]["landmarks"]
+        index.durations[cid] = float(clips[cid]["duration"])
 
     (n_postings,) = r.take("<Q")
     row = 3 * _POSTING.itemsize
@@ -233,13 +207,13 @@ def model_from_text(text: str) -> tuple[MatchFilter, dict[str, Any]]:
     train_x, a misspelt metadata key) or a repeated key; a version-1 text model is named so.
     """
     try:
-        doc = json.loads(text, object_pairs_hook=_refuse_repeated_keys)
-    except ValueError as exc:  # malformed JSON, a repeated key, or an integer past the digit limit
+        doc = read_json(text, "model file")
+    except ValueError as exc:
         if text.startswith("version = 1\n"):
             raise StorageError(
                 "model file is a version-1 text model, which this version does not read; re-train the model"
             ) from None
-        raise StorageError(f"model file: {exc}") from None
+        raise StorageError(str(exc)) from None
     if not isinstance(doc, dict):
         raise StorageError("model file: not an object")
     for key in ("version", "family"):
@@ -320,19 +294,6 @@ def save_json(obj: Any, path: str) -> None:
         f.write(dump_json(obj))
 
 
-def _refuse_repeated_keys(pairs: list[tuple[str, Any]]) -> dict:
-    """A JSON object from its (key, value) pairs, refusing a key given twice rather than keeping the last."""
-    doc = dict(pairs)
-    if len(doc) < len(pairs):
-        keys = [key for key, _ in pairs]
-        raise ValueError(f"repeated key {next(key for key in doc if keys.count(key) > 1)!r}")
-    return doc
-
-
 def load_json(path: str) -> Any:
     """The JSON document in the file at path; a ValueError names the file when it does not parse or repeats a key."""
-    text = read_text(path)
-    try:
-        return json.loads(text, object_pairs_hook=_refuse_repeated_keys)
-    except ValueError as exc:  # malformed JSON, a repeated key, or an integer past the interpreter's digit limit
-        raise ValueError(f"{path}: {exc}") from None
+    return read_json(read_text(path), path)

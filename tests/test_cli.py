@@ -1,10 +1,12 @@
 import glob
 import json
+import math
 import re
 import shlex
 import struct
 import subprocess
 import sys
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -14,6 +16,7 @@ from jsonschema import Draft202012Validator
 from ugcaudio import AudioClip, FingerprintIndex, FpConfig, PROCESS_RATE, encode_wav, load_index, load_model, query, read_clip
 from ugcaudio import pipeline
 from ugcaudio.cli import main, matches_from_doc, matches_to_doc
+from ugcaudio.fingerprint import load_config
 from ugcaudio.storage import index_to_bytes, model_from_text, model_to_text
 from ugcaudio.timeline import ClipCut, cut_audio
 
@@ -147,29 +150,6 @@ class TestSynth:
         assert rc == 3
         assert "error" in capsys.readouterr().err
 
-    def test_env_seed_overrides_flag(self, tmp_path, monkeypatch):
-        flags = [
-            "synth", "--events", "1", "--clips", "2",
-            "--event-duration", "20", "--clip-duration", "6", "8",
-            "--min-overlap", "2",
-        ]
-        a = tmp_path / "a"
-        monkeypatch.setenv("UGC_SEED", "999")
-        assert main([*flags, "--seed", "0", "--out", str(a)]) == 0
-        monkeypatch.delenv("UGC_SEED")
-        b = tmp_path / "b"
-        assert main([*flags, "--seed", "999", "--out", str(b)]) == 0
-        assert (a / "manifest.json").read_bytes() == (b / "manifest.json").read_bytes()
-        assert (a / "event00_c00.wav").read_bytes() == (b / "event00_c00.wav").read_bytes()
-
-    def test_bad_env_seed_exits_3(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("UGC_SEED", "not-a-number")
-        rc = main(
-            ["synth", "--events", "1", "--clips", "2", "--event-duration", "20",
-             "--clip-duration", "6", "8", "--min-overlap", "2", "--out", str(tmp_path / "x")]
-        )
-        assert rc == 3
-
 
 class TestIndex:
     def test_index_contains_all_clips(self, indexed):
@@ -202,19 +182,27 @@ class TestIndex:
         assert main(["index", str(tmp_path / "ghost.wav"), "--out", str(tmp_path / "o.idx")]) == 2
 
     def test_unknown_config_key_exits_3(self, small_corpus, tmp_path, capsys):
-        cfg = tmp_path / "bad.cfg"
-        cfg.write_text("bogus = 3\n")
+        cfg = tmp_path / "bad.json"
+        cfg.write_text('{"bogus": 3}')
         wav = str(next(iter(sorted(small_corpus.glob("*.wav")))))
         rc = main(["index", wav, "--config", str(cfg), "--out", str(tmp_path / "o.idx")])
         assert rc == 3
         assert "unknown key" in capsys.readouterr().err
 
 
+def settings_id(value):
+    """A config's test id, `key = value` per setting; None keeps pytest's own id for other parameters."""
+    return ", ".join(f"{key} = {v}" for key, v in value.items()) if isinstance(value, dict) else None
+
+
 class TestConfigFiles:
-    def run_with_config(self, small_corpus, tmp_path, text, command="index", index=None):
-        """Exit code of `command` on the small corpus with `text` as its config file."""
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text(text + "\n")
+    def run_with_config(self, small_corpus, tmp_path, settings, command="index", index=None):
+        """Exit code of `command` on the small corpus with a config file, tmp_path / "run.json".
+
+        The file holds settings as JSON, or settings itself when it is a string.
+        """
+        cfg = tmp_path / "run.json"
+        cfg.write_text(settings if isinstance(settings, str) else json.dumps(settings))
         wav = str(next(iter(sorted(small_corpus.glob("*.wav")))))
         if command == "index":
             argv = ["index", wav, "--out", str(tmp_path / "o.idx")]
@@ -225,65 +213,108 @@ class TestConfigFiles:
         return main([*argv, "--config", str(cfg)])
 
     def test_invalid_value_exits_3_naming_the_key(self, small_corpus, tmp_path, capsys):
-        assert self.run_with_config(small_corpus, tmp_path, "window = 500") == 3
-        assert "window must be a power of two, got 500" in capsys.readouterr().err
+        assert self.run_with_config(small_corpus, tmp_path, {"window": 500}) == 3
+        assert capsys.readouterr().err == f"error: {tmp_path / 'run.json'}: window must be a power of two, got 500\n"
 
     def test_delta_outside_key_budget_exits_3_naming_the_key(self, small_corpus, tmp_path, capsys):
-        assert self.run_with_config(small_corpus, tmp_path, "dt_max = 100") == 3
-        assert "dt_max must be in [1, 63], got 100" in capsys.readouterr().err
+        assert self.run_with_config(small_corpus, tmp_path, {"dt_max": 100}) == 3
+        assert capsys.readouterr().err == f"error: {tmp_path / 'run.json'}: dt_max must be in [1, 63], got 100\n"
 
     @pytest.mark.parametrize(
-        "command, text",
+        "command, settings",
         [
-            ("index", "peak_density = inf"),
-            ("pipeline", "density_multiplier = nan"),
-            ("pipeline", "consistency_eps = nan"),
+            ("index", {"peak_density": math.inf}),
+            ("pipeline", {"density_multiplier": math.nan}),
+            ("pipeline", {"consistency_eps": math.nan}),
+        ],
+        ids=settings_id,
+    )
+    def test_non_finite_value_exits_3_naming_the_key(self, small_corpus, tmp_path, capsys, command, settings):
+        ((key, value),) = settings.items()
+        assert self.run_with_config(small_corpus, tmp_path, settings, command) == 3
+        assert f"error: {tmp_path / 'run.json'}: {key} must be a finite number, got {value}\n" == capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ('{"hop": 1.5}', "hop must be an integer, got 1.5"),
+            ('{"fanout": "x"}', "fanout must be an integer, got 'x'"),
+            ('{"dt_max": true}', "dt_max must be an integer, got True"),
+            ('{"peak_density": NaN}', "peak_density must be a finite number, got nan"),
+            ('{"log_floor": -Infinity}', "log_floor must be a finite number, got -inf"),
+            ('{"consistency_eps": 1e400}', "consistency_eps must be a finite number, got inf"),
         ],
     )
-    def test_non_finite_value_exits_3_naming_the_key(self, small_corpus, tmp_path, capsys, command, text):
-        key, value = text.split(" = ")
-        assert self.run_with_config(small_corpus, tmp_path, text, command) == 3
-        assert f"error: {key} must be finite, got {value}" in capsys.readouterr().err
+    def test_mistyped_value_exits_3_naming_the_key(self, small_corpus, tmp_path, capsys, text, message):
+        assert self.run_with_config(small_corpus, tmp_path, text) == 3
+        assert capsys.readouterr().err == f"error: {tmp_path / 'run.json'}: {message}\n"
 
     @pytest.mark.parametrize(
-        "command, text, message",
+        "command, settings, message",
         [
-            ("pipeline", "rate = 0", "rate must be positive, got 0"),
-            ("index", "rate = -11025", "rate must be positive, got -11025"),
-            ("pipeline", "consistency_eps = -1", "consistency_eps must be >= 0, got -1.0"),
+            ("pipeline", {"rate": 0}, "rate must be positive, got 0"),
+            ("index", {"rate": -11025}, "rate must be positive, got -11025"),
+            ("pipeline", {"consistency_eps": -1}, "consistency_eps must be >= 0, got -1.0"),
             # Past the largest anchor frame: 2**63 - 1 wrapped query's int64
             # pruning window, and 10**30 overflowed it.
-            ("match", "offset_merge = 4294967296", "offset_merge must be in [0, 4294967295], got 4294967296"),
+            ("match", {"offset_merge": 4294967296}, "offset_merge must be in [0, 4294967295], got 4294967296"),
             (
                 "match",
-                "offset_merge = 9223372036854775807",
+                {"offset_merge": 9223372036854775807},
                 "offset_merge must be in [0, 4294967295], got 9223372036854775807",
             ),
-            ("pipeline", f"offset_merge = {10**30}", f"offset_merge must be in [0, 4294967295], got {10**30}"),
+            ("pipeline", {"offset_merge": 10**30}, f"offset_merge must be in [0, 4294967295], got {10**30}"),
         ],
+        ids=settings_id,
     )
     def test_value_a_run_cannot_honour_exits_3_naming_the_key(
-        self, small_corpus, indexed, tmp_path, capsys, command, text, message
+        self, small_corpus, indexed, tmp_path, capsys, command, settings, message
     ):
-        assert self.run_with_config(small_corpus, tmp_path, text, command, indexed[0]) == 3
-        assert f"error: {message}" in capsys.readouterr().err
+        assert self.run_with_config(small_corpus, tmp_path, settings, command, indexed[0]) == 3
+        assert f"error: {tmp_path / 'run.json'}: {message}\n" == capsys.readouterr().err
 
     @pytest.mark.parametrize("key", ["family", "subset", "seed", "input", "output"])
     def test_removed_key_exits_3(self, small_corpus, tmp_path, capsys, key):
-        assert self.run_with_config(small_corpus, tmp_path, f"{key} = x") == 3
-        assert f"config line 1: unknown key {key!r}" in capsys.readouterr().err
+        assert self.run_with_config(small_corpus, tmp_path, {key: "x"}) == 3
+        assert capsys.readouterr().err == f"error: {tmp_path / 'run.json'}: unknown key {key!r}\n"
 
-    def test_repeated_key_exits_3_naming_both_lines(self, small_corpus, tmp_path, capsys):
-        assert self.run_with_config(small_corpus, tmp_path, "fanout = 3\n# denser\nfanout = 5") == 3
-        assert "config line 3: fanout already set on line 1" in capsys.readouterr().err
+    def test_repeated_key_exits_3_naming_it(self, small_corpus, tmp_path, capsys):
+        assert self.run_with_config(small_corpus, tmp_path, '{"fanout": 3,\n "fanout": 5}') == 3
+        assert capsys.readouterr().err == f"error: {tmp_path / 'run.json'}: repeated key 'fanout'\n"
+
+    def test_key_value_lines_exit_3_saying_configs_are_json(self, small_corpus, tmp_path, capsys):
+        assert self.run_with_config(small_corpus, tmp_path, "# denser\npeak_density = 40\n") == 3
+        message = 'not a JSON object; config files are JSON objects such as {"hop": 128}'
+        assert capsys.readouterr().err == f"error: {tmp_path / 'run.json'}: {message}\n"
+
+    def test_defaults_only_config_writes_the_index_no_config_writes(self, small_corpus, tmp_path):
+        wav = str(next(iter(sorted(small_corpus.glob("*.wav")))))
+        plain = tmp_path / "plain.idx"
+        assert main(["index", wav, "--out", str(plain)]) == 0
+        for settings in ({}, asdict(FpConfig()), {"peak_density": 20, "log_floor": -10}):
+            assert self.run_with_config(small_corpus, tmp_path, settings) == 0
+            assert (tmp_path / "o.idx").read_bytes() == plain.read_bytes()
+
+    def test_schema_pins_the_fields_and_defaults(self, tmp_path):
+        schema = load_schema("config.schema.json")
+        properties = schema.schema["properties"]
+        assert list(properties) == [f.name for f in fields(FpConfig)]
+        assert {key: p["default"] for key, p in properties.items()} == asdict(FpConfig())
+        assert all(p["type"] == ("integer" if f.type == "int" else "number") for f, p in zip(fields(FpConfig), properties.values()))
+        path = tmp_path / "run.json"
+        for doc in ({}, asdict(FpConfig(hop=128, peak_density=12.5))):
+            schema.validate(doc)
+            path.write_text(json.dumps(doc))
+            assert load_config(str(path)) == FpConfig(**doc)
+        assert not schema.is_valid({"seed": 3})
 
     def test_undecodable_file_exits_3_naming_it(self, small_corpus, tmp_path, capsys):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_bytes(b"hop = 128\n\xff\n")
+        cfg = tmp_path / "run.json"
+        cfg.write_bytes(b'{"hop": 128,\n\xff}')
         wav = str(next(iter(sorted(small_corpus.glob("*.wav")))))
         capsys.readouterr()
         assert main(["index", wav, "--config", str(cfg), "--out", str(tmp_path / "o.idx")]) == 3
-        message = "'utf-8' codec can't decode byte 0xff in position 10: invalid start byte"
+        message = "'utf-8' codec can't decode byte 0xff in position 13: invalid start byte"
         assert capsys.readouterr().err == f"error: {cfg}: {message}\n"
 
     def test_index_match_and_pipeline_ignore_env_seed(self, small_corpus, indexed, tmp_path, monkeypatch):
@@ -295,15 +326,15 @@ class TestConfigFiles:
 
     def test_match_refuses_other_landmark_parameters(self, indexed, tmp_path, capsys):
         idx, wavs = indexed  # built with the defaults
-        dense = tmp_path / "dense.cfg"
-        dense.write_text("peak_density = 40\n")
+        dense = tmp_path / "dense.json"
+        dense.write_text('{"peak_density": 40}')
         capsys.readouterr()
         assert main(["match", wavs[0], "--index", str(idx), "--config", str(dense)]) == 3
         err = capsys.readouterr().err
         assert "peak_density = 40.0 differs from the index's peak_density = 20.0" in err
 
-        strict = tmp_path / "strict.cfg"
-        strict.write_text("match_threshold = 9\n")
+        strict = tmp_path / "strict.json"
+        strict.write_text('{"match_threshold": 9}')
         assert main(["match", wavs[0], "--index", str(idx), "--config", str(strict)]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert all(e["ml"] >= 9 for q in doc["queries"] for e in q["entries"])
@@ -428,12 +459,12 @@ class TestMatch:
             blob[-8:-4] = (9).to_bytes(4, "little")  # clip ordinal of the last posting
             message = "posting 1 references clip ordinal 9 of 2"
         elif fault == "clip id":
-            pos = blob.index(b"\x01\x00b") + 2
-            blob[pos] = 0xFF  # b's one-byte id
-            message = f"clip table entry 1: id at offset {pos} is not UTF-8"
+            pos = blob.index(b'"b": {') + 1
+            blob[pos] = 0xFF  # b's one-byte id in the JSON header, which starts at byte 10
+            message = f"index header: 'utf-8' codec can't decode byte 0xff in position {pos - 10}: invalid start byte"
         else:
-            pos = blob.index(b"\x01\x00b") + 3 + 8
-            blob[pos:pos + 4] = bytes(4)  # b's landmark count
+            pos = blob.index(b'"landmarks": 1', blob.index(b'"b": {')) + len(b'"landmarks": ')
+            blob[pos] = ord("0")  # b's landmark count
             del blob[-12:]  # b's posting, the last
             blob[-20:-12] = (1).to_bytes(8, "little")  # posting count
             message = "clip 'b' declares 0 landmarks"
@@ -484,6 +515,9 @@ MALFORMED_ENTRIES = [
         for key in ("ml", "tml", "lq", "li")
     ),
     pytest.param({"tml": 2**53 + 1}, f"tml must be at most 2**53, got {2**53 + 1}", id="tml-2**53+1"),
+    # JSON Schema counts 7.0 as an integer; the reader does not.
+    ({"ml": 7.0}, "ml must be an integer, got 7.0"),
+    ({"offset_frames": 2.0}, "offset_frames must be an integer, got 2.0"),
 ]
 # Documents malformed outside their entries, and the refusal's text.
 MALFORMED_DOCS = [

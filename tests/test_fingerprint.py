@@ -1,3 +1,4 @@
+import json
 import math
 import re
 import tracemalloc
@@ -22,7 +23,6 @@ from ugcaudio import (
     load_config,
     offset_zero_votes,
     pair_landmarks,
-    parse_config,
     query,
     spectrogram,
     thin_peaks,
@@ -73,12 +73,18 @@ class TestConfig:
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("key", ["log_floor", "peak_density", "density_multiplier", "consistency_eps"])
-    def test_non_finite_floats_rejected(self, key, value):
-        message = re.escape(f"{key} must be finite, got {value!r}")
-        with pytest.raises(ValueError, match=message):
+    def test_non_finite_floats_rejected(self, key, value, tmp_path):
+        with pytest.raises(ValueError, match=re.escape(f"{key} must be finite, got {value!r}")):
             FpConfig(**{key: value})
-        with pytest.raises(ValueError, match=message):
-            parse_config(f"{key} = {value!r}\n")
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps({key: value}))  # NaN, Infinity or -Infinity
+        with pytest.raises(ValueError, match="^" + re.escape(f"{path}: {key} must be a finite number, got {value!r}") + "$"):
+            load_config(str(path))
+
+    def test_float_fields_are_floats_however_spelt(self):
+        cfg = FpConfig(peak_density=40, log_floor=-8, consistency_eps=0)
+        assert cfg == FpConfig(peak_density=40.0, log_floor=-8.0, consistency_eps=0.0)
+        assert all(type(getattr(cfg, f.name)) is float for f in fields(FpConfig) if f.type == "float")
 
     @pytest.mark.parametrize(
         "kw, message",
@@ -119,29 +125,40 @@ class TestConfig:
         )
         assert len(fields(FpConfig)) == 14
         assert all(getattr(want, f.name) != f.default for f in fields(FpConfig))
-        path = tmp_path / "run.cfg"
-        path.write_text(
-            "# every key\n\n" + "".join(f"{f.name} = {getattr(want, f.name)}\n" for f in fields(FpConfig))
-        )
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps({f.name: getattr(want, f.name) for f in fields(FpConfig)}))
         assert load_config(str(path)) == want
 
-    def test_unset_keys_keep_defaults(self):
-        assert parse_config("hop = 128\n# fanout = 9\n") == FpConfig(hop=128)
+    def test_unset_keys_keep_defaults(self, tmp_path):
+        path = tmp_path / "run.json"
+        for text, want in (("{}", FpConfig()), ('{"hop": 128}', FpConfig(hop=128))):
+            path.write_text(text)
+            assert load_config(str(path)) == want
 
     @pytest.mark.parametrize(
         "text, message",
         [
-            ("hop = 256\nfanout = three\n", "config line 2: fanout expects int, got 'three'"),
-            ("\n# c\npeak_density = dense\n", "config line 3: peak_density expects float"),
-            ("window = 512.0", "config line 1: window expects int"),
-            ("hop 256", "config line 1: expected 'key = value'"),
-            ("seed = 3", "config line 1: unknown key 'seed'"),
-            ("fanout = 3\n\nfanout = 5\n", "config line 3: fanout already set on line 1"),
+            ('{"hop": 256, "fanout": "three"}', "fanout must be an integer, got 'three'"),
+            ('{"peak_density": "dense"}', "peak_density must be a finite number, got 'dense'"),
+            ('{"window": 512.0}', "window must be an integer, got 512.0"),
+            ('{"hop": 1.5}', "hop must be an integer, got 1.5"),
+            ('{"fanout": true}', "fanout must be an integer, got True"),
+            ('{"log_floor": 1e400}', "log_floor must be a finite number, got inf"),
+            ('{"seed": 3}', "unknown key 'seed'"),
+            ('{"fanout": 3, "fanout": 5}', "repeated key 'fanout'"),
+            ('{"hop": 128,}', "Expecting property name enclosed in double quotes: line 1 column 13 (char 12)"),
+            ('{"window": 500}', "window must be a power of two, got 500"),
+            ('{"df_min": 10, "df_max": 5}', "df_min = 10 exceeds df_max = 5"),
+            # The `key = value` lines of earlier versions, and JSON that is no object.
+            ("hop = 256\n", 'not a JSON object; config files are JSON objects such as {"hop": 128}'),
+            ('["hop", 128]', 'not a JSON object; config files are JSON objects such as {"hop": 128}'),
         ],
     )
-    def test_bad_line_is_named(self, text, message):
-        with pytest.raises(ValueError, match=re.escape(message)):
-            parse_config(text)
+    def test_bad_file_is_refused_naming_the_key(self, tmp_path, text, message):
+        path = tmp_path / "run.json"
+        path.write_text(text)
+        with pytest.raises(ValueError, match="^" + re.escape(f"{path}: {message}") + "$"):
+            load_config(str(path))
 
 
 class TestSpectrogram:

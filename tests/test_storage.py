@@ -1,11 +1,12 @@
 import json
+import math
 import re
 import struct
 from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from ugcaudio import (
     FingerprintIndex,
@@ -69,10 +70,34 @@ def clip_rows(index: FingerprintIndex) -> dict[str, list[tuple[int, int]]]:
 
 
 def with_header(blob: bytes, text: str, version: int = INDEX_VERSION) -> bytes:
-    """The index blob with its landmark header replaced by `text`."""
+    """The index blob with its JSON header replaced by `text`."""
     (old_len,) = struct.unpack_from("<I", blob, 6)
     raw = text.encode()
     return blob[:4] + struct.pack("<HI", version, len(raw)) + raw + blob[10 + old_len :]
+
+
+def header_of(blob: bytes) -> dict:
+    """The index blob's JSON header, which starts at byte 10."""
+    (length,) = struct.unpack_from("<I", blob, 6)
+    return json.loads(blob[10 : 10 + length])
+
+
+@st.composite
+def landmark_configs(draw) -> FpConfig:
+    """An FpConfig with random valid values of every LANDMARK_KEYS field."""
+    window = 2 ** draw(st.integers(0, 16))
+    dt = sorted(draw(st.lists(st.integers(1, 63), min_size=2, max_size=2)))
+    df = sorted(draw(st.lists(st.integers(-63, 63), min_size=2, max_size=2)))
+    finite = {"allow_nan": False, "allow_infinity": False}
+    return FpConfig(
+        rate=draw(st.integers(1, 2**40)),
+        window=window,
+        hop=draw(st.integers(1, window)),
+        log_floor=draw(st.floats(**finite)),
+        peak_density=draw(st.floats(min_value=0, exclude_min=True, **finite)),
+        fanout=draw(st.integers(1, 2**40)),
+        dt_min=dt[0], dt_max=dt[1], df_min=df[0], df_max=df[1],
+    )
 
 
 class TestIndexFormat:
@@ -113,7 +138,38 @@ class TestIndexFormat:
         # Query-time parameters are not stored: the loaded index has defaults.
         assert loaded.cfg == replace(cfg, match_threshold=FpConfig().match_threshold)
         assert index_to_bytes(loaded) == blob
-        assert b"peak_density = 33.5\nfanout = 5\n" in blob  # LANDMARK_KEYS order
+        assert header_of(blob)["config"] == {key: getattr(cfg, key) for key in LANDMARK_KEYS}
+        assert header_of(blob)["config"]["peak_density"] == 33.5 and header_of(blob)["config"]["fanout"] == 5
+
+    def test_float_key_spelt_as_an_integer_round_trips(self):
+        blob = index_to_bytes(real_index(FpConfig(peak_density=40)))
+        assert index_to_bytes(index_from_bytes(blob)) == blob
+        assert blob == index_to_bytes(real_index(FpConfig(peak_density=40.0)))
+        assert b'"peak_density": 40.0' in blob
+
+    @given(
+        clips=st.dictionaries(
+            st.text(st.characters(exclude_categories=()), max_size=6),
+            st.tuples(st.floats(allow_nan=False, allow_infinity=False), st.integers(1, 4)),
+            max_size=6,
+        ),
+        cfg=landmark_configs(),
+    )
+    @example(clips={"": (5e-324, 1), '"': (-0.0, 2), "\\": (2.2250738585072014e-308, 1), "\x00\x1f": (1e308, 3), "\U0001F600": (0.1, 1), "\ud800": (3.0, 4)}, cfg=FpConfig())
+    @settings(max_examples=50, deadline=None)
+    def test_header_round_trips_byte_for_byte(self, clips, cfg):
+        index = FingerprintIndex(cfg)
+        for cid, (duration, n) in clips.items():
+            index.add_hashed(cid, [(key, 7) for key in range(n)], duration=duration)
+        blob = index_to_bytes(index)
+        loaded = index_from_bytes(blob)
+        assert index_to_bytes(loaded) == blob
+        assert loaded.clip_ids == sorted(clips) and loaded.landmark_counts == index.landmark_counts
+        ids = sorted(clips)
+        bits = np.array([clips[cid][0] for cid in ids], dtype=np.float64).view(np.uint64)
+        assert np.array_equal(np.array([loaded.durations[cid] for cid in ids], dtype=np.float64).view(np.uint64), bits)
+        for key in LANDMARK_KEYS:
+            assert getattr(loaded.cfg, key) == getattr(cfg, key), key
 
     def test_version_1_refused_naming_the_version(self):
         # Version 1: u16 version, u32 rate, u16 window, u16 hop, u32 n_clips = 0, u64 0.
@@ -121,32 +177,87 @@ class TestIndexFormat:
         with pytest.raises(StorageError, match="version 1 .* re-index"):
             index_from_bytes(blob)
 
+    def test_version_2_refused_naming_the_version(self):
+        # Version 2: a `key = value` header, u32 n_clips = 0, u64 n_postings = 0.
+        header = "".join(f"{key} = {getattr(FpConfig(), key)!r}\n" for key in LANDMARK_KEYS).encode()
+        blob = INDEX_MAGIC + struct.pack("<HI", 2, len(header)) + header + struct.pack("<IQ", 0, 0)
+        with pytest.raises(StorageError, match="^index file version 2 .*; re-index the clips$"):
+            index_from_bytes(blob)
+
     @pytest.mark.parametrize(
         "edit",
         [
-            lambda lines: lines[:-1],  # df_max missing
-            lambda lines: lines + ["match_threshold = 5"],  # a query-time key
-            lambda lines: lines + [lines[0]],  # rate twice
+            lambda pairs: pairs[:-1],  # df_max missing
+            lambda pairs: pairs + [("match_threshold", 5)],  # a query-time key
+            lambda pairs: pairs + [pairs[0]],  # rate twice
         ],
     )
     def test_header_must_set_exactly_the_landmark_keys(self, edit):
         blob = index_to_bytes(toy_index())
-        lines = [f"{key} = {getattr(FpConfig(), key)!r}" for key in LANDMARK_KEYS]
-        assert index_from_bytes(with_header(blob, "\n".join(lines) + "\n")).cfg == FpConfig()
-        with pytest.raises(StorageError, match="index header sets"):
-            index_from_bytes(with_header(blob, "\n".join(edit(lines)) + "\n"))
+        clips = json.dumps(header_of(blob)["clips"])
+
+        def header(pairs) -> str:  # written by hand, so that a key may repeat
+            return f'{{"clips": {clips}, "config": {{{", ".join(f"{json.dumps(k)}: {v!r}" for k, v in pairs)}}}}}'
+
+        pairs = [(key, getattr(FpConfig(), key)) for key in LANDMARK_KEYS]
+        assert index_from_bytes(with_header(blob, header(pairs))).cfg == FpConfig()
+        message = "^index header( config)?: (missing field 'df_max'|unknown key 'match_threshold'|repeated key 'rate')$"
+        with pytest.raises(StorageError, match=message):
+            index_from_bytes(with_header(blob, header(edit(pairs))))
 
     def test_bad_header_value_refused(self):
         blob = index_to_bytes(toy_index())
-        text = blob[10 : 10 + struct.unpack_from("<I", blob, 6)[0]].decode()
-        for bad in (
-            text.replace("window = 512", "window = 500"),
-            text.replace("fanout = 3", "fanout = x"),
-            text.replace("log_floor = -10.0", "log_floor = nan"),
-            text.replace("rate = 11025", "rate = 0"),
-        ):
-            with pytest.raises(StorageError, match="index header: .*(window|fanout|log_floor|rate)"):
-                index_from_bytes(with_header(blob, bad))
+        for key, bad in (("window", 500), ("fanout", "x"), ("log_floor", math.nan), ("rate", 0)):
+            doc = header_of(blob)
+            doc["config"][key] = bad
+            with pytest.raises(StorageError, match=f"^index header config: {key} must be "):
+                index_from_bytes(with_header(blob, json.dumps(doc)))
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("[]", "index header: not an object"),
+            ('{"clips": {}}', "index header: missing field 'config'"),
+            ('{"clips": [], "config": {}}', "index header: clips must be an object, got []"),
+            ('{"clips": {}, "config": 5}', "index header: config must be an object, got 5"),
+            ("{", "index header: Expecting property name enclosed in double quotes: line 1 column 2 (char 1)"),
+        ],
+    )
+    def test_unreadable_header_refused(self, text, message):
+        with pytest.raises(StorageError, match="^" + re.escape(message) + "$"):
+            index_from_bytes(with_header(index_to_bytes(toy_index()), text))
+
+    @pytest.mark.parametrize(
+        "clip, message",
+        [
+            ({"duration": 1.0}, "missing field 'landmarks'"),
+            ({"duration": 1.0, "landmarks": 1, "t1": 0}, "unknown key 't1'"),
+            ({"duration": "1.0", "landmarks": 1}, "duration must be a finite number, got '1.0'"),
+            ({"duration": 1.0, "landmarks": 1.0}, "landmarks must be an integer, got 1.0"),
+        ],
+    )
+    def test_invalid_clip_entry_refused_naming_the_clip(self, clip, message):
+        blob = index_to_bytes(toy_index())
+        doc = header_of(blob)
+        doc["clips"]["alpha"] = clip
+        with pytest.raises(StorageError, match="^" + re.escape(f"index header clip 'alpha': {message}") + "$"):
+            index_from_bytes(with_header(blob, json.dumps(doc)))
+
+    def test_repeated_clip_id_refused(self):
+        blob = index_to_bytes(toy_index())
+        config = json.dumps(header_of(blob)["config"])
+        text = f'{{"clips": {{"alpha": {{"duration": 0.75, "landmarks": 1}}, "alpha": {{"duration": 2.5, "landmarks": 3}}}}, "config": {config}}}'
+        with pytest.raises(StorageError, match="^index header: repeated key 'alpha'$"):
+            index_from_bytes(with_header(blob, text))
+
+    def test_clip_ordinals_are_ranks_of_the_sorted_ids(self):
+        blob = index_to_bytes(toy_index())
+        doc = header_of(blob)
+        # The same clips listed in reverse id order: the order in the file means nothing.
+        doc["clips"] = dict(reversed(doc["clips"].items()))
+        loaded = index_from_bytes(with_header(blob, json.dumps(doc)))
+        assert loaded.clip_ids == ["alpha", "beta"]
+        assert index_to_bytes(loaded) == blob
 
     def test_serialization_is_canonical(self):
         # same content added in a different order serializes identically
@@ -194,19 +305,19 @@ class TestIndexFormat:
             index_from_bytes(blob + b"\x00")
 
     def test_posting_count_mismatch_rejected(self):
-        blob = bytearray(index_to_bytes(toy_index()))
-        # clips are sorted, so 'alpha' (1 landmark) is declared first;
-        # bump its count to 2 without adding a posting
-        pos = blob.index(b"alpha") + len(b"alpha") + 8
-        blob[pos:pos + 4] = (2).to_bytes(4, "little")
+        blob = index_to_bytes(toy_index())
+        # bump alpha's count from 1 to 2 without adding a posting
+        doc = header_of(blob)
+        doc["clips"]["alpha"]["landmarks"] = 2
         with pytest.raises(StorageError, match="declares 2 landmarks"):
-            index_from_bytes(bytes(blob))
+            index_from_bytes(with_header(blob, json.dumps(doc)))
 
     def test_clip_declaring_no_landmarks_rejected(self):
-        blob = bytearray(index_to_bytes(toy_index()))
-        # drop 'alpha' (declared first) and its one posting, the last by key
-        pos = blob.index(b"alpha") + len(b"alpha") + 8
-        blob[pos:pos + 4] = (0).to_bytes(4, "little")
+        blob = index_to_bytes(toy_index())
+        # drop alpha's one posting, the last by key, and its count
+        doc = header_of(blob)
+        doc["clips"]["alpha"]["landmarks"] = 0
+        blob = bytearray(with_header(blob, json.dumps(doc)))
         count = len(blob) - 4 * 12 - 8
         blob[count:count + 8] = (3).to_bytes(8, "little")
         del blob[-12:]
@@ -214,18 +325,12 @@ class TestIndexFormat:
             index_from_bytes(bytes(blob))
 
     def test_clip_id_not_utf8_rejected(self):
-        blob = index_to_bytes(toy_index())
-        at = blob.index(b"beta")  # the second entry; 'alpha' sorts first
-        with pytest.raises(StorageError, match=f"^clip table entry 1: id at offset {at} is not UTF-8$"):
-            index_from_bytes(blob[:at] + b"\xffeta" + blob[at + 4 :])
-
-    def test_clip_table_out_of_id_order_rejected(self):
-        index = FingerprintIndex(FpConfig())
-        index.add_hashed("x1", [(5, 0)], duration=1.0)
-        index.add_hashed("x2", [(6, 0)], duration=1.0)
-        blob = index_to_bytes(index).replace(b"x1", b"x3", 1)
-        with pytest.raises(StorageError, match="clip table out of id order: clip 1 'x2' follows 'x3'"):
-            index_from_bytes(blob)
+        blob = bytearray(index_to_bytes(toy_index()))
+        at = blob.index(b'"beta"') + 1
+        blob[at] = 0xFF  # the header starts at byte 10
+        message = f"^index header: 'utf-8' codec can't decode byte 0xff in position {at - 10}: invalid start byte$"
+        with pytest.raises(StorageError, match=message):
+            index_from_bytes(bytes(blob))
 
     # Toy postings: (99, 1, 0), (512, 1, 4), (512, 1, 9), (2097087, 0, 63).
     @pytest.mark.parametrize("swap", [(1, 2), (2, 3)])  # t1 order, then key order
